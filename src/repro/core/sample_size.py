@@ -9,7 +9,7 @@ the two-stage sampling of Section 4.1 (θ_n | θ_0, then θ_N | θ_n) and the
 conservative correction of Lemma 2.  Theorem 2 shows this probability is
 increasing in n, which justifies the bracketing search of Section 4.2.
 
-Two implementation-level optimisations sit on top of the paper's search:
+Implementation-level optimisations on top of the paper's search:
 
 * the per-candidate pairwise diffs run through the streaming sharded
   holdout engine (:mod:`repro.evaluation.streaming`), so memory stays
@@ -25,7 +25,11 @@ Two implementation-level optimisations sit on top of the paper's search:
   candidates as still pay for themselves given the current bracket width —
   a bracket the full batch would over-resolve gets a smaller stack with
   the *same* number of passes, so tiny brackets stop paying for
-  Monte-Carlo evaluations that cannot narrow them further.
+  Monte-Carlo evaluations that cannot narrow them further;
+* several contracts search in **lockstep**
+  (:meth:`SampleSizeEstimator.estimate_many`), sharing each round's pass;
+  a single contract's search (:meth:`SampleSizeEstimator.estimate`) is
+  the one-member case of the same loop.
 """
 
 from __future__ import annotations
@@ -48,23 +52,20 @@ from repro.evaluation.streaming import (
 )
 from repro.exceptions import SampleSizeError
 from repro.models.base import ModelClassSpec
-from repro.obs import get_metrics, maybe_span, obs_enabled
+from repro.obs import get_metrics, maybe_span
 
 # Size-search round economics (repro.obs): every round is one streamed
-# candidate pass, so rounds-by-mode plus the fused passes-saved counter
-# reproduce the coalescing tier's exact pass accounting at scrape time.
-# Ticked only when telemetry is enabled (obs_enabled()).
+# candidate pass, so rounds plus the passes-saved counter reproduce the
+# coalescing tier's exact pass accounting at scrape time.  Ticked only
+# when telemetry is enabled (obs_enabled()).
 _SEARCH_ROUNDS = get_metrics().counter(
     "repro_size_search_rounds_total",
     "Size-search evaluation rounds executed (one streamed candidate pass "
-    "each), by search mode.",
-    ("mode",),
+    "each).",
 )
 _SEARCHES_TOTAL = get_metrics().counter(
     "repro_size_search_searches_total",
-    "Completed size searches, by search mode (fused counts each member "
-    "contract).",
-    ("mode",),
+    "Completed size searches (a fused search counts each member contract).",
 )
 _PASSES_SAVED_TOTAL = get_metrics().counter(
     "repro_size_search_passes_saved_total",
@@ -110,18 +111,18 @@ class FusedSizeSearch:
     ----------
     estimates:
         One :class:`SampleSizeEstimate` per input contract, in input order.
-        Each is bitwise identical to what a lone :meth:`SampleSizeEstimator.estimate`
-        call for that contract would return, except ``estimation_seconds``,
+        Each is bitwise identical to what :meth:`SampleSizeEstimator.estimate`
+        returns for that contract alone, except ``estimation_seconds``,
         which reports the *shared* fused wall-clock for every member.
     fused_passes:
         Evaluation rounds the fused search actually executed — each is one
         streamed holdout pass (for block-streaming model families) carrying
         the union of that round's candidates across all active searches.
     serial_passes:
-        Evaluation rounds the same contracts would have cost executed
-        serially (each search's own round count, summed).  Exact, not
+        Evaluation rounds the same contracts would have cost searched one
+        at a time (each search's own round count, summed).  Exact, not
         estimated: every member search follows the identical bracket
-        trajectory fused or serial, so its serial round count is simply the
+        trajectory fused or alone, so its own round count is simply the
         number of fused rounds it contributed candidates to.
     """
 
@@ -180,17 +181,6 @@ def adaptive_probe_count(span: int, probe_batch: int) -> int:
     return min(count, cap)
 
 
-def _bracket_candidates(low: int, high: int, count: int) -> list[int]:
-    """The ``count`` evenly spaced interior candidates of ``(low, high)``.
-
-    Shared by the serial search and the fused lockstep search so both
-    schedule byte-identical probe sequences — the foundation of the exact
-    ``passes_saved`` accounting.
-    """
-    span = high - low
-    return sorted({low + (span * (j + 1)) // (count + 1) for j in range(count)})
-
-
 class SampleSizeEstimator:
     """Finds the smallest n satisfying the contract using only the initial model.
 
@@ -213,22 +203,8 @@ class SampleSizeEstimator:
         self._streaming = streaming
 
     # ------------------------------------------------------------------
-    # Probability of contract satisfaction for candidate sizes
+    # Sampled differences for candidate sizes
     # ------------------------------------------------------------------
-    def contract_satisfied(
-        self,
-        theta0: np.ndarray,
-        n0: int,
-        candidate_n: int,
-        N: int,
-        contract: ApproximationContract,
-        sampler: ParameterSampler,
-    ) -> bool:
-        """Monte-Carlo check of ``Pr[v(m_n, m_N) ≤ ε] ≥ 1 − δ`` for one n."""
-        return self.contract_satisfied_batch(
-            theta0, n0, (candidate_n,), N, contract, sampler
-        )[0]
-
     def candidate_differences_batch(
         self,
         theta0: np.ndarray,
@@ -264,36 +240,8 @@ class SampleSizeEstimator:
             self._spec, segments, self._holdout, config=self._streaming
         )
 
-    def contract_satisfied_batch(
-        self,
-        theta0: np.ndarray,
-        n0: int,
-        candidate_ns: Sequence[int],
-        N: int,
-        contract: ApproximationContract,
-        sampler: ParameterSampler,
-    ) -> list[bool]:
-        """Monte-Carlo check of several candidate sizes in one streamed pass.
-
-        A thin threshold layer over :meth:`candidate_differences_batch`
-        (the ROADMAP "batched two-stage probes"): evaluate every candidate's
-        segment in one fan-out pass, then apply the contract's Lemma 2
-        threshold per candidate.
-        """
-        if not candidate_ns:
-            return []
-        differences = self.candidate_differences_batch(
-            theta0, n0, candidate_ns, N, sampler
-        )
-        return [
-            satisfies_probability_threshold(
-                vector, contract.epsilon, contract.delta
-            )
-            for vector in differences
-        ]
-
     # ------------------------------------------------------------------
-    # Bracketing search (Section 4.2, batched probes)
+    # Bracketing search (Section 4.2, batched probes, fused contracts)
     # ------------------------------------------------------------------
     def estimate(
         self,
@@ -307,6 +255,8 @@ class SampleSizeEstimator:
         probe_batch: int = 1,
     ) -> SampleSizeEstimate:
         """Search the smallest n in [n0, N] satisfying the contract.
+
+        The one-contract case of :meth:`estimate_many`.
 
         Parameters
         ----------
@@ -343,99 +293,17 @@ class SampleSizeEstimator:
             bracket width (:func:`adaptive_probe_count`): narrow brackets
             stack fewer candidates without taking extra passes.
         """
-        if n0 <= 0 or N <= 0:
-            raise SampleSizeError("sample sizes must be positive")
-        if n0 > N:
-            raise SampleSizeError(f"initial sample size {n0} exceeds N={N}")
-        if probe_batch < 1:
-            raise SampleSizeError("probe_batch must be at least 1")
-        sampler = sampler or ParameterSampler(statistics)
-        if not obs_enabled():
-            return self._estimate_impl(
-                theta0, n0, N, contract, sampler, skip_lower_probe, probe_batch
-            )
-        with maybe_span(
-            "size_search.estimate",
-            epsilon=contract.epsilon,
-            delta=contract.delta,
-            n0=n0,
-            N=N,
-        ) as span:
-            estimate = self._estimate_impl(
-                theta0, n0, N, contract, sampler, skip_lower_probe, probe_batch
-            )
-            if span is not None:
-                span.set_attribute("sample_size", estimate.sample_size)
-                span.set_attribute("feasible", estimate.feasible)
-        _SEARCHES_TOTAL.inc(1, mode="serial")
-        return estimate
+        return self.estimate_many(
+            theta0,
+            n0,
+            N,
+            [contract],
+            statistics,
+            sampler=sampler,
+            skip_lower_probe=skip_lower_probe,
+            probe_batch=probe_batch,
+        ).estimates[0]
 
-    def _estimate_impl(
-        self,
-        theta0: np.ndarray,
-        n0: int,
-        N: int,
-        contract: ApproximationContract,
-        sampler: ParameterSampler,
-        skip_lower_probe: bool,
-        probe_batch: int,
-    ) -> SampleSizeEstimate:
-        start = time.perf_counter()
-        telemetry = obs_enabled()
-        probed: list[int] = []
-
-        def satisfied(candidate: int) -> bool:
-            if telemetry:
-                _SEARCH_ROUNDS.inc(1, mode="serial")
-            probed.append(candidate)
-            return self.contract_satisfied(theta0, n0, candidate, N, contract, sampler)
-
-        def finish(sample_size: int, feasible: bool) -> SampleSizeEstimate:
-            return SampleSizeEstimate(
-                sample_size=sample_size,
-                feasible=feasible,
-                n_probability_evaluations=len(probed),
-                probed_sizes=tuple(probed),
-                estimation_seconds=time.perf_counter() - start,
-            )
-
-        # Quick exits: if n0 already satisfies, the coordinator will have
-        # caught it via the accuracy estimator, but the search still handles
-        # it gracefully; if even N fails the Monte-Carlo check, fall back to
-        # the full data.
-        low, high = n0, N
-        if not skip_lower_probe and satisfied(low):
-            return finish(low, True)
-        if not satisfied(high):
-            return finish(N, False)
-
-        # Invariant: low fails, high satisfies.  Theorem 2 (monotonicity)
-        # makes the bracket narrowing valid; with probe_batch == 1 the loop
-        # is exactly the paper's bisection.
-        while high - low > 1:
-            count = adaptive_probe_count(high - low, probe_batch)
-            candidates = _bracket_candidates(low, high, count)
-            probed.extend(candidates)
-            if telemetry:
-                _SEARCH_ROUNDS.inc(1, mode="serial")
-            outcomes = self.contract_satisfied_batch(
-                theta0, n0, candidates, N, contract, sampler
-            )
-            first_true = next(
-                (i for i, outcome in enumerate(outcomes) if outcome), None
-            )
-            if first_true is None:
-                low = candidates[-1]
-            else:
-                high = candidates[first_true]
-                if first_true > 0:
-                    low = candidates[first_true - 1]
-
-        return finish(high, True)
-
-    # ------------------------------------------------------------------
-    # Fused multi-contract search (request coalescing)
-    # ------------------------------------------------------------------
     def estimate_many(
         self,
         theta0: np.ndarray,
@@ -449,27 +317,28 @@ class SampleSizeEstimator:
     ) -> FusedSizeSearch:
         """Run several contracts' searches in lockstep, sharing each round's pass.
 
-        The cross-caller generalisation of ``probe_batch``: where the serial
-        search stacks one *caller's* candidates into a round, this stacks
-        one *round's* candidates across every active search.  Each member
+        The cross-caller generalisation of ``probe_batch``: where one
+        search stacks its own candidates into a round, this stacks one
+        *round's* candidates across every active search.  Each member
         search follows exactly the bracket trajectory it would follow alone
         — same endpoint probes, same :func:`adaptive_probe_count` schedule,
         same narrowing decisions — but all searches still active at a given
         round contribute their candidates to one deduplicated union, which
         is evaluated as a single fan-out streamed pass
         (:meth:`candidate_differences_batch`).  Per-candidate segmentation
-        makes the demultiplexed outcomes bitwise identical to serial runs,
+        makes the demultiplexed outcomes bitwise identical to lone runs,
         so the member estimates (sample size, feasibility, probe schedule)
-        are exactly what ``estimate()`` would have produced, while the pass
-        count drops from the sum of the members' round counts to the
-        maximum of them.
+        are exactly what ``estimate()`` returns for each contract, while
+        the pass count drops from the sum of the members' round counts to
+        the maximum of them.
 
         Duplicated (ε, δ) contracts in the input are legal and cost nothing
         extra (their candidates always coincide, so the union absorbs
         them); callers that want duplicate *results* shared should dedupe a
         level up (the session's size cache does).  Returns a
         :class:`FusedSizeSearch` with the per-contract estimates in input
-        order plus the exact fused/serial pass accounting.
+        order plus the exact fused/serial pass accounting.  Parameters are
+        as on :meth:`estimate`.
         """
         if n0 <= 0 or N <= 0:
             raise SampleSizeError("sample sizes must be positive")
@@ -483,38 +352,7 @@ class SampleSizeEstimator:
         if not contracts:
             return FusedSizeSearch(estimates=(), fused_passes=0, serial_passes=0)
         sampler = sampler or ParameterSampler(statistics)
-        if not obs_enabled():
-            return self._estimate_many_impl(
-                theta0, n0, N, contracts, sampler, skip_lower_probe, probe_batch
-            )
-        with maybe_span(
-            "size_search.estimate_many",
-            contracts=len(contracts),
-            n0=n0,
-            N=N,
-        ) as span:
-            outcome = self._estimate_many_impl(
-                theta0, n0, N, contracts, sampler, skip_lower_probe, probe_batch
-            )
-            if span is not None:
-                span.set_attribute("fused_passes", outcome.fused_passes)
-                span.set_attribute("serial_passes", outcome.serial_passes)
-        _SEARCHES_TOTAL.inc(len(contracts), mode="fused")
-        _PASSES_SAVED_TOTAL.inc(outcome.passes_saved)
-        return outcome
-
-    def _estimate_many_impl(
-        self,
-        theta0: np.ndarray,
-        n0: int,
-        N: int,
-        contracts: list[ApproximationContract],
-        sampler: ParameterSampler,
-        skip_lower_probe: bool,
-        probe_batch: int,
-    ) -> FusedSizeSearch:
         start = time.perf_counter()
-        telemetry = obs_enabled()
         searches = [_LockstepSearch(contract) for contract in contracts]
         fused_passes = 0
         serial_passes = 0
@@ -526,19 +364,8 @@ class SampleSizeEstimator:
             nonlocal fused_passes, serial_passes
             fused_passes += 1
             serial_passes += len(active)
-            if telemetry:
-                _SEARCH_ROUNDS.inc(1, mode="fused")
             for search, candidates in active:
                 search.probed.extend(candidates)
-            if len(active) == 1:
-                # A lone search takes the exact serial path (including the
-                # overridable contract_satisfied_batch hook tests rely on).
-                search, candidates = active[0]
-                return [
-                    self.contract_satisfied_batch(
-                        theta0, n0, candidates, N, search.contract, sampler
-                    )
-                ]
             union = sorted({c for _, candidates in active for c in candidates})
             differences = self.candidate_differences_batch(
                 theta0, n0, union, N, sampler
@@ -556,57 +383,63 @@ class SampleSizeEstimator:
                 for search, candidates in active
             ]
 
-        # Round 0a (optional): every search probes the lower endpoint n0.
-        if not skip_lower_probe:
-            active = [(search, [n0]) for search in searches]
-            for (search, _), outcomes in zip(active, evaluate(active)):
-                if outcomes[0]:
-                    search.finish(n0, True)
+        with maybe_span(
+            "size_search.estimate_many",
+            contracts=len(contracts),
+            n0=n0,
+            N=N,
+        ) as span:
+            # Round 0a (optional): every search probes the lower endpoint n0.
+            if not skip_lower_probe:
+                active = [(search, [n0]) for search in searches]
+                for (search, _), outcomes in zip(active, evaluate(active)):
+                    if outcomes[0]:
+                        search.finish(n0, True)
 
-        # Round 0b: remaining searches probe the upper endpoint N; a search
-        # the full data cannot certify falls back to N, infeasible.
-        pending = [search for search in searches if not search.done]
-        if pending:
-            active = [(search, [N]) for search in pending]
-            for (search, _), outcomes in zip(active, evaluate(active)):
-                if not outcomes[0]:
-                    search.finish(N, False)
-                else:
-                    search.low, search.high = n0, N
+            # Round 0b: remaining searches probe the upper endpoint N; a
+            # search the full data cannot certify falls back to N, infeasible.
+            pending = [search for search in searches if not search.done]
+            if pending:
+                active = [(search, [N]) for search in pending]
+                for (search, _), outcomes in zip(active, evaluate(active)):
+                    if not outcomes[0]:
+                        search.finish(N, False)
+                    else:
+                        search.low, search.high = n0, N
 
-        # Bracket rounds in lockstep: searches drop out as their brackets
-        # resolve; the survivors keep sharing one union pass per round.
-        while True:
-            active = []
-            for search in searches:
-                if search.done:
-                    continue
-                if search.high - search.low <= 1:
-                    search.finish(search.high, True)
-                    continue
-                count = adaptive_probe_count(search.high - search.low, probe_batch)
-                active.append(
-                    (search, _bracket_candidates(search.low, search.high, count))
-                )
-            if not active:
-                break
-            for (search, candidates), outcomes in zip(active, evaluate(active)):
-                first_true = next(
-                    (i for i, outcome in enumerate(outcomes) if outcome), None
-                )
-                if first_true is None:
-                    search.low = candidates[-1]
-                else:
-                    search.high = candidates[first_true]
-                    if first_true > 0:
-                        search.low = candidates[first_true - 1]
+            # Bracket rounds in lockstep (invariant: low fails, high
+            # satisfies; Theorem 2 makes the narrowing valid, and with
+            # probe_batch == 1 each search is exactly the paper's
+            # bisection).  Searches drop out as their brackets resolve; the
+            # survivors keep sharing one union pass per round.
+            while True:
+                active = []
+                for search in searches:
+                    if search.done:
+                        continue
+                    if search.high - search.low <= 1:
+                        search.finish(search.high, True)
+                        continue
+                    active.append((search, search.candidates(probe_batch)))
+                if not active:
+                    break
+                for (search, candidates), outcomes in zip(active, evaluate(active)):
+                    search.narrow(candidates, outcomes)
 
-        elapsed = time.perf_counter() - start
-        return FusedSizeSearch(
-            estimates=tuple(search.estimate(elapsed) for search in searches),
-            fused_passes=fused_passes,
-            serial_passes=serial_passes,
-        )
+            elapsed = time.perf_counter() - start
+            outcome = FusedSizeSearch(
+                estimates=tuple(search.estimate(elapsed) for search in searches),
+                fused_passes=fused_passes,
+                serial_passes=serial_passes,
+            )
+            if span is not None:
+                span.set_attribute("fused_passes", outcome.fused_passes)
+                span.set_attribute("serial_passes", outcome.serial_passes)
+        if span is not None:
+            _SEARCH_ROUNDS.inc(outcome.fused_passes)
+            _SEARCHES_TOTAL.inc(len(contracts))
+            _PASSES_SAVED_TOTAL.inc(outcome.passes_saved)
+        return outcome
 
 
 class _LockstepSearch:
@@ -622,6 +455,22 @@ class _LockstepSearch:
         self.done = False
         self.sample_size = 0
         self.feasible = True
+
+    def candidates(self, probe_batch: int) -> list[int]:
+        """This round's evenly spaced interior candidates of ``(low, high)``."""
+        span = self.high - self.low
+        count = adaptive_probe_count(span, probe_batch)
+        return sorted({self.low + (span * (j + 1)) // (count + 1) for j in range(count)})
+
+    def narrow(self, candidates: list[int], outcomes: list[bool]) -> None:
+        """Shrink the bracket around the first satisfied candidate."""
+        first_true = next((i for i, outcome in enumerate(outcomes) if outcome), None)
+        if first_true is None:
+            self.low = candidates[-1]
+        else:
+            self.high = candidates[first_true]
+            if first_true > 0:
+                self.low = candidates[first_true - 1]
 
     def finish(self, sample_size: int, feasible: bool) -> None:
         self.done = True

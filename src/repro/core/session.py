@@ -89,7 +89,7 @@ from repro.evaluation.streaming import StreamingConfig
 from repro.exceptions import BlinkMLError, DataError, SampleSizeError
 from repro.linalg.utils import freeze
 from repro.models.base import ModelClassSpec, TrainedModel
-from repro.obs import get_metrics, maybe_span, obs_enabled, pass_scope
+from repro.obs import get_metrics, maybe_span, pass_scope
 
 # Serving-latency histograms (repro.obs): observed only when telemetry is
 # enabled, labelled by the session's model-spec class so fleets mixing
@@ -102,8 +102,8 @@ _ANSWER_SECONDS = get_metrics().histogram(
 )
 _TRAIN_SECONDS = get_metrics().histogram(
     "repro_session_train_seconds",
-    "Wall time of one EstimationSession.train_to() call or one "
-    "train_to_many() coalesced dispatch.",
+    "Wall time of one EstimationSession.train_to_many() dispatch (a "
+    "direct train_to() is a one-contract dispatch).",
     ("session",),
 )
 
@@ -662,29 +662,20 @@ class EstimationSession:
         """
         with self._standing_contracts_lock:
             self._standing_contracts[contract] = None
-        if not obs_enabled():
-            return self._answer_impl(contract)
-        start = time.perf_counter()
         with maybe_span(
             "session.answer",
             session=self._session_label,
             epsilon=contract.epsilon,
             delta=contract.delta,
-        ):
-            result = self._answer_impl(contract)
-        _ANSWER_SECONDS.observe(
-            time.perf_counter() - start, session=self._session_label
-        )
-        return result
-
-    def _answer_impl(self, contract: ApproximationContract) -> SessionAnswer:
-        estimate, from_cache = self._accuracy_estimate(
-            self.initial_model.theta, self._n0, contract.delta
-        )
-        satisfied = estimate.epsilon <= contract.epsilon or self._n0 >= self._N
+        ) as span:
+            estimate, from_cache = self._accuracy_estimate(
+                self.initial_model.theta, self._n0, contract.delta
+            )
+        if span is not None:
+            _ANSWER_SECONDS.observe(span.duration, session=self._session_label)
         return SessionAnswer(
             contract=contract,
-            satisfied=satisfied,
+            satisfied=estimate.epsilon <= contract.epsilon or self._n0 >= self._N,
             estimate=estimate,
             from_cache=from_cache,
         )
@@ -865,64 +856,12 @@ class EstimationSession:
         streamed statistics pass plus one fresh difference-vector sample —
         skipped automatically when the initial model already satisfies the
         contract or the search fell back to the full data (ε = 0 either way).
+
+        The one-contract case of :meth:`train_to_many`.
         """
-        if not obs_enabled():
-            return self._train_to_impl(contract, recompute_at_theta_n)
-        start = time.perf_counter()
-        with maybe_span(
-            "session.train_to",
-            session=self._session_label,
-            epsilon=contract.epsilon,
-            delta=contract.delta,
-        ):
-            result = self._train_to_impl(contract, recompute_at_theta_n)
-        _TRAIN_SECONDS.observe(
-            time.perf_counter() - start, session=self._session_label
-        )
-        return result
-
-    def _train_to_impl(
-        self, contract: ApproximationContract, recompute_at_theta_n: bool
-    ) -> ApproximateTrainingResult:
-        self._touch()
-        timings = self._claim_construction_timings()
-        answer = self.answer(contract)
-        timings.accuracy_estimation_seconds += answer.estimate.estimation_seconds
-        metadata = {"statistics_method": self.statistics_method.value}
-        if answer.satisfied:
-            return self._initial_model_result(contract, answer, timings, metadata)
-
-        # Step 3: smallest n satisfying the contract (batched probes; the
-        # accuracy estimate above already rejected n0, so skip re-probing it).
-        # The search depends only on (ε, δ), so repeats are served cached;
-        # single-flight ensures concurrent requests for the same contract
-        # run one search between them.
-        size_key = (contract.epsilon, contract.delta)
-
-        def run_search() -> SampleSizeEstimate:
-            with pass_scope("size-search", session=self._session_label):
-                return self._size_estimator.estimate(
-                    self.initial_model.theta,
-                    n0=self._n0,
-                    N=self._N,
-                    contract=contract,
-                    statistics=self._statistics,
-                    sampler=self._parameter_sampler,
-                    skip_lower_probe=True,
-                    probe_batch=self._probe_batch,
-                )
-
-        size_estimate, size_cache_hit = self._size_cache.get_or_compute(
-            size_key, run_search
-        )
-        return self._complete_with_size(
-            contract,
-            size_estimate,
-            size_cache_hit,
-            timings,
-            metadata,
-            recompute_at_theta_n,
-        )
+        return self.train_to_many(
+            [contract], recompute_at_theta_n=recompute_at_theta_n
+        ).results[0]
 
     def _complete_with_size(
         self,
@@ -933,7 +872,7 @@ class EstimationSession:
         metadata: dict,
         recompute_at_theta_n: bool,
     ) -> ApproximateTrainingResult:
-        """Steps 4+ of the workflow, shared by serial and coalesced dispatch."""
+        """Steps 4+ of the workflow for one contract with a resolved size."""
         if not size_cache_hit:
             timings.sample_size_search_seconds = size_estimate.estimation_seconds
         final_n = size_estimate.sample_size
@@ -1028,24 +967,22 @@ class EstimationSession:
     ) -> CoalescedTrainOutcome:
         """Serve a batch of contracts with their size searches fused.
 
-        The coalesced counterpart of calling :meth:`train_to` once per
-        contract: answers are computed first (one shared difference vector),
-        then the *distinct, unsatisfied, not-yet-cached* contracts run one
-        fused lockstep search
+        The workflow of :meth:`train_to` for a batch: answers are computed
+        first (one shared difference vector), then the *distinct,
+        unsatisfied, not-yet-cached* contracts run one fused lockstep search
         (:meth:`~repro.core.sample_size.SampleSizeEstimator.estimate_many`)
         — every active search contributes its round's candidates to a
         single streamed union pass — and finally each request completes
-        steps 4+ exactly as serial ``train_to`` would (model training,
-        final estimate, metadata), in input order.
+        steps 4+ (model training, final estimate, metadata), in input order.
 
-        Results are bitwise identical to serial per-contract calls: the
-        fused search evaluates each candidate as its own segment (identical
-        GEMM shapes and block order to a lone evaluation), the sampler's
-        cached base draws make Monte-Carlo vectors order-independent, and
-        duplicated contracts resolve through the same single-flight size
-        cache a serial repeat would hit.  One exception is timing metadata:
-        coalesced members report the shared fused search wall-clock as
-        their search cost.
+        Results are bitwise identical to calling :meth:`train_to` once per
+        contract: the fused search evaluates each candidate as its own
+        segment (identical GEMM shapes and block order to a lone
+        evaluation), the sampler's cached base draws make Monte-Carlo
+        vectors order-independent, and duplicated contracts resolve through
+        the same single-flight size cache a repeat call would hit.  One
+        exception is timing metadata: coalesced members report the shared
+        fused search wall-clock as their search cost.
 
         The returned :class:`CoalescedTrainOutcome` carries the exact
         fused/serial pass accounting (zero/zero when nothing needed a
@@ -1056,121 +993,118 @@ class EstimationSession:
             return CoalescedTrainOutcome(
                 results=(), fused_search_passes=0, serial_search_passes=0
             )
-        if not obs_enabled():
-            return self._train_to_many_impl(contracts, recompute_at_theta_n)
-        start = time.perf_counter()
+        self._touch()
         with maybe_span(
             "session.train_to_many",
             session=self._session_label,
             contracts=len(contracts),
         ) as span:
-            outcome = self._train_to_many_impl(contracts, recompute_at_theta_n)
-            if span is not None:
-                span.set_attribute("fused_passes", outcome.fused_search_passes)
-                span.set_attribute("serial_passes", outcome.serial_search_passes)
-        _TRAIN_SECONDS.observe(
-            time.perf_counter() - start, session=self._session_label
-        )
-        return outcome
+            requests = []
+            for contract in contracts:
+                timings = self._claim_construction_timings()
+                answer = self.answer(contract)
+                timings.accuracy_estimation_seconds += (
+                    answer.estimate.estimation_seconds
+                )
+                requests.append((contract, answer, timings))
 
-    def _train_to_many_impl(
-        self,
-        contracts: list[ApproximationContract],
-        recompute_at_theta_n: bool,
-    ) -> CoalescedTrainOutcome:
-        self._touch()
+            # The fused search set: distinct (ε, δ) pairs whose answer was
+            # unsatisfied, in arrival order.  Pairs already size-cached are
+            # filtered inside the runner (membership is checked without
+            # touching the hit/miss counters, so accounting matches serial).
+            needing: list[ApproximationContract] = []
+            seen: set[tuple[float, float]] = set()
+            for contract, answer, _ in requests:
+                key = (contract.epsilon, contract.delta)
+                if not answer.satisfied and key not in seen:
+                    seen.add(key)
+                    needing.append(contract)
 
-        requests = []
-        for contract in contracts:
-            timings = self._claim_construction_timings()
-            answer = self.answer(contract)
-            timings.accuracy_estimation_seconds += answer.estimate.estimation_seconds
-            requests.append((contract, answer, timings))
+            fused_passes = 0
+            serial_passes = 0
+            resolved: dict[tuple[float, float], SampleSizeEstimate] = {}
+            cache_hits: dict[tuple[float, float], bool] = {}
 
-        # The fused search set: distinct (ε, δ) pairs whose answer was
-        # unsatisfied, in arrival order.  Pairs already size-cached are
-        # filtered inside the runner (membership is checked without
-        # touching the hit/miss counters, so accounting matches serial).
-        needing: list[ApproximationContract] = []
-        seen: set[tuple[float, float]] = set()
-        for contract, answer, _ in requests:
-            key = (contract.epsilon, contract.delta)
-            if not answer.satisfied and key not in seen:
-                seen.add(key)
-                needing.append(contract)
+            # Step 3: smallest n per contract.  The answers above already
+            # rejected n0, so the search skips re-probing it.  A search
+            # depends only on (ε, δ), so repeats are served from the size
+            # cache, and single-flight makes concurrent callers asking for
+            # the same pair run one search between them.
+            for contract in needing:
+                size_key = (contract.epsilon, contract.delta)
 
-        fused_passes = 0
-        serial_passes = 0
-        resolved: dict[tuple[float, float], SampleSizeEstimate] = {}
-        cache_hits: dict[tuple[float, float], bool] = {}
-
-        for contract in needing:
-            size_key = (contract.epsilon, contract.delta)
-
-            def run_fused(
-                pivot: ApproximationContract = contract,
-            ) -> SampleSizeEstimate:
-                nonlocal fused_passes, serial_passes
-                pivot_key = (pivot.epsilon, pivot.delta)
-                if pivot_key in resolved:
-                    # An earlier leader's fused batch already covered this
-                    # pair; hand its estimate to the cache.
+                def run_fused(
+                    pivot: ApproximationContract = contract,
+                ) -> SampleSizeEstimate:
+                    nonlocal fused_passes, serial_passes
+                    pivot_key = (pivot.epsilon, pivot.delta)
+                    if pivot_key in resolved:
+                        # An earlier leader's fused batch already covered
+                        # this pair; hand its estimate to the cache.
+                        return resolved[pivot_key]
+                    batch = [
+                        candidate
+                        for candidate in needing
+                        if (candidate.epsilon, candidate.delta) == pivot_key
+                        or (
+                            (candidate.epsilon, candidate.delta) not in resolved
+                            and (candidate.epsilon, candidate.delta)
+                            not in self._size_cache
+                        )
+                    ]
+                    with pass_scope("size-search", session=self._session_label):
+                        search = self._size_estimator.estimate_many(
+                            self.initial_model.theta,
+                            n0=self._n0,
+                            N=self._N,
+                            contracts=batch,
+                            statistics=self._statistics,
+                            sampler=self._parameter_sampler,
+                            skip_lower_probe=True,
+                            probe_batch=self._probe_batch,
+                        )
+                    fused_passes += search.fused_passes
+                    serial_passes += search.serial_passes
+                    for member, estimate in zip(batch, search.estimates):
+                        resolved[(member.epsilon, member.delta)] = estimate
                     return resolved[pivot_key]
-                batch = [
-                    candidate
-                    for candidate in needing
-                    if (candidate.epsilon, candidate.delta) == pivot_key
-                    or (
-                        (candidate.epsilon, candidate.delta) not in resolved
-                        and (candidate.epsilon, candidate.delta)
-                        not in self._size_cache
-                    )
-                ]
-                with pass_scope("size-search", session=self._session_label):
-                    outcome = self._size_estimator.estimate_many(
-                        self.initial_model.theta,
-                        n0=self._n0,
-                        N=self._N,
-                        contracts=batch,
-                        statistics=self._statistics,
-                        sampler=self._parameter_sampler,
-                        skip_lower_probe=True,
-                        probe_batch=self._probe_batch,
-                    )
-                fused_passes += outcome.fused_passes
-                serial_passes += outcome.serial_passes
-                for member, estimate in zip(batch, outcome.estimates):
-                    resolved[(member.epsilon, member.delta)] = estimate
-                return resolved[pivot_key]
 
-            estimate, hit = self._size_cache.get_or_compute(size_key, run_fused)
-            resolved[size_key] = estimate
-            cache_hits[size_key] = hit
+                estimate, hit = self._size_cache.get_or_compute(size_key, run_fused)
+                resolved[size_key] = estimate
+                cache_hits[size_key] = hit
 
-        results = []
-        for contract, answer, timings in requests:
-            metadata = {"statistics_method": self.statistics_method.value}
-            if answer.satisfied:
+            results = []
+            for contract, answer, timings in requests:
+                metadata = {"statistics_method": self.statistics_method.value}
+                if answer.satisfied:
+                    results.append(
+                        self._initial_model_result(
+                            contract, answer, timings, metadata
+                        )
+                    )
+                    continue
+                size_key = (contract.epsilon, contract.delta)
                 results.append(
-                    self._initial_model_result(contract, answer, timings, metadata)
+                    self._complete_with_size(
+                        contract,
+                        resolved[size_key],
+                        cache_hits[size_key],
+                        timings,
+                        metadata,
+                        recompute_at_theta_n,
+                    )
                 )
-                continue
-            size_key = (contract.epsilon, contract.delta)
-            results.append(
-                self._complete_with_size(
-                    contract,
-                    resolved[size_key],
-                    cache_hits[size_key],
-                    timings,
-                    metadata,
-                    recompute_at_theta_n,
-                )
+            outcome = CoalescedTrainOutcome(
+                results=tuple(results),
+                fused_search_passes=fused_passes,
+                serial_search_passes=serial_passes,
             )
-        return CoalescedTrainOutcome(
-            results=tuple(results),
-            fused_search_passes=fused_passes,
-            serial_search_passes=serial_passes,
-        )
+            if span is not None:
+                span.set_attribute("fused_passes", fused_passes)
+                span.set_attribute("serial_passes", serial_passes)
+        if span is not None:
+            _TRAIN_SECONDS.observe(span.duration, session=self._session_label)
+        return outcome
 
 
 def _size_estimate_payload(estimate: SampleSizeEstimate) -> dict[str, np.ndarray]:

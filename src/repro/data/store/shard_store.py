@@ -712,6 +712,10 @@ class ShardedDataset:
             store = ShardStore.open(store)
         self._store = store
         self._name = store.manifest.name if name is None else name
+        # The manifest this reader last adopted.  reload() diffs against it,
+        # not against the store's live manifest: a writer appending through
+        # the same ShardStore object replaces that one in place.
+        self._adopted = store.manifest
         self._memmaps: OrderedDict[int, tuple[np.ndarray, np.ndarray | None]] = (
             OrderedDict()
         )  # guarded-by: _memmap_lock
@@ -783,7 +787,7 @@ class ShardedDataset:
         kept; any other change drops them so no stale map is ever served.
         """
         new_manifest = ShardManifest.load(self._store.directory)
-        old_manifest = self._store.manifest
+        old_manifest = self._adopted
         old_shards = old_manifest.shards
         new_shards = new_manifest.shards
         appended_prefix = len(new_shards) >= len(old_shards) and all(
@@ -794,6 +798,7 @@ class ShardedDataset:
             with self._memmap_lock:
                 self._memmaps.clear()
         self._store._manifest = new_manifest
+        self._adopted = new_manifest
         return new_manifest.content_digest != old_manifest.content_digest
 
     # ------------------------------------------------------------------
@@ -967,6 +972,7 @@ class ShardedDataset:
             )
         self._store = store
         self._name = state["name"]
+        self._adopted = store.manifest
         self._memmaps = OrderedDict()
         self._memmap_lock = threading.Lock()
 

@@ -178,7 +178,11 @@ class StatisticsIndex:
         ``summaries[i]`` must be the canonical summary of the shard whose
         content digest is ``shard_digests[i]``, in shard order.  Stale
         sidecars for the same (spec, method) at a different θ are
-        garbage-collected as part of the same manifest republish.
+        garbage-collected as part of the same manifest republish.  The
+        entry is applied to the manifest on disk, not to this handle's
+        in-memory copy, so shards another handle appended since this one
+        was opened survive the republish; the handle then adopts the
+        republished manifest.
         """
         if len(shard_digests) != len(summaries) or not summaries:
             raise DataError(
@@ -216,7 +220,7 @@ class StatisticsIndex:
             shard_digests=tuple(shard_digests),
         )
 
-        manifest = self.manifest
+        manifest = ShardManifest.load(self.directory)
         kept: list[StatisticsSidecarInfo] = []
         stale: list[StatisticsSidecarInfo] = []
         for existing in manifest.statistics:

@@ -25,7 +25,6 @@ _EXPORTS = {
     "StreamingConfig": "repro.evaluation.streaming",
     "iter_holdout_blocks": "repro.evaluation.streaming",
     "streaming_prediction_differences": "repro.evaluation.streaming",
-    "streaming_pairwise_prediction_differences": "repro.evaluation.streaming",
     "streaming_fanout_pairwise_prediction_differences": "repro.evaluation.streaming",
     "streaming_pass_count": "repro.evaluation.streaming",
     "SweepRecord": "repro.evaluation.experiments",

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import multiprocessing
 import threading
-import time
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -63,7 +62,7 @@ from repro.config import (
 from repro.data.dataset import Dataset
 from repro.exceptions import DataError
 from repro.models.base import DiffAccumulator, ModelClassSpec
-from repro.obs import current_pass_scope, get_metrics, maybe_span, obs_enabled
+from repro.obs import current_pass_scope, get_metrics, maybe_span
 
 #: executor backends accepted by :class:`StreamingConfig`.
 STREAMING_BACKENDS = ("threads", "processes")
@@ -471,81 +470,70 @@ def stream_accumulate(task: StreamTask, config: StreamingConfig) -> Any:
     _count_streaming_pass()
     blocks = as_block_source(task.source)
     bounds = blocks.block_bounds(config.block_rows)
-    if not obs_enabled():
-        return _consume_blocks(task, first, blocks, bounds, config)
     # Extra per-pass telemetry (REPRO_OBS_ENABLED): a span plus block/row/
-    # byte/wall-time metrics, recorded parent-side around the exact same
-    # consumption path — the fold itself is untouched, so results are
-    # bitwise identical with the flag on or off.
+    # byte/wall-time metrics, recorded parent-side around the fold — which
+    # is untouched, so results are bitwise identical with the flag on or off.
     scope, _session = current_pass_scope()
-    started = time.monotonic()
     with maybe_span(
         "streaming.pass",
         scope=scope,
         backend=config.backend,
         blocks=len(bounds),
         rows=blocks.n_rows,
-    ):
-        result = _consume_blocks(task, first, blocks, bounds, config)
-    _PASS_SECONDS.observe(time.monotonic() - started, scope=scope)
-    _PASS_BLOCKS_TOTAL.inc(len(bounds), scope=scope)
-    _PASS_ROWS_TOTAL.inc(blocks.n_rows, scope=scope)
-    _PASS_BYTES_TOTAL.inc(_approx_pass_nbytes(blocks), scope=scope)
+    ) as span:
+        if config.n_workers <= 1 or len(bounds) <= 1:
+            for start, stop in bounds:
+                first.update(blocks.read_block(start, stop))
+        else:
+            # Contiguous block ranges per worker so merge order equals
+            # holdout order.
+            ranges = _split_ranges(bounds, min(config.n_workers, len(bounds)))
+            if config.backend == "processes":
+                # Workers rebuild the accumulator from the task (closures
+                # never cross the process boundary) and return their
+                # partial state; the parent merges the partials into its own
+                # full accumulator in holdout order, so finalize() runs with
+                # the parent's closures.  The pool is shared across calls
+                # (see _shared_process_pool) and keyed by the *configured*
+                # worker count, not this call's effective range count —
+                # otherwise holdouts of varying sizes would accumulate one
+                # persistent pool per distinct min(n_workers, n_blocks).  A
+                # short call simply submits fewer tasks than the pool has
+                # workers.  A broken pool is discarded so later calls
+                # recover with a fresh one.
+                pool = _shared_process_pool(config.n_workers)
+                try:
+                    partials = list(
+                        pool.map(_run_block_range, [task] * len(ranges), ranges)
+                    )
+                except BrokenProcessPool:
+                    _discard_process_pool(config.n_workers, pool)
+                    raise
+            else:
+
+                def run_range(
+                    accumulator: DiffAccumulator,
+                    range_bounds: list[tuple[int, int]],
+                ) -> DiffAccumulator:
+                    for start, stop in range_bounds:
+                        accumulator.update(blocks.read_block(start, stop))
+                    return accumulator
+
+                # The first range folds into ``first`` itself.
+                accumulators = [first] + [
+                    task.make_accumulator() for _ in range(len(ranges) - 1)
+                ]
+                with ThreadPoolExecutor(max_workers=len(ranges)) as threads:
+                    partials = list(threads.map(run_range, accumulators, ranges))[1:]
+            for partial in partials:
+                first.merge(partial)
+        result = first.finalize()
+    if span is not None:
+        _PASS_SECONDS.observe(span.duration, scope=scope)
+        _PASS_BLOCKS_TOTAL.inc(len(bounds), scope=scope)
+        _PASS_ROWS_TOTAL.inc(blocks.n_rows, scope=scope)
+        _PASS_BYTES_TOTAL.inc(_approx_pass_nbytes(blocks), scope=scope)
     return result
-
-
-def _consume_blocks(
-    task: StreamTask,
-    first: DiffAccumulator,
-    blocks: BlockSource,
-    bounds: list[tuple[int, int]],
-    config: StreamingConfig,
-) -> Any:
-    """The executor core of :func:`stream_accumulate` (one counted pass)."""
-    if config.n_workers <= 1 or len(bounds) <= 1:
-        for start, stop in bounds:
-            first.update(blocks.read_block(start, stop))
-        return first.finalize()
-
-    # Contiguous block ranges per worker so merge order equals holdout order.
-    n_workers = min(config.n_workers, len(bounds))
-    ranges = _split_ranges(bounds, n_workers)
-
-    if config.backend == "processes":
-        # Workers rebuild the accumulator from the task (closures never
-        # cross the process boundary) and return their partial state; the
-        # parent merges the partials into its own full accumulator in
-        # holdout order, so finalize() runs with the parent's closures.
-        # The pool is shared across calls (see _shared_process_pool) and
-        # keyed by the *configured* worker count, not this call's effective
-        # range count — otherwise holdouts of varying sizes would accumulate
-        # one persistent pool per distinct min(n_workers, n_blocks).  A
-        # short call simply submits fewer tasks than the pool has workers.
-        # A broken pool is discarded so later calls recover with a fresh one.
-        pool = _shared_process_pool(config.n_workers)
-        try:
-            partials = list(pool.map(_run_block_range, [task] * len(ranges), ranges))
-        except BrokenProcessPool:
-            _discard_process_pool(config.n_workers, pool)
-            raise
-        for partial in partials:
-            first.merge(partial)
-        return first.finalize()
-
-    accumulators = [first] + [task.make_accumulator() for _ in range(len(ranges) - 1)]
-
-    def run_range(
-        accumulator: DiffAccumulator, range_bounds: list[tuple[int, int]]
-    ) -> DiffAccumulator:
-        for start, stop in range_bounds:
-            accumulator.update(blocks.read_block(start, stop))
-        return accumulator
-
-    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-        done = list(pool.map(run_range, accumulators, ranges))
-    for partial in done[1:]:
-        done[0].merge(partial)
-    return done[0].finalize()
 
 
 def streaming_prediction_differences(
@@ -576,27 +564,6 @@ def streaming_prediction_differences(
     )
 
 
-def streaming_pairwise_prediction_differences(
-    spec: ModelClassSpec,
-    Thetas_a: np.ndarray,
-    Thetas_b: np.ndarray,
-    dataset: "Dataset | BlockSource",
-    config: StreamingConfig | None = None,
-) -> np.ndarray:
-    """Sharded equivalent of :meth:`ModelClassSpec.pairwise_prediction_differences`."""
-    config = config or DEFAULT_STREAMING_CONFIG
-    return stream_accumulate(
-        _StreamTask(
-            spec=spec,
-            kind="pairwise",
-            Thetas_a=np.asarray(Thetas_a, dtype=np.float64),
-            Thetas_b=np.asarray(Thetas_b, dtype=np.float64),
-            source=dataset,
-        ),
-        config,
-    )
-
-
 def streaming_fanout_pairwise_prediction_differences(
     spec: ModelClassSpec,
     segments: "list[tuple[np.ndarray, np.ndarray]]",
@@ -610,11 +577,13 @@ def streaming_fanout_pairwise_prediction_differences(
     size, possibly pooled across *many concurrent callers*.  The holdout is
     swept exactly once (one :func:`streaming_pass_count` tick) and every
     block is folded into each segment's own accumulator, so the per-segment
-    results are bitwise identical to running
-    :func:`streaming_pairwise_prediction_differences` per segment — same
-    per-segment GEMM shapes, same block order, same merge order — while the
+    results are bitwise identical to one-segment calls — same per-segment
+    GEMM shapes, same block order, same merge order — while the
     data-movement cost is shared.  Returns one difference vector per
-    segment, in segment order.
+    segment, in segment order; the one-segment call
+    ``streaming_fanout_pairwise_prediction_differences(spec, [(a, b)], ...)[0]``
+    is the sharded equivalent of
+    :meth:`ModelClassSpec.pairwise_prediction_differences`.
     """
     config = config or DEFAULT_STREAMING_CONFIG
     tasks = tuple(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.contract import ApproximationContract
+from repro.core.guarantees import satisfies_probability_threshold
 from repro.core.parameter_sampler import ParameterSampler
 from repro.core.sample_size import (
     SampleSizeEstimate,
@@ -94,9 +95,12 @@ class TestBinarySearch:
         contract = ApproximationContract(epsilon=0.05, delta=0.2)
         sampler = ParameterSampler(stats, rng=np.random.default_rng(4))
         N = splits.train.n_rows
+        differences = estimator.candidate_differences_batch(
+            model.theta, n0, [n0, N // 8, N // 2, N], N, sampler
+        )
         outcomes = [
-            estimator.contract_satisfied(model.theta, n0, candidate, N, contract, sampler)
-            for candidate in [n0, N // 8, N // 2, N]
+            satisfies_probability_threshold(vector, contract.epsilon, contract.delta)
+            for vector in differences
         ]
         # Once satisfied, staying satisfied as n grows (with shared draws).
         first_true = outcomes.index(True) if True in outcomes else len(outcomes)
@@ -224,13 +228,13 @@ class TestAdaptiveProbeBatching:
         )
         # Spy on the stacked passes to observe the per-round schedule.
         round_sizes = []
-        original = estimator.contract_satisfied_batch
+        original = estimator.candidate_differences_batch
 
-        def spy(theta0, n0_, candidates, N_, contract_, sampler_):
+        def spy(theta0, n0_, candidates, N_, sampler_):
             round_sizes.append(len(candidates))
-            return original(theta0, n0_, candidates, N_, contract_, sampler_)
+            return original(theta0, n0_, candidates, N_, sampler_)
 
-        estimator.contract_satisfied_batch = spy
+        estimator.candidate_differences_batch = spy
         try:
             batched = estimator.estimate(
                 model.theta, n0, N, contract, stats,
@@ -238,7 +242,7 @@ class TestAdaptiveProbeBatching:
                 probe_batch=3,
             )
         finally:
-            del estimator.contract_satisfied_batch
+            del estimator.candidate_differences_batch
         # Same answer under the shared-draw monotone predicate...
         assert batched.sample_size == bisect.sample_size
         assert batched.feasible == bisect.feasible
@@ -274,7 +278,7 @@ class TestFusedLockstepSearch:
         rounds_per_search = []
         serial = []
         for contract in self.CONTRACTS:
-            original = estimator.contract_satisfied_batch
+            original = estimator.candidate_differences_batch
             rounds = 0
 
             def spy(*args, _original=original, **kwargs):
@@ -282,7 +286,7 @@ class TestFusedLockstepSearch:
                 rounds += 1
                 return _original(*args, **kwargs)
 
-            estimator.contract_satisfied_batch = spy
+            estimator.candidate_differences_batch = spy
             try:
                 serial.append(
                     estimator.estimate(
@@ -292,7 +296,7 @@ class TestFusedLockstepSearch:
                     )
                 )
             finally:
-                del estimator.contract_satisfied_batch
+                del estimator.candidate_differences_batch
             rounds_per_search.append(rounds)
 
         fused = estimator.estimate_many(

@@ -10,6 +10,7 @@ import pytest
 from repro.config import DEFAULT_DELTA, validate_delta
 from repro.core.contract import ApproximationContract
 from repro.core.coordinator import BlinkML
+from repro.core.guarantees import satisfies_probability_threshold
 from repro.core.parameter_sampler import ParameterSampler
 from repro.core.sample_size import SampleSizeEstimator
 from repro.core.session import EstimationSession, SessionAnswer
@@ -456,19 +457,21 @@ class TestBatchedProbes:
     def test_batch_outcomes_match_single_probes(self, search_setup):
         spec, splits, model, stats, n0 = search_setup
         estimator = SampleSizeEstimator(spec, splits.holdout, n_parameter_samples=32)
-        contract = ApproximationContract(epsilon=0.05, delta=0.05)
         sampler = ParameterSampler(stats, rng=np.random.default_rng(5))
         N = splits.train.n_rows
         candidates = [n0, N // 4, N // 2, N]
-        batched = estimator.contract_satisfied_batch(
-            model.theta, n0, candidates, N, contract, sampler
+        batched = estimator.candidate_differences_batch(
+            model.theta, n0, candidates, N, sampler
         )
         singles = [
-            estimator.contract_satisfied(model.theta, n0, candidate, N, contract, sampler)
+            estimator.candidate_differences_batch(
+                model.theta, n0, [candidate], N, sampler
+            )[0]
             for candidate in candidates
         ]
         # The cached base draws make both paths deterministic and identical.
-        assert batched == singles
+        for batch_vector, single_vector in zip(batched, singles, strict=True):
+            assert batch_vector.tobytes() == single_vector.tobytes()
 
     def test_batched_search_needs_fewer_rounds(self, search_setup):
         spec, splits, model, stats, n0 = search_setup
@@ -494,8 +497,11 @@ class TestBatchedProbes:
         assert batched_rounds < bisect_rounds
         # Both land on a size certified by the same shared-draw check.
         sampler = ParameterSampler(stats, rng=np.random.default_rng(5))
-        assert estimator.contract_satisfied(
-            model.theta, n0, batched.sample_size, N, contract, sampler
+        (differences,) = estimator.candidate_differences_batch(
+            model.theta, n0, [batched.sample_size], N, sampler
+        )
+        assert satisfies_probability_threshold(
+            differences, contract.epsilon, contract.delta
         )
 
     def test_batched_schedule_lands_on_bisection_answer(self, search_setup):

@@ -45,7 +45,7 @@ from repro.data.synthetic import higgs_like, power_like
 from repro.evaluation.streaming import (
     StreamingConfig,
     iter_holdout_blocks,
-    streaming_pairwise_prediction_differences,
+    streaming_fanout_pairwise_prediction_differences,
     streaming_prediction_differences,
 )
 from repro.exceptions import DataError, ModelSpecError
@@ -556,12 +556,12 @@ class TestStreamingParity:
         )
         actual = streaming_prediction_differences(spec, theta, Thetas, sharded, config)
         assert np.array_equal(actual, expected)
-        expected_pair = streaming_pairwise_prediction_differences(
-            spec, Thetas, Thetas_b, cls_data, StreamingConfig(block_rows=128)
-        )
-        actual_pair = streaming_pairwise_prediction_differences(
-            spec, Thetas, Thetas_b, sharded, config
-        )
+        expected_pair = streaming_fanout_pairwise_prediction_differences(
+            spec, [(Thetas, Thetas_b)], cls_data, StreamingConfig(block_rows=128)
+        )[0]
+        actual_pair = streaming_fanout_pairwise_prediction_differences(
+            spec, [(Thetas, Thetas_b)], sharded, config
+        )[0]
         assert np.array_equal(actual_pair, expected_pair)
 
     @pytest.mark.parametrize("config", BACKENDS, ids=["serial", "threads", "processes"])
@@ -574,12 +574,12 @@ class TestStreamingParity:
         )
         actual = streaming_prediction_differences(spec, theta, Thetas, sharded, config)
         np.testing.assert_allclose(actual, expected, atol=1e-12)
-        expected_pair = streaming_pairwise_prediction_differences(
-            spec, Thetas, Thetas_b, reg_data, StreamingConfig(block_rows=128)
-        )
-        actual_pair = streaming_pairwise_prediction_differences(
-            spec, Thetas, Thetas_b, sharded, config
-        )
+        expected_pair = streaming_fanout_pairwise_prediction_differences(
+            spec, [(Thetas, Thetas_b)], reg_data, StreamingConfig(block_rows=128)
+        )[0]
+        actual_pair = streaming_fanout_pairwise_prediction_differences(
+            spec, [(Thetas, Thetas_b)], sharded, config
+        )[0]
         np.testing.assert_allclose(actual_pair, expected_pair, atol=1e-12)
 
     def test_process_backend_equals_thread_backend(self, cls_data, tmp_path):

@@ -14,7 +14,7 @@ from repro.data.synthetic import gas_like, higgs_like, mnist_like
 from repro.evaluation.streaming import (
     StreamingConfig,
     iter_holdout_blocks,
-    streaming_pairwise_prediction_differences,
+    streaming_fanout_pairwise_prediction_differences,
     streaming_prediction_differences,
 )
 from repro.exceptions import DataError, ModelSpecError
@@ -95,10 +95,10 @@ class TestStreamingMatchesMaterialised:
         spec, holdout, p = _CACHE[family]
         _, Thetas, Thetas_b = _parameter_batches(p, seed=32)
         expected = spec.pairwise_prediction_differences(Thetas, Thetas_b, holdout)
-        streamed = streaming_pairwise_prediction_differences(
-            spec, Thetas, Thetas_b, holdout,
+        streamed = streaming_fanout_pairwise_prediction_differences(
+            spec, [(Thetas, Thetas_b)], holdout,
             config=StreamingConfig(block_rows=block_rows, n_workers=n_workers),
-        )
+        )[0]
         np.testing.assert_allclose(streamed, expected, atol=1e-12)
 
     def test_classification_counts_are_bitwise_exact(self):
@@ -136,10 +136,10 @@ class TestGenericFallback:
             atol=1e-12,
         )
         np.testing.assert_allclose(
-            streaming_pairwise_prediction_differences(
-                loop_spec, Thetas, Thetas_b, holdout,
+            streaming_fanout_pairwise_prediction_differences(
+                loop_spec, [(Thetas, Thetas_b)], holdout,
                 config=StreamingConfig(block_rows=13),
-            ),
+            )[0],
             spec.pairwise_prediction_differences(Thetas, Thetas_b, holdout),
             atol=1e-12,
         )
@@ -245,13 +245,13 @@ class TestExecutorBackends:
             config=StreamingConfig(block_rows=100, n_workers=2, backend="processes"),
         )
         np.testing.assert_allclose(processed, serial, atol=1e-12)
-        serial_pair = streaming_pairwise_prediction_differences(
-            spec, Thetas, Thetas_b, holdout, config=StreamingConfig(block_rows=100)
-        )
-        processed_pair = streaming_pairwise_prediction_differences(
-            spec, Thetas, Thetas_b, holdout,
+        serial_pair = streaming_fanout_pairwise_prediction_differences(
+            spec, [(Thetas, Thetas_b)], holdout, config=StreamingConfig(block_rows=100)
+        )[0]
+        processed_pair = streaming_fanout_pairwise_prediction_differences(
+            spec, [(Thetas, Thetas_b)], holdout,
             config=StreamingConfig(block_rows=100, n_workers=2, backend="processes"),
-        )
+        )[0]
         np.testing.assert_allclose(processed_pair, serial_pair, atol=1e-12)
 
     def test_process_backend_bitwise_for_classification(self):

@@ -279,13 +279,15 @@ class TestBridgedRollups:
         session.train_to(CONTRACTS[0])
         spans = tracer.finished_spans()
         by_id = {span.span_id: span for span in spans}
-        roots = [span for span in spans if span.name == "session.train_to"]
+        # A direct train_to is the one-contract fused dispatch.
+        roots = [span for span in spans if span.name == "session.train_to_many"]
         assert len(roots) == 1
         root = roots[0]
+        assert root.attributes["contracts"] == 1
         in_trace = [span for span in spans if span.trace_id == root.trace_id]
         names = {span.name for span in in_trace}
         assert "session.answer" in names
-        assert "size_search.estimate" in names
+        assert "size_search.estimate_many" in names
         assert "streaming.pass" in names
         # Every streamed pass in the trace reaches the root through its
         # parent chain — the causality the span tree renders.

@@ -308,6 +308,25 @@ class TestSessionRefresh:
         assert session.statistics is before
         assert session.full_size == 1_800
 
+    def test_refresh_sees_growth_through_the_writers_store(self, tmp_path):
+        # The session reads through the very ShardStore object the writer
+        # appends through, whose manifest append_shards replaces in place.
+        data = higgs_like(n_rows=1_800, n_features=5, seed=48)
+        holdout = higgs_like(n_rows=300, n_features=5, seed=49)
+        store = ShardStore.open(_split_store(tmp_path, "train", data, keep=1_200))
+        session = EstimationSession(
+            LogisticRegressionSpec(regularization=1e-2),
+            store.dataset(),
+            holdout,
+            rng=0,
+            initial_sample_size=300,
+        )
+        store.append_shards([(data.X[1_200:], data.y[1_200:])], shard_rows=200)
+        refresh = session.refresh()
+        assert refresh.train_changed is True
+        assert refresh.train_rows_before == 1_200
+        assert session.full_size == 1_800
+
     def test_invalid_scope_rejected(self, tmp_path):
         data = higgs_like(n_rows=400, n_features=4, seed=47)
         with pytest.raises(BlinkMLError):

@@ -212,6 +212,23 @@ class TestAppend:
         assert reader.n_rows == 1_600
         assert np.array_equal(reader.materialize().X, data.X)
 
+    def test_stale_handle_publish_keeps_appended_shards(self, store_setup):
+        data, directory, spec, theta = store_setup
+        stale = ShardStore.open(directory)  # opened before the append
+        ShardStore.open(directory).append_shards(
+            [(data.X[1_200:], data.y[1_200:])], shard_rows=300
+        )
+        stats = compute_statistics(spec, theta, stale.dataset())
+        # The publish through the stale handle applied its sidecar entry to
+        # the manifest on disk, so the appended shards survived it.
+        reopened = ShardStore.open(directory)
+        assert reopened.manifest.n_rows == 1_600
+        assert reopened.manifest.n_shards == 6
+        assert reopened.statistics_index().find(
+            spec_digest(spec), theta_digest(theta), stats.method.value
+        ) is not None
+        reopened.verify()
+
     def test_statistics_only_republish_reports_unchanged(self, store_setup):
         _, directory, spec, theta = store_setup
         reader = ShardStore.open(directory).dataset()
