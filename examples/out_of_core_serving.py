@@ -105,7 +105,7 @@ def main() -> None:
         for info in stats.per_session:
             print(
                 f"  {info.key}: cache bytes={info.bytes}  "
-                f"traffic={info.traffic}  share={info.budget_bytes}"
+                f"share={stats.session_budget_bytes}"
             )
 
 

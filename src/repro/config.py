@@ -183,12 +183,13 @@ DEFAULT_SESSION_SIZE_CACHE_ENTRIES = _env_int(
 # A serving fleet keeps one EstimationSession per (model, dataset) pair;
 # the registry bounds the *fleet*: at most DEFAULT_REGISTRY_MAX_SESSIONS
 # live sessions, whose cache bytes collectively stay within
-# DEFAULT_REGISTRY_CACHE_BYTES (the pool is divided evenly among member
-# sessions and rebalanced as the fleet grows/shrinks; whole idle sessions
-# are evicted LRU-first when either bound would be exceeded).
-# DEFAULT_REGISTRY_MIN_SESSION_BYTES is the smallest useful per-session
-# share — rather than splitting the pool thinner than this, the registry
-# evicts the most idle session.  All env-overridable like the knobs above.
+# DEFAULT_REGISTRY_CACHE_BYTES (the pool is re-split evenly among member
+# sessions as the fleet grows/shrinks; whole idle sessions are evicted
+# LRU-first when either bound would be exceeded).
+# DEFAULT_REGISTRY_MIN_SESSION_BYTES only bounds how many members the pool
+# admits: rather than splitting it thinner than this per member, the
+# registry evicts the most idle session.  All env-overridable like the
+# knobs above.
 DEFAULT_REGISTRY_MAX_SESSIONS = _env_int("DEFAULT_REGISTRY_MAX_SESSIONS", 16, minimum=1)
 DEFAULT_REGISTRY_CACHE_BYTES = _env_int(
     "DEFAULT_REGISTRY_CACHE_BYTES", 256 * 1024 * 1024, minimum=1
@@ -238,23 +239,13 @@ DEFAULT_COALESCE_MAX_BATCH = _env_int("DEFAULT_COALESCE_MAX_BATCH", 16, minimum=
 DEFAULT_COALESCE_MAX_QUEUE = _env_int("DEFAULT_COALESCE_MAX_QUEUE", 1024, minimum=1)
 
 # CoalescingService housekeeping (repro.serving.service): the background
-# thread period, how long a session may idle before the housekeeping pass
-# evicts it from the registry, the minimum relative share drift below which
-# a periodic traffic-weighted rebalance() is skipped (hysteresis — avoids
-# cache-cap churn for tiny share movements), and the fraction of the
-# registry byte pool above which admission control tightens (the "budget
-# is hot" threshold for earlier load-shedding).  All env-overridable.
+# thread period and how long a session may idle before the housekeeping
+# pass evicts it from the registry.  All env-overridable.
 DEFAULT_SERVICE_HOUSEKEEPING_SECONDS = _env_float(
     "DEFAULT_SERVICE_HOUSEKEEPING_SECONDS", 5.0, minimum=0.01
 )
 DEFAULT_SERVICE_IDLE_EVICT_SECONDS = _env_float(
     "DEFAULT_SERVICE_IDLE_EVICT_SECONDS", 900.0, minimum=0.0
-)
-DEFAULT_SERVICE_REBALANCE_DRIFT = _env_float(
-    "DEFAULT_SERVICE_REBALANCE_DRIFT", 0.10, minimum=0.0
-)
-DEFAULT_SERVICE_HOT_BYTES_FRACTION = _env_float(
-    "DEFAULT_SERVICE_HOT_BYTES_FRACTION", 0.9, minimum=0.0
 )
 
 

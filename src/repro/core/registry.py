@@ -15,22 +15,13 @@ server:
   the same missing key train m_0 exactly once: one thread constructs, the
   others block on the result (the same protocol as
   :meth:`repro.core.caching.LRUCache.get_or_compute`);
-* **global byte budget with traffic-weighted shares** — the registry owns
-  a byte pool (``max_total_bytes``) shared by every member session.  Each
-  member's cache caps are rebalanced (via
-  :meth:`EstimationSession.resize_cache_budget`) whenever the fleet grows
-  or shrinks; under the default ``rebalance_policy="traffic"`` every
-  member receives a floor of ``min_session_bytes`` and the remaining pool
-  is divided in proportion to each session's *recent* serving traffic (an
-  exponentially decayed average of the cache-request deltas between
-  rebalances, from its :meth:`EstimationSession.cache_stats` roll-ups), so
-  hot (model, dataset) pairs keep more vectors cached under the same
-  global bound, a formerly hot pair's share decays geometrically once its
-  traffic stops, and back-to-back rebalances cannot collapse a hot pair's
-  share through a near-empty measurement window.  ``rebalance_policy="even"`` restores the plain
-  ``pool / N`` split.  Either way the sum of shares never exceeds the
-  pool, so the fleet invariant ``stats().bytes <= max_total_bytes`` holds
-  structurally no matter how many pairs are live;
+* **global byte budget, split evenly** — the registry owns a byte pool
+  (``max_total_bytes``) shared by every member session.  Whenever the
+  fleet grows or shrinks, each member's cache caps are reset (via
+  :meth:`EstimationSession.resize_cache_budget`) to ``pool // N``, so the
+  sum of shares never exceeds the pool and the fleet invariant
+  ``stats().bytes <= max_total_bytes`` holds structurally no matter how
+  many pairs are live;
 * **LRU eviction of whole idle sessions** — when admitting a session would
   exceed ``max_sessions``, or would split the pool thinner than
   ``min_session_bytes`` per member, the registry evicts the session that
@@ -63,7 +54,7 @@ orders of magnitude below any sane share, so the pool bound is tight in
 practice.
 
 Thread safety: one registry lock guards the fleet map, counters and
-rebalancing; session construction runs *outside* it (single-flight), and
+share assignment; session construction runs *outside* it (single-flight), and
 member sessions remain individually thread-safe as before, so worker
 threads may mix ``get_or_create`` with direct ``session.answer()`` calls
 freely.
@@ -92,16 +83,12 @@ from repro.exceptions import BlinkMLError
 from repro.models.base import ModelClassSpec
 from repro.obs import get_metrics, obs_enabled
 
-#: accepted ``rebalance_policy`` values.
-REBALANCE_POLICIES = ("traffic", "even")
-
 # Fleet lifecycle *events* (repro.obs, telemetry-gated): the cumulative
 # totals in RegistryStats are bridged to gauges at scrape time; these
 # counters attribute each event to a reason as it happens.
 _REBALANCE_EVENTS = get_metrics().counter(
     "repro_registry_rebalance_total",
-    "Byte-pool rebalances that applied new per-session shares, by policy.",
-    ("policy",),
+    "Byte-pool re-splits applied on fleet membership changes.",
 )
 _EVICTION_EVENTS = get_metrics().counter(
     "repro_registry_eviction_events_total",
@@ -114,12 +101,8 @@ _EVICTION_EVENTS = get_metrics().counter(
 class SessionInfo:
     """Per-session row of a :class:`RegistryStats` snapshot.
 
-    ``budget_bytes`` is the byte share the last rebalance assigned this
-    member (``None`` when the pool is unbounded); ``traffic`` is the
-    *lifetime cumulative* serving-request roll-up.  The traffic-weighted
-    policy weights by a decayed average of this value's growth between
-    rebalances, so a high-``traffic`` member can legitimately hold a
-    floor-sized share if it has gone idle.
+    Every member holds the same byte share,
+    :attr:`RegistryStats.session_budget_bytes`.
     """
 
     key: object
@@ -127,8 +110,6 @@ class SessionInfo:
     bytes: int
     idle_seconds: float
     cache_stats: dict[str, CacheStats]
-    budget_bytes: int | None = None
-    traffic: int = 0
 
 
 @dataclass(frozen=True)
@@ -196,47 +177,14 @@ class RegistryStats:
         return totals
 
 
-def _cache_traffic(cache_stats: dict[str, CacheStats]) -> int:
-    """Total cache requests (hits + misses) in one ``cache_stats()`` snapshot."""
-    return sum(entry.hits + entry.misses for entry in cache_stats.values())
-
-
 class _Member:
-    """A live fleet member: the session, its data fingerprint, its byte share."""
+    """A live fleet member: the session and its data fingerprint."""
 
-    __slots__ = ("session", "fingerprint", "share", "rebalanced_traffic", "traffic_ema")
+    __slots__ = ("session", "fingerprint")
 
     def __init__(self, session: EstimationSession, fingerprint: str) -> None:
         self.session = session
         self.fingerprint = fingerprint
-        self.share: int | None = None
-        # Cumulative traffic observed at the last rebalance, plus an
-        # exponentially decayed running average of the per-rebalance
-        # deltas.  The average — not the lifetime total, not the raw last
-        # delta — is the weighting signal: lifetime totals would let a
-        # formerly hot, now idle session dominate forever, while a raw
-        # delta would collapse a hot session's share whenever a
-        # membership-triggered rebalance lands moments after a periodic
-        # one (near-zero window).  Halving per rebalance decays idle
-        # sessions geometrically and keeps short windows informative.
-        self.rebalanced_traffic = 0
-        self.traffic_ema = 0
-
-    def traffic(self) -> int:
-        """Cumulative cache requests this session has served (hits + misses).
-
-        The rebalancing signal: every serving call (``answer`` /
-        ``accuracy_estimate`` / ``train_to``) passes through at least the
-        sorted-difference cache, so the roll-up tracks how hot the (model,
-        dataset) pair is.  Sessions without the stats surface (injected
-        test fakes) count as zero traffic — feature-detected, not caught,
-        so an exception raised *inside* a real ``cache_stats()`` propagates
-        instead of silently starving the session's caches at the floor.
-        """
-        stats_fn = getattr(self.session, "cache_stats", None)
-        if not callable(stats_fn):
-            return 0
-        return _cache_traffic(stats_fn())
 
 
 class SessionRegistry:
@@ -250,19 +198,12 @@ class SessionRegistry:
         ``DEFAULT_REGISTRY_MAX_SESSIONS``.
     max_total_bytes:
         Global cache-byte pool shared by the whole fleet (``None`` =
-        unbounded).  Divided evenly among members and rebalanced on every
-        membership change.  Default ``DEFAULT_REGISTRY_CACHE_BYTES``.
+        unbounded).  Re-split evenly among members on every membership
+        change.  Default ``DEFAULT_REGISTRY_CACHE_BYTES``.
     min_session_bytes:
         Smallest useful per-session share of the pool; rather than splitting
-        thinner, the registry evicts.  Under the traffic-weighted policy
-        this is also the *floor* every member is guaranteed regardless of
-        how cold it is.  Default ``DEFAULT_REGISTRY_MIN_SESSION_BYTES``.
-    rebalance_policy:
-        ``"traffic"`` (default) gives every member the
-        ``min_session_bytes`` floor and divides the rest of the pool in
-        proportion to each session's serving traffic (cache-request
-        roll-ups); a zero-traffic fleet degenerates to the even split.
-        ``"even"`` always splits the pool as ``pool / N``.
+        thinner, the registry evicts, so this bounds how many members the
+        pool admits.  Default ``DEFAULT_REGISTRY_MIN_SESSION_BYTES``.
     session_factory:
         Callable with :class:`EstimationSession`'s signature used to
         construct members (injectable for tests).
@@ -283,15 +224,9 @@ class SessionRegistry:
         max_sessions: int | None = DEFAULT_REGISTRY_MAX_SESSIONS,
         max_total_bytes: int | None = DEFAULT_REGISTRY_CACHE_BYTES,
         min_session_bytes: int = DEFAULT_REGISTRY_MIN_SESSION_BYTES,
-        rebalance_policy: str = "traffic",
         session_factory: Callable[..., EstimationSession] = EstimationSession,
         warm_cache: WarmCacheTier | str | os.PathLike[str] | bool | None = None,
     ):
-        if rebalance_policy not in REBALANCE_POLICIES:
-            raise BlinkMLError(
-                f"registry: unknown rebalance_policy {rebalance_policy!r}; "
-                f"expected one of {REBALANCE_POLICIES}"
-            )
         if max_sessions is not None and max_sessions < 1:
             raise BlinkMLError("registry: max_sessions must be at least 1 or None")
         if max_total_bytes is not None and max_total_bytes < 1:
@@ -306,7 +241,6 @@ class SessionRegistry:
         self.max_sessions = max_sessions
         self.max_total_bytes = max_total_bytes
         self.min_session_bytes = int(min_session_bytes)
-        self.rebalance_policy = rebalance_policy
         self._session_factory = session_factory
         # Resolved once: every member session shares this one tier (one
         # writer thread, one stats surface) instead of each resolving its
@@ -346,23 +280,12 @@ class SessionRegistry:
         return by_bytes if by_count is None else min(by_count, by_bytes)
 
     def session_budget_bytes(self, n_sessions: int | None = None) -> int | None:
-        """The even-split baseline share of the pool at the given fleet size.
-
-        This is what a zero-traffic fleet (or ``rebalance_policy="even"``)
-        assigns each member; under the traffic-weighted policy actual
-        shares vary around it (floor ``min_session_bytes``, surplus
-        proportional to traffic) — see :meth:`session_shares`.
-        """
+        """Every member's share of the pool at the given fleet size."""
         if self.max_total_bytes is None:
             return None
         with self._lock:
             count = len(self._members) if n_sessions is None else n_sessions
-        return self.max_total_bytes // max(1, count)
-
-    def session_shares(self) -> dict[object, int | None]:
-        """The byte share the last rebalance assigned each live member."""
-        with self._lock:
-            return {key: member.share for key, member in self._members.items()}
+        return max(1, self.max_total_bytes // max(1, count))
 
     # ------------------------------------------------------------------
     # Fingerprints
@@ -537,27 +460,6 @@ class SessionRegistry:
                 self._refreshes += 1
         return outcome
 
-    def rebalance(self, min_drift: float = 0.0) -> bool:
-        """Recompute every member's byte share from current traffic.
-
-        Rebalancing otherwise happens only on membership changes; a
-        serving loop (the :class:`~repro.serving.service.CoalescingService`
-        housekeeping thread, or any periodic task) calls this so shares
-        track traffic shifts inside a stable fleet.
-
-        ``min_drift`` adds hysteresis for periodic callers: when every
-        member already holds a share and the largest relative share change
-        the recomputation proposes is at most ``min_drift`` (e.g. ``0.1``
-        = 10 %), the proposal is discarded and no cache cap moves —
-        avoiding eviction churn from re-capping caches over noise-level
-        traffic shifts.  The traffic measurement window is consumed either
-        way (the decayed averages stay current), so skipped rounds do not
-        distort the next applied one.  Returns whether new shares were
-        applied.
-        """
-        with self._lock:
-            return self._rebalance_locked(min_drift=min_drift)
-
     def evict_idle(self, idle_seconds: float) -> int:
         """Evict every member idle for longer than ``idle_seconds``; count."""
         now = time.monotonic()
@@ -598,63 +500,19 @@ class SessionRegistry:
             if obs_enabled():
                 _EVICTION_EVENTS.inc(1, reason="capacity")
 
-    def _rebalance_locked(self, min_drift: float = 0.0) -> bool:  # repro-lint: holds=_lock
-        """Re-split the byte pool across the current members (lock held).
+    def _rebalance_locked(self) -> None:  # repro-lint: holds=_lock
+        """Re-split the byte pool evenly across the current members (lock held).
 
-        ``"even"`` assigns every member ``pool // N``.  ``"traffic"``
-        assigns every member a ``min_session_bytes`` floor (capacity
-        guarantees N · floor <= pool) and divides the surplus in proportion
-        to ``1 + traffic_ema``, an exponentially decayed average of the
-        member's cache-request deltas between rebalances (see ``_Member``
-        for why neither lifetime totals nor raw last-window deltas work).
-        The ``+1`` keeps a freshly admitted session from starting at the
-        bare floor while established members are warm, and makes a fleet
-        with no traffic history degenerate to the even split.  Under both
-        policies the sum of shares never exceeds the pool, so the fleet
-        invariant ``stats().bytes <= max_total_bytes`` holds structurally.
-
-        ``min_drift`` (see :meth:`rebalance`) discards the proposal — after
-        the traffic window has been consumed — when every member has a
-        share and no proposed share moves by more than that relative
-        fraction.  Membership-change callers pass 0, so admissions,
-        evictions and invalidations always apply.  Returns whether shares
-        were applied.
+        Every member gets ``max(1, pool // N)``; the shares sum to at most
+        the pool, so ``stats().bytes <= max_total_bytes`` holds structurally.
         """
-        if self.max_total_bytes is None or not self._members:
-            return False
-        members = list(self._members.values())
-        if self.rebalance_policy == "even":
-            share = max(1, self.max_total_bytes // len(members))
-            shares = [share] * len(members)
-        else:
-            floor = min(self.min_session_bytes, self.max_total_bytes // len(members))
-            surplus = self.max_total_bytes - floor * len(members)
-            weights = []
-            for member in members:
-                current = member.traffic()
-                # max() guards caches whose counters were externally reset.
-                delta = max(0, current - member.rebalanced_traffic)
-                member.rebalanced_traffic = current
-                member.traffic_ema = member.traffic_ema // 2 + delta
-                weights.append(1 + member.traffic_ema)
-            total_weight = sum(weights)
-            shares = [
-                max(1, floor + surplus * weight // total_weight)
-                for weight in weights
-            ]
-        if min_drift > 0 and all(member.share is not None for member in members):
-            drift = max(
-                abs(share - member.share) / max(member.share, 1)
-                for member, share in zip(members, shares)
-            )
-            if drift <= min_drift:
-                return False
-        for member, share in zip(members, shares):
-            member.share = share
+        share = self.session_budget_bytes(len(self._members))
+        if share is None or not self._members:
+            return
+        for member in self._members.values():
             member.session.resize_cache_budget(share)
         if obs_enabled():
-            _REBALANCE_EVENTS.inc(1, policy=self.rebalance_policy)
-        return True
+            _REBALANCE_EVENTS.inc(1)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -687,9 +545,6 @@ class SessionRegistry:
         with self._lock:
             rows = []
             for key, member in self._members.items():
-                # One cache_stats() roll-up per member: traffic is derived
-                # from the same snapshot the row reports, so the two can
-                # never disagree within a SessionInfo.
                 cache_stats = member.session.cache_stats()
                 rows.append(
                     SessionInfo(
@@ -698,8 +553,6 @@ class SessionRegistry:
                         bytes=sum(entry.bytes for entry in cache_stats.values()),
                         idle_seconds=member.session.idle_seconds,
                         cache_stats=cache_stats,
-                        budget_bytes=member.share,
-                        traffic=_cache_traffic(cache_stats),
                     )
                 )
             per_session = tuple(rows)

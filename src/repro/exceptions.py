@@ -68,11 +68,10 @@ class ObservabilityError(BlinkMLError):
 
 
 class ServingOverloadError(ServingError):
-    """Raised when admission control load-sheds a request.
+    """Raised when the serving tier load-sheds a request.
 
-    The serving front-end bounds its per-session queues; a submission that
-    would exceed the bound — or that arrives while the registry's byte
-    budget is hot and the stricter hot-admission bound is exceeded — fails
-    fast with this error instead of queueing unboundedly.  Callers should
-    treat it as retryable backpressure.
+    The serving front-end bounds each key's queue at ``max_queue``; a
+    submission that would exceed the bound fails fast with this error
+    instead of queueing unboundedly.  Callers should treat it as retryable
+    backpressure.
     """

@@ -158,7 +158,7 @@ def bridge_batcher_stats(
         (
             "repro_coalescing_load_shed",
             stats.load_shed,
-            "Submissions rejected by backpressure or admission control.",
+            "Submissions shed because the key's queue was at max_queue.",
         ),
         (
             "repro_coalescing_max_queue_depth",
@@ -186,8 +186,9 @@ def bridge_registry_stats(metrics: MetricsRegistry, stats: RegistryStats) -> Non
     occupancy and byte budget, lifetime hit/miss/eviction/invalidation/
     rebalance counters, the fleet-wide per-cache roll-up
     (:meth:`~repro.core.registry.RegistryStats.cache_totals`), each live
-    session's byte share and traffic, the warm tier and the attached
-    serving front-end's coalescing counters.
+    session's cache bytes, the warm tier and the attached serving
+    front-end's coalescing counters.  Each session's byte share is
+    ``repro_registry_max_total_bytes / repro_registry_sessions``.
     """
     for name, value, help_text in (
         ("repro_registry_sessions", stats.sessions, "Live fleet sessions."),
@@ -242,17 +243,6 @@ def bridge_registry_stats(metrics: MetricsRegistry, stats: RegistryStats) -> Non
             "Cache bytes held by one fleet session.",
             ("session",),
         ).set(info.bytes, session=session)
-        metrics.gauge(
-            "repro_session_traffic",
-            "Lifetime cache requests served by one fleet session.",
-            ("session",),
-        ).set(info.traffic, session=session)
-        if info.budget_bytes is not None:
-            metrics.gauge(
-                "repro_session_budget_bytes",
-                "Byte share the last rebalance assigned one session.",
-                ("session",),
-            ).set(info.budget_bytes, session=session)
     if stats.warm is not None:
         bridge_warm_stats(metrics, stats.warm)
     serving = stats.serving

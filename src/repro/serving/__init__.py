@@ -4,8 +4,8 @@
 concurrent (ε, δ) contracts against one session into single streamed
 evaluations; :class:`~repro.serving.service.CoalescingService` wraps a
 batcher fleet in an asyncio front-end over the
-:class:`~repro.core.registry.SessionRegistry` with budget-aware admission
-control and background housekeeping.  See ``docs/serving.md`` for the
+:class:`~repro.core.registry.SessionRegistry` with queue-bound load
+shedding and background housekeeping.  See ``docs/serving.md`` for the
 operational story.
 """
 

@@ -23,9 +23,7 @@ though the candidate evaluations could share every pass.  A
   bitwise identical to what each serial call would have returned.
 
 Backpressure is a bounded queue: a submission finding ``max_queue``
-requests already waiting — or rejected by the pluggable ``admission``
-policy (the service wires registry byte-budget pressure through it) — is
-load-shed immediately with
+requests already waiting is load-shed immediately with
 :class:`~repro.exceptions.ServingOverloadError` instead of queueing
 unboundedly.
 
@@ -47,7 +45,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import Counter, deque
-from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
@@ -97,8 +94,7 @@ class BatcherStats:
         each member search follows the identical bracket trajectory fused
         or serial.
     load_shed:
-        Submissions rejected by backpressure (queue full or admission
-        policy) with :class:`~repro.exceptions.ServingOverloadError`.
+        Submissions rejected by backpressure (queue full) with :class:`~repro.exceptions.ServingOverloadError`.
     max_queue_depth:
         High-water mark of requests waiting in the queue.
     window_slots:
@@ -202,11 +198,6 @@ class ContractBatcher:
         Backpressure bound: a submission finding this many requests
         already queued is load-shed with
         :class:`~repro.exceptions.ServingOverloadError`.
-    admission:
-        Optional ``callable(queue_depth) -> bool`` consulted on every
-        submission *before* the queue bound; returning False load-sheds.
-        The serving front-end uses it to tighten admission while the
-        registry byte budget is hot.
     name:
         Label used in error messages (the service passes the session key).
     """
@@ -218,7 +209,6 @@ class ContractBatcher:
         window_ms: float = DEFAULT_COALESCE_WINDOW_MS,
         max_batch: int = DEFAULT_COALESCE_MAX_BATCH,
         max_queue: int = DEFAULT_COALESCE_MAX_QUEUE,
-        admission: Callable[[int], bool] | None = None,
         name: str = "session",
     ):
         if window_ms < 0:
@@ -231,7 +221,6 @@ class ContractBatcher:
         self._window_seconds = float(window_ms) / 1000.0
         self._max_batch = int(max_batch)
         self._max_queue = int(max_queue)
-        self._admission = admission
         self._name = str(name)
         self._cond = threading.Condition()
         self._queue: deque[_Request] = deque()  # guarded-by: _cond
@@ -296,9 +285,7 @@ class ContractBatcher:
             if self._closed:
                 raise ServingError(f"batcher for {self._name!r} is closed")
             depth = len(self._queue)
-            if depth >= self._max_queue or (
-                self._admission is not None and not self._admission(depth)
-            ):
+            if depth >= self._max_queue:
                 self._load_shed += 1
                 raise ServingOverloadError(
                     f"batcher for {self._name!r} shed a {kind} request "

@@ -12,24 +12,16 @@ pieces below it into one request path:
   executor so an event-loop server can await thousands of in-flight
   contracts while the batchers fuse them underneath.
 
-**Admission control.**  Every submission passes the batcher's bounded
-queue; on top of that the service tightens admission while the registry's
-byte pool is *hot* (used bytes at or above
-``hot_bytes_fraction × max_total_bytes``): new requests are then admitted
-only while the key's queue is shallower than one batching window, so a
-saturated fleet sheds load (raising
-:class:`~repro.exceptions.ServingOverloadError`, which callers should
-treat as retryable) instead of growing queues without bound while every
-cache behind them is already thrashing.  The budget check memoises the
-registry stats snapshot for 100 ms so admission stays O(1) per request.
+**Load shedding.**  The one shedding rule is the batcher's bounded queue:
+a submission finding ``max_queue`` requests already waiting for its key
+raises :class:`~repro.exceptions.ServingOverloadError`, which callers
+should treat as retryable, instead of growing the queue without bound.
 
 **Housekeeping.**  A daemon thread runs off the request path every
-``housekeeping_seconds``: a traffic-weighted
-:meth:`~repro.core.registry.SessionRegistry.rebalance` with
-``rebalance_drift`` hysteresis (shares only move when traffic genuinely
-shifted), idle-session eviction after ``idle_evict_seconds``, and closing
-batchers whose session the registry no longer owns (evicted or
-invalidated) so a later request constructs a fresh pair.
+``housekeeping_seconds``: idle-session eviction after
+``idle_evict_seconds``, and closing batchers whose session the registry
+no longer owns (evicted or invalidated) so a later request constructs a
+fresh pair.
 
 **Observability.**  :meth:`batching_stats` merges every batcher's
 :class:`~repro.serving.batcher.BatcherStats` and is attached to the
@@ -44,7 +36,6 @@ from __future__ import annotations
 import asyncio
 import os
 import threading
-import time
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 
@@ -54,10 +45,8 @@ from repro.config import (
     DEFAULT_COALESCE_MAX_BATCH,
     DEFAULT_COALESCE_MAX_QUEUE,
     DEFAULT_COALESCE_WINDOW_MS,
-    DEFAULT_SERVICE_HOT_BYTES_FRACTION,
     DEFAULT_SERVICE_HOUSEKEEPING_SECONDS,
     DEFAULT_SERVICE_IDLE_EVICT_SECONDS,
-    DEFAULT_SERVICE_REBALANCE_DRIFT,
 )
 from repro.core.contract import ApproximationContract
 from repro.core.registry import RegistryStats, SessionRegistry
@@ -81,7 +70,7 @@ from repro.serving.batcher import BatcherStats, ContractBatcher
 
 
 class CoalescingService:
-    """Coalescing, budget-aware serving front-end over a session fleet.
+    """Coalescing serving front-end over a byte-budgeted session fleet.
 
     Parameters
     ----------
@@ -99,23 +88,16 @@ class CoalescingService:
         ``None`` — configure the tier on the registry you construct.
     window_ms / max_batch / max_queue:
         Per-key :class:`~repro.serving.batcher.ContractBatcher` parameters
-        (see that class).
+        (see that class).  ``max_queue`` is the service's only
+        load-shedding bound.
     housekeeping_seconds:
-        Period of the background housekeeping thread (rebalance + idle
-        eviction + stale-batcher cleanup).  ``start_housekeeping=False``
+        Period of the background housekeeping thread (idle eviction +
+        stale-batcher cleanup).  ``start_housekeeping=False``
         disables the thread; :meth:`housekeep_once` can then be driven
         manually (tests, external schedulers).
     idle_evict_seconds:
         Sessions idle longer than this are evicted by housekeeping
         (0 disables idle eviction).
-    rebalance_drift:
-        Hysteresis passed to :meth:`SessionRegistry.rebalance` — periodic
-        rebalances apply only when some member's share would move by more
-        than this relative fraction.
-    hot_bytes_fraction:
-        The pool-usage fraction at which admission tightens.  Fractions
-        >= 1 with a bounded pool effectively disable tightening (the
-        registry keeps usage below the pool structurally).
     """
 
     def __init__(
@@ -127,8 +109,6 @@ class CoalescingService:
         max_queue: int = DEFAULT_COALESCE_MAX_QUEUE,
         housekeeping_seconds: float = DEFAULT_SERVICE_HOUSEKEEPING_SECONDS,
         idle_evict_seconds: float = DEFAULT_SERVICE_IDLE_EVICT_SECONDS,
-        rebalance_drift: float = DEFAULT_SERVICE_REBALANCE_DRIFT,
-        hot_bytes_fraction: float = DEFAULT_SERVICE_HOT_BYTES_FRACTION,
         start_housekeeping: bool = True,
         warm_cache: WarmCacheTier | str | os.PathLike[str] | bool | None = None,
     ):
@@ -147,16 +127,9 @@ class CoalescingService:
         self._max_queue = int(max_queue)
         self._housekeeping_seconds = float(housekeeping_seconds)
         self._idle_evict_seconds = float(idle_evict_seconds)
-        self._rebalance_drift = float(rebalance_drift)
-        self._hot_bytes_fraction = float(hot_bytes_fraction)
         self._lock = threading.Lock()
         self._batchers: dict[object, ContractBatcher] = {}  # guarded-by: _lock
         self._closed = False  # guarded-by: _lock
-        # Memoised budget-pressure probe: registry.stats() walks the whole
-        # fleet, far too heavy per request, so admission reads a snapshot
-        # at most once per 100 ms.
-        self._hot_checked_at = float("-inf")  # guarded-by: _lock
-        self._hot = False  # guarded-by: _lock
         # Retired stats so closed batchers' history survives in aggregates.
         self._retired_stats = BatcherStats()  # guarded-by: _lock
         # The async entry points park blocking waits here.  Each wait is an
@@ -173,7 +146,7 @@ class CoalescingService:
         self.registry.attach_serving_stats(self.batching_stats)
         # Scrape-time bridge: every metrics snapshot (Prometheus text, JSON,
         # ``python -m repro.obs``) folds the fleet's RegistryStats — cache
-        # roll-ups, per-session shares, warm tier, coalescing counters —
+        # roll-ups, warm tier, coalescing counters —
         # into the global registry.  Cost is per scrape, never per request;
         # deregistered in close().
         self._metrics_collector = lambda: bridge_registry_stats(
@@ -237,7 +210,6 @@ class CoalescingService:
                     window_ms=self._window_ms,
                     max_batch=self._max_batch,
                     max_queue=self._max_queue,
-                    admission=self._admission,
                     name=str(key),
                 )
                 self._batchers[key] = batcher
@@ -359,37 +331,6 @@ class CoalescingService:
         return traced
 
     # ------------------------------------------------------------------
-    # Admission control
-    # ------------------------------------------------------------------
-    def _admission(self, queue_depth: int) -> bool:
-        """Per-submission admission policy handed to every batcher.
-
-        Normal operation admits anything below the batcher's own
-        ``max_queue`` bound (the batcher enforces that itself).  While the
-        byte pool is hot, admission tightens to one batching window per
-        key: the fleet is already evicting useful cache entries, so
-        letting queues grow past what the next dispatch can absorb only
-        multiplies the thrash.
-        """
-        if self._budget_hot():
-            return queue_depth < self._max_batch
-        return True
-
-    def _budget_hot(self) -> bool:
-        pool = self.registry.max_total_bytes
-        if pool is None or self._hot_bytes_fraction <= 0:
-            return False
-        now = time.monotonic()
-        with self._lock:
-            if now - self._hot_checked_at < 0.1:
-                return self._hot
-            self._hot_checked_at = now
-        hot = self.registry.stats().bytes >= pool * self._hot_bytes_fraction
-        with self._lock:
-            self._hot = hot
-        return hot
-
-    # ------------------------------------------------------------------
     # Housekeeping
     # ------------------------------------------------------------------
     def _housekeeping_loop(self) -> None:
@@ -402,17 +343,14 @@ class CoalescingService:
     def housekeep_once(self) -> dict[str, object]:
         """One housekeeping round; returns what it did (for tests/operators).
 
-        Off the request path: periodic traffic-weighted rebalance (with
-        drift hysteresis), idle-session eviction, and closing batchers
+        Off the request path: idle-session eviction, and closing batchers
         whose session the registry no longer owns.
         """
-        rebalanced = self.registry.rebalance(min_drift=self._rebalance_drift)
         evicted = 0
         if self._idle_evict_seconds > 0:
             evicted = self.registry.evict_idle(self._idle_evict_seconds)
         dropped = self._drop_stale_batchers()
         return {
-            "rebalanced": rebalanced,
             "sessions_evicted": evicted,
             "batchers_dropped": dropped,
         }

@@ -132,8 +132,7 @@ def test_newly_admitted_session_is_never_the_victim(fake_registry, tiny_splits):
 
 
 def test_rebalance_shares_pool_evenly_at_zero_traffic(fake_registry, tiny_splits):
-    # FakeSession reports no cache stats, so the traffic-weighted default
-    # degenerates to the even split of the pre-weighting registry.
+    # The pool is always split evenly: pool // N per member.
     registry = fake_registry(max_sessions=4, max_total_bytes=1200)
     a = registry.get_or_create("a", SPEC, tiny_splits.train, tiny_splits.holdout)
     assert a.budget == 1200
@@ -148,129 +147,6 @@ def test_rebalance_shares_pool_evenly_at_zero_traffic(fake_registry, tiny_splits
     stats = registry.stats()
     assert stats.invalidations == 1
     assert stats.session_budget_bytes == 600
-
-
-class TrafficFakeSession(FakeSession):
-    """A fake whose cache traffic the test scripts directly."""
-
-    def __init__(self, spec, train, holdout, **kwargs):
-        super().__init__(spec, train, holdout, **kwargs)
-        self.requests = 0
-
-    def cache_stats(self) -> dict[str, CacheStats]:
-        return {
-            "diff": CacheStats(
-                name="diff", hits=self.requests, misses=0, evictions=0,
-                entries=0, bytes=0, max_entries=None, max_bytes=None,
-            )
-        }
-
-
-@pytest.fixture
-def traffic_registry():
-    def build(**kwargs):
-        kwargs.setdefault("session_factory", TrafficFakeSession)
-        kwargs.setdefault("min_session_bytes", 100)
-        return SessionRegistry(**kwargs)
-
-    return build
-
-
-def test_traffic_weighted_shares_favor_hot_sessions(traffic_registry, tiny_splits):
-    registry = traffic_registry(max_sessions=4, max_total_bytes=10_000)
-    hot = registry.get_or_create("hot", SPEC, tiny_splits.train, tiny_splits.holdout)
-    cold = registry.get_or_create("cold", SPEC, tiny_splits.train, tiny_splits.holdout)
-    hot.requests, cold.requests = 900, 100
-    registry.rebalance()
-    # Floor + surplus proportional to (1 + traffic): hot gets most of the
-    # pool, cold keeps at least the min_session_bytes floor.
-    assert hot.budget > cold.budget
-    assert cold.budget >= registry.min_session_bytes
-    assert hot.budget + cold.budget <= registry.max_total_bytes
-    surplus = 10_000 - 2 * 100
-    assert hot.budget == 100 + surplus * 901 // 1002
-    assert cold.budget == 100 + surplus * 101 // 1002
-    # Traffic shifting flips the shares at the next rebalance.
-    hot.requests, cold.requests = 900, 9_000
-    registry.rebalance()
-    assert cold.budget > hot.budget
-
-
-def test_traffic_weights_decay_when_a_hot_session_goes_idle(
-    traffic_registry, tiny_splits
-):
-    # Weights are exponentially decayed traffic averages, not lifetime
-    # totals: a session that served a million requests long ago loses its
-    # dominance geometrically once idle, while a modestly but *steadily*
-    # serving session overtakes it.
-    registry = traffic_registry(max_sessions=4, max_total_bytes=10_000)
-    old = registry.get_or_create("old", SPEC, tiny_splits.train, tiny_splits.holdout)
-    new = registry.get_or_create("new", SPEC, tiny_splits.train, tiny_splits.holdout)
-    old.requests = 1_000_000
-    registry.rebalance()
-    assert old.budget > new.budget
-    # "old" goes idle; "new" serves 500 requests per interval.
-    flipped_after = None
-    for interval in range(30):
-        new.requests += 500
-        registry.rebalance()
-        if new.budget > old.budget:
-            flipped_after = interval
-            break
-    assert flipped_after is not None, "idle session outweighed steady traffic forever"
-    # With both fully idle the averages decay to zero: even split again.
-    for _ in range(40):
-        registry.rebalance()
-    assert old.budget == new.budget
-
-
-def test_membership_churn_does_not_collapse_hot_shares(traffic_registry, tiny_splits):
-    # A membership-triggered rebalance moments after a periodic one sees a
-    # near-zero traffic window; the decayed average must keep the hot
-    # session dominant instead of snapping everyone to the even split
-    # (which would evict the hottest pair's cached vectors).
-    registry = traffic_registry(max_sessions=4, max_total_bytes=100_000)
-    hot = registry.get_or_create("hot", SPEC, tiny_splits.train, tiny_splits.holdout)
-    cold = registry.get_or_create("cold", SPEC, tiny_splits.train, tiny_splits.holdout)
-    hot.requests = 100_000
-    registry.rebalance()
-    dominant = hot.budget
-    # Fleet churn immediately afterwards: a new member admitted with no
-    # further traffic anywhere (zero-width window).
-    registry.get_or_create("new", SPEC, tiny_splits.train, tiny_splits.holdout)
-    assert hot.budget > cold.budget  # still dominant, not even-split
-    assert hot.budget > registry.max_total_bytes // 3
-    assert dominant >= hot.budget  # smaller fleet share, but same ordering
-
-
-def test_traffic_shares_reflected_in_stats(traffic_registry, tiny_splits):
-    registry = traffic_registry(max_sessions=4, max_total_bytes=10_000)
-    a = registry.get_or_create("a", SPEC, tiny_splits.train, tiny_splits.holdout)
-    registry.get_or_create("b", SPEC, tiny_splits.train, tiny_splits.holdout)
-    a.requests = 500
-    registry.rebalance()
-    stats = registry.stats()
-    rows = {info.key: info for info in stats.per_session}
-    assert rows["a"].traffic == 500 and rows["b"].traffic == 0
-    assert rows["a"].budget_bytes == registry.session_shares()["a"]
-    assert rows["a"].budget_bytes > rows["b"].budget_bytes
-    assert sum(info.budget_bytes for info in stats.per_session) <= 10_000
-
-
-def test_even_policy_ignores_traffic(traffic_registry, tiny_splits):
-    registry = traffic_registry(
-        max_sessions=4, max_total_bytes=10_000, rebalance_policy="even"
-    )
-    hot = registry.get_or_create("hot", SPEC, tiny_splits.train, tiny_splits.holdout)
-    cold = registry.get_or_create("cold", SPEC, tiny_splits.train, tiny_splits.holdout)
-    hot.requests = 10_000
-    registry.rebalance()
-    assert hot.budget == cold.budget == 5_000
-
-
-def test_unknown_rebalance_policy_rejected():
-    with pytest.raises(BlinkMLError):
-        SessionRegistry(rebalance_policy="round-robin")
 
 
 def test_byte_pool_bounds_fleet_size(fake_registry, tiny_splits):
@@ -433,15 +309,14 @@ def test_fleet_stays_within_global_byte_budget(tiny_splits):
             peak = max(peak, current)
             assert current <= budget
     assert peak > 0
-    # Each member's cache caps sum to at most its assigned share (traffic
-    # weighting makes shares unequal), every share respects the floor, and
-    # the shares collectively never exceed the pool.
-    shares = registry.session_shares()
+    # Each member's cache caps sum to at most the one even share, which
+    # respects min_session_bytes, and the shares never exceed the pool.
+    share = registry.session_budget_bytes()
     for key in registry.keys():
         caps = registry.get(key).cache_byte_caps()
-        assert sum(caps.values()) <= shares[key]
-        assert shares[key] >= registry.min_session_bytes
-    assert sum(shares.values()) <= budget
+        assert sum(caps.values()) <= share
+    assert share >= registry.min_session_bytes
+    assert share * len(registry) <= budget
 
 
 def test_repeated_contracts_serve_from_cache_with_zero_new_evaluations(tiny_splits):

@@ -290,13 +290,6 @@ class TestContractBatcherMechanics:
             batcher.close()
         assert batcher.stats().requests == 3  # the shed request never ran
 
-    def test_admission_policy_sheds(self):
-        batcher = ContractBatcher(StubSession(), admission=lambda depth: False)
-        with pytest.raises(ServingOverloadError):
-            batcher.answer(C1)
-        assert batcher.stats().load_shed == 1
-        batcher.close()
-
     def test_timeout_raises_serving_error(self):
         gate = threading.Event()
         batcher = ContractBatcher(StubSession(gate=gate), window_ms=0)
@@ -401,12 +394,13 @@ class TestContractBatcherMechanics:
 
 
 # ----------------------------------------------------------------------
-# Registry integration: serving stats roll-up + rebalance hysteresis
+# Registry integration: serving stats roll-up
 # ----------------------------------------------------------------------
-class FakeSession:
-    """Just enough session surface for registry-level tests."""
+class FakeSession(StubSession):
+    """A stub session with just enough surface to be a registry member."""
 
     def __init__(self, spec, train, holdout, **kwargs):
+        super().__init__()
         self.budget_history: list[int] = []
         self._last_used_at = time.monotonic()
 
@@ -447,36 +441,15 @@ class TestRegistryServingIntegration:
         with pytest.raises(BlinkMLError, match="callable"):
             registry.attach_serving_stats("not callable")
 
-    def test_rebalance_hysteresis_skips_noise(self):
-        registry = SessionRegistry(
-            session_factory=FakeSession,
-            min_session_bytes=1,
-            max_total_bytes=1_000,
-        )
-        data = FakeData()
-        a = registry.get_or_create("a", SPEC, data, data)
-        b = registry.get_or_create("b", SPEC, data, data)
-        applied_before = (len(a.budget_history), len(b.budget_history))
-        # Zero traffic since the last rebalance: every proposed share is
-        # unchanged, so any positive drift threshold skips the apply.
-        assert registry.rebalance(min_drift=0.10) is False
-        assert (len(a.budget_history), len(b.budget_history)) == applied_before
-        # min_drift=0 (the membership-change path) always applies.
-        assert registry.rebalance() is True
-        assert len(a.budget_history) == applied_before[0] + 1
-
 
 # ----------------------------------------------------------------------
-# CoalescingService (asyncio front-end, admission, housekeeping)
+# CoalescingService (asyncio front-end, housekeeping, lock order)
 # ----------------------------------------------------------------------
 class FakeRegistry:
     """Scriptable registry facade for service-level unit tests."""
 
-    def __init__(self, max_total_bytes=None, bytes_used=0):
-        self.max_total_bytes = max_total_bytes
-        self.bytes_used = bytes_used
+    def __init__(self):
         self.sessions: dict[object, object] = {}
-        self.rebalance_calls: list[float] = []
         self.evict_calls: list[float] = []
         self.provider = None
 
@@ -489,23 +462,9 @@ class FakeRegistry:
     def get(self, key):
         return self.sessions.get(key)
 
-    def rebalance(self, min_drift=0.0):
-        self.rebalance_calls.append(min_drift)
-        return False
-
     def evict_idle(self, idle_seconds):
         self.evict_calls.append(idle_seconds)
         return 0
-
-    def stats(self):
-        serving = self.provider() if self.provider is not None else None
-
-        class _Stats:
-            bytes = self.bytes_used
-
-        snapshot = _Stats()
-        snapshot.serving = serving
-        return snapshot
 
 
 class TestCoalescingService:
@@ -551,47 +510,6 @@ class TestCoalescingService:
             service.answer_sync("absent", C1)
         service.close()
 
-    def test_admission_tightens_when_budget_hot(self):
-        # Pool 100 bytes, 95 used, hot fraction 0.9 → hot.
-        registry = FakeRegistry(max_total_bytes=100, bytes_used=95)
-        service = CoalescingService(
-            registry,
-            window_ms=0,
-            max_batch=1,
-            max_queue=100,
-            start_housekeeping=False,
-        )
-        assert service._budget_hot() is True
-        gate = threading.Event()
-        stub = StubSession(gate=gate)
-        registry.sessions["k"] = stub
-        batcher = service.batcher("k", spec=SPEC, train=None, holdout=None)
-        try:
-            first = threading.Thread(target=lambda: batcher.answer(C1))
-            first.start()
-            assert stub.executing.wait(5)
-            second = threading.Thread(target=lambda: batcher.answer(C1))
-            second.start()  # depth 0 < max_batch: admitted, waits
-            deadline = time.monotonic() + 5
-            while len(batcher._queue) < 1:
-                assert time.monotonic() < deadline
-                time.sleep(0.005)
-            # Hot + one window's worth already queued → shed, far below
-            # the 100-deep queue bound.
-            with pytest.raises(ServingOverloadError):
-                batcher.answer(C2)
-        finally:
-            gate.set()
-            service.close()
-
-    def test_budget_hot_disabled_without_pool(self):
-        service = CoalescingService(
-            FakeRegistry(max_total_bytes=None, bytes_used=10**9),
-            start_housekeeping=False,
-        )
-        assert service._budget_hot() is False
-        service.close()
-
     def test_housekeeping_rebalances_evicts_and_drops_stale(self):
         registry = FakeRegistry()
         registry.sessions["k"] = StubSession()
@@ -599,12 +517,10 @@ class TestCoalescingService:
             registry,
             start_housekeeping=False,
             idle_evict_seconds=60.0,
-            rebalance_drift=0.25,
         )
         batcher = service.batcher("k", spec=SPEC, train=None, holdout=None)
         batcher.answer(C1)
         report = service.housekeep_once()
-        assert registry.rebalance_calls == [0.25]
         assert registry.evict_calls == [60.0]
         assert report["batchers_dropped"] == 0
         assert service.batcher("k") is batcher
@@ -622,10 +538,36 @@ class TestCoalescingService:
         registry = FakeRegistry()
         service = CoalescingService(registry, housekeeping_seconds=0.02)
         deadline = time.monotonic() + 5
-        while not registry.rebalance_calls:
+        while not registry.evict_calls:
             assert time.monotonic() < deadline
             time.sleep(0.01)
         service.close()
+
+    def test_submit_racing_batcher_retirement_cannot_deadlock(self):
+        # Retiring a batcher (_retire_locked, _drop_stale_batchers, close())
+        # holds the service lock and then takes the batcher's condition via
+        # batcher.stats(), so a submission must never wait on the service
+        # lock while holding that condition.  Hold the service lock across
+        # a live submission to a bounded-pool fleet: the condition must
+        # stay acquirable, as a concurrent retirement needs it.
+        registry = SessionRegistry(
+            session_factory=FakeSession, min_session_bytes=1, max_total_bytes=1_000
+        )
+        data = FakeData()
+        service = CoalescingService(registry, window_ms=0, start_housekeeping=False)
+        batcher = service.batcher("k", spec=SPEC, train=data, holdout=data)
+        submitter = threading.Thread(target=lambda: batcher.answer(C1), daemon=True)
+        try:
+            with service._lock:
+                submitter.start()
+                batcher.session.executing.wait(1)
+                acquired = batcher._cond.acquire(timeout=1)
+                if acquired:
+                    batcher._cond.release()
+            assert acquired, "submit blocked on the service lock under the batcher lock"
+        finally:
+            submitter.join(5)
+            service.close()
 
     def test_close_is_idempotent_and_final(self):
         service = CoalescingService(FakeRegistry(), start_housekeeping=False)

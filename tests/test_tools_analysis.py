@@ -15,6 +15,7 @@ Three layers:
 
 from __future__ import annotations
 
+import ast
 import textwrap
 from pathlib import Path
 
@@ -728,6 +729,20 @@ class TestRealTree:
         findings = run_analysis(REPO_ROOT)
         rendered = "\n".join(f.render() for f in findings)
         assert findings == [], f"invariant findings on the real tree:\n{rendered}"
+
+    def test_config_knob_count_ratchet(self):
+        # Knobs deleted after their policy lost to the simplest alternative
+        # must not grow back silently: adding a DEFAULT_* knob means
+        # raising this bound on purpose.
+        tree = ast.parse((REPO_ROOT / "src/repro/config.py").read_text(encoding="utf-8"))
+        knobs = [
+            target.id
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name) and target.id.startswith("DEFAULT_")
+        ]
+        assert len(knobs) <= 34, knobs
 
     def test_cli_check_passes_on_real_tree(self, capsys):
         assert analysis_main(["--check"]) == 0
