@@ -2,18 +2,20 @@
 
 The accuracy estimator (Section 3.3) and every binary-search probe of the
 sample-size estimator (Section 4.2) evaluate the MCS ``diff`` function
-against k = 128 sampled parameter vectors.  The batched engine collapses
-that inner loop into a single ``Thetas @ Xᵀ``-style GEMM; this benchmark
-measures the speedup on the Figure 7-style logistic-regression workload
-(Criteo-like features) for
+against k = 128 sampled parameter vectors.  The batched ``diff`` collapses
+that inner loop into one ``Thetas @ Xᵀ``-style GEMM per holdout block; this
+benchmark measures the speedup on the Figure 7-style logistic-regression
+workload (Criteo-like features) for
 
 * the raw k-candidate diff evaluation (accuracy-estimator inner loop),
 * the pairwise two-stage variant (sample-size-estimator inner loop),
 * a full ``ModelAccuracyEstimator.estimate`` call.
 
-The loop path is the generic ``ModelClassSpec`` fallback (what any custom
-spec without a vectorised override gets); the batched path is the
-``LogisticRegressionSpec`` override.  Run standalone::
+The loop path is the scalar ``prediction_difference`` evaluated pair by
+pair (what any custom spec without streaming accumulators gets); the
+batched path is ``streaming_prediction_differences`` /
+``streaming_fanout_pairwise_prediction_differences`` driving the
+``LogisticRegressionSpec`` accumulators.  Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_batched_diff.py [--smoke] [--check 5]
 
@@ -34,6 +36,10 @@ from repro.core.parameter_sampler import ParameterSampler
 from repro.core.statistics import compute_statistics
 from repro.data.splits import SplitSpec, train_holdout_test_split
 from repro.data.synthetic import criteo_like
+from repro.evaluation.streaming import (
+    streaming_fanout_pairwise_prediction_differences,
+    streaming_prediction_differences,
+)
 from repro.models.base import ModelClassSpec
 from repro.models.logistic_regression import LogisticRegressionSpec
 
@@ -89,31 +95,30 @@ def run(n_rows: int, n_features: int, k: int, repeats: int) -> list[dict]:
 
     record(
         f"accuracy diffs (k={k})",
-        lambda: ModelClassSpec.prediction_differences(spec, model.theta, theta_N, holdout),
-        lambda: spec.prediction_differences(model.theta, theta_N, holdout),
+        lambda: [spec.prediction_difference(model.theta, theta, holdout) for theta in theta_N],
+        lambda: streaming_prediction_differences(spec, model.theta, theta_N, holdout),
     )
     # Informational: the pairwise loop path already evaluated both sides of
     # every pair, so its batched win is smaller than the accuracy path's
     # (which stops recomputing the reference predictions k times).
     record(
         f"two-stage pairwise diffs (k={k})",
-        lambda: ModelClassSpec.pairwise_prediction_differences(
-            spec, theta_n_pairs, theta_N_pairs, holdout
-        ),
-        lambda: spec.pairwise_prediction_differences(theta_n_pairs, theta_N_pairs, holdout),
+        lambda: [
+            spec.prediction_difference(theta_a, theta_b, holdout)
+            for theta_a, theta_b in zip(theta_n_pairs, theta_N_pairs)
+        ],
+        lambda: streaming_fanout_pairwise_prediction_differences(
+            spec, [(theta_n_pairs, theta_N_pairs)], holdout
+        )[0],
         checked=False,
     )
 
-    # Full accuracy estimate: loop path simulated by hiding the overrides
-    # behind a thin spec that only exposes the scalar diff (i.e. what any
-    # custom ModelClassSpec without vectorised overrides experiences).
+    # Full accuracy estimate: loop path simulated by pinning the generic
+    # fallbacks on a thin spec, so it only exposes the scalar diff (i.e.
+    # what any custom ModelClassSpec without vectorised overrides
+    # experiences).
     class LoopOnlySpec(LogisticRegressionSpec):
         predict_many = ModelClassSpec.predict_many
-        prediction_differences = ModelClassSpec.prediction_differences
-        pairwise_prediction_differences = ModelClassSpec.pairwise_prediction_differences
-        # Pin the streaming factories to the generic fallbacks too, so the
-        # loop path keeps the per-pair scalar-diff semantics it is meant to
-        # represent (a custom spec with no vectorised overrides at all).
         diff_accumulator = ModelClassSpec.diff_accumulator
         pairwise_diff_accumulator = ModelClassSpec.pairwise_diff_accumulator
 

@@ -8,10 +8,11 @@ in memory-mapped ``.npy`` shards and only the per-block temporaries (the
 benchmark measures three paths on a logistic-regression workload whose
 holdout is at least 10× the block size:
 
-* the materialised batched diff on the in-memory holdout (the PR 1 path);
-* the streamed diff on the in-memory holdout (the PR 2 path);
-* the streamed diff on the sharded holdout (this PR), serial and under the
-  process backend.
+* the materialised diff on the in-memory holdout: the whole holdout
+  folded as one ``(k, n_holdout)`` block;
+* the streamed diff on the in-memory holdout;
+* the streamed diff on the sharded holdout, serial and under the process
+  backend.
 
 It always asserts bitwise agreement across every path (classification
 counts are exact), and with ``--check`` additionally gates:
@@ -97,8 +98,11 @@ def run(
     Thetas = sampler.sample_around(model.theta, n=n0, N=n_train, count=k, tag="bench")
 
     rows = []
+    one_block = StreamingConfig(block_rows=holdout.n_rows)
     materialised, materialised_peak, seconds = _measure(
-        lambda: spec.prediction_differences(model.theta, Thetas, holdout)
+        lambda: streaming_prediction_differences(
+            spec, model.theta, Thetas, holdout, config=one_block
+        )
     )
     rows.append(("materialised (in-memory)", materialised_peak, seconds))
 

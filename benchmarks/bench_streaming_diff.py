@@ -1,8 +1,9 @@
 """Micro-benchmark: streaming sharded vs. materialised holdout evaluation.
 
-The materialised batched diff path (PR 1) evaluates all k candidate
-parameters in one GEMM but allocates the full ``(k, n_holdout)`` prediction
-block; the streaming engine (:mod:`repro.evaluation.streaming`) shards the
+The materialised baseline folds the whole holdout as one block
+(``StreamingConfig(block_rows=holdout.n_rows)``): all k candidate
+parameters in one GEMM, allocating the full ``(k, n_holdout)`` prediction
+block.  The streaming engine (:mod:`repro.evaluation.streaming`) shards the
 holdout into row blocks and accumulates per-candidate disagreement counts,
 keeping peak memory at O(k · block) regardless of holdout size.
 
@@ -68,8 +69,11 @@ def run(n_train: int, n_holdout: int, n_features: int, k: int, block_rows: int) 
     Thetas = sampler.sample_around(model.theta, n=n0, N=n_train, count=k, tag="bench")
 
     rows = []
+    one_block = StreamingConfig(block_rows=holdout.n_rows)
     materialised, materialised_peak, materialised_seconds = _measure(
-        lambda: spec.prediction_differences(model.theta, Thetas, holdout)
+        lambda: streaming_prediction_differences(
+            spec, model.theta, Thetas, holdout, config=one_block
+        )
     )
     rows.append(("materialised", materialised_peak, materialised_seconds))
 

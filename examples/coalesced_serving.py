@@ -131,8 +131,7 @@ def main() -> None:
     fleet = service.stats()
     print(
         f"registry roll-up: {fleet.sessions} session(s), "
-        f"{fleet.bytes}/{fleet.max_total_bytes} budget bytes, "
-        f"serving.requests={fleet.serving.requests}"
+        f"{fleet.bytes}/{fleet.max_total_bytes} budget bytes"
     )
     service.close()
 

@@ -112,7 +112,6 @@ DEFAULT_HOLDOUT_FRACTION = _env_float(
 DEFAULT_TEST_FRACTION = _env_float(
     "DEFAULT_TEST_FRACTION", 0.2, minimum=0.0, maximum=1.0
 )
-DEFAULT_RANDOM_SEED = _env_int("DEFAULT_RANDOM_SEED", 0, minimum=0)
 
 # The contract's default violation probability δ (the paper's experiments
 # use 0.05 throughout).  Every place a default δ appears — the contract
@@ -125,7 +124,9 @@ DEFAULT_DELTA = _env_float("DEFAULT_DELTA", 0.05, minimum=0.0, maximum=1.0)
 # Streaming sharded holdout evaluation (repro.evaluation.streaming).  The
 # holdout is processed in row blocks of this size so the per-candidate
 # prediction block stays O(k · block) instead of O(k · n_holdout);
-# 8192 rows × 128 candidates × 8 bytes ≈ 8 MB per in-flight block.
+# 8192 rows × 128 candidates × 8 bytes ≈ 8 MB per in-flight block.  The
+# streamed statistics fold (repro.core.statistics) uses the same block
+# size for its (block_rows, d) per-example gradient blocks.
 # Env-overridable.
 DEFAULT_HOLDOUT_BLOCK_ROWS = _env_int("DEFAULT_HOLDOUT_BLOCK_ROWS", 8_192, minimum=1)
 # 0 or 1 means serial block processing; larger values fan contiguous block
@@ -141,13 +142,6 @@ DEFAULT_STREAMING_WORKERS = _env_int("DEFAULT_STREAMING_WORKERS", 0)
 DEFAULT_STREAMING_BACKEND = _env_choice(
     "DEFAULT_STREAMING_BACKEND", "threads", ("threads", "processes")
 )
-# Streaming statistics tier (repro.core.statistics).  Rows per gradient
-# block when H/J summaries are folded incrementally: the resident set is one
-# (block_rows, d) per-example gradient block plus a (d, d) triangular
-# factor, never the full N×d matrix.  Kept separate from
-# DEFAULT_HOLDOUT_BLOCK_ROWS because statistics blocks also bound the QR
-# work per fold, not just prediction GEMM size.  Env-overridable.
-DEFAULT_STATS_BLOCK_ROWS = _env_int("DEFAULT_STATS_BLOCK_ROWS", 8_192, minimum=1)
 
 # Out-of-core shard store (repro.data.store).  Rows per .npy shard: the
 # write path buffers at most one shard, the streaming read path memory-maps
@@ -207,13 +201,12 @@ DEFAULT_REGISTRY_MIN_SESSION_BYTES = _env_int(
 # alias REPRO_WARM_CACHE_DIR (read at session construction by
 # repro.data.store.warm_cache.default_warm_cache_dir, so tests and CI can
 # retarget the directory without re-importing this module).  MAX_BYTES
-# bounds the directory via mtime-GC after each write; WRITE_BEHIND != 0
-# publishes entries from a background thread (0 = synchronous writes).
+# bounds the directory via mtime-GC after each write; entries are always
+# published from a background writer thread.
 DEFAULT_WARM_CACHE_DIR = _env_str("DEFAULT_WARM_CACHE_DIR", "")
 DEFAULT_WARM_CACHE_MAX_BYTES = _env_int(
     "DEFAULT_WARM_CACHE_MAX_BYTES", 1024 * 1024 * 1024, minimum=1
 )
-DEFAULT_WARM_CACHE_WRITE_BEHIND = _env_int("DEFAULT_WARM_CACHE_WRITE_BEHIND", 1)
 
 # How many candidate sample sizes the sample-size search evaluates per
 # stacked Monte-Carlo pass (ROADMAP "batched two-stage probes").  1 keeps

@@ -19,10 +19,7 @@ module is the shared substrate every session cache now sits on:
 * :meth:`LRUCache.resize` — the cross-session registry
   (:mod:`repro.core.registry`) rebalances each member session's byte caps
   from a global pool as the fleet grows and shrinks, so bounds are mutable
-  at runtime: shrinking evicts down to the new bounds immediately;
-* ``on_evict`` — an optional callback fired (outside the lock) for every
-  entry the cache evicts to stay within bounds, so owners can account for
-  released bytes.
+  at runtime: shrinking evicts down to the new bounds immediately.
 
 Locking discipline (see ``docs/architecture.md``): the cache lock is never
 held while a compute function runs.  A miss registers an in-flight marker
@@ -180,11 +177,6 @@ class LRUCache:
     sizeof:
         Maps a value to its approximate size in bytes
         (:func:`default_sizeof` when omitted).
-    on_evict:
-        Optional ``callback(key, value)`` invoked for every entry evicted to
-        satisfy the bounds (inserts and :meth:`resize` shrinks).  Called
-        *outside* the cache lock, so it may touch other locks freely; it is
-        not called for :meth:`clear` or same-key replacement.
     warm_tier:
         Optional second tier (:class:`WarmTier`) probed by
         :meth:`get_or_compute` between an in-memory miss and the compute
@@ -198,8 +190,8 @@ class LRUCache:
     Both bounds are enforced on every insert by evicting least-recently-used
     entries; ``get``/``get_or_compute`` refresh recency.  All operations are
     serialised by an internal ``RLock``, but compute functions passed to
-    :meth:`get_or_compute` and ``on_evict`` callbacks run *outside* the lock
-    (see the module docstring for the single-flight protocol).
+    :meth:`get_or_compute` run *outside* the lock (see the module docstring
+    for the single-flight protocol).
     """
 
     def __init__(
@@ -208,7 +200,6 @@ class LRUCache:
         max_entries: int | None = None,
         max_bytes: int | None = None,
         sizeof: Callable[[Any], int] | None = None,
-        on_evict: Callable[[Hashable, Any], None] | None = None,
         warm_tier: WarmTier | None = None,
     ):
         self._validate_bound("max_entries", max_entries, name=name)
@@ -217,7 +208,6 @@ class LRUCache:
         self.max_entries = max_entries  # guarded-by: _lock
         self.max_bytes = max_bytes  # guarded-by: _lock
         self._sizeof = sizeof or default_sizeof
-        self._on_evict = on_evict
         self._warm_tier = warm_tier
         self._lock = threading.RLock()
         self._entries: OrderedDict[Hashable, tuple[Any, int]] = OrderedDict()  # guarded-by: _lock
@@ -244,8 +234,7 @@ class LRUCache:
     def put(self, key: Hashable, value: Any) -> None:
         """Insert (or replace) ``key`` and evict until within bounds."""
         with self._lock:
-            evicted = self._store(key, value)
-        self._fire_evictions(evicted)
+            self._store(key, value)
 
     def __len__(self) -> int:
         with self._lock:
@@ -327,15 +316,13 @@ class LRUCache:
                 raise
             if warm_value is not None:
                 flight.value = warm_value
-                warm_evicted: list[tuple[Hashable, Any]] = []
                 try:
                     with self._lock:
                         del self._inflight[key]
                         self._hits += 1
-                        warm_evicted = self._store(key, warm_value)
+                        self._store(key, warm_value)
                 finally:
                     flight.event.set()
-                self._fire_evictions(warm_evicted)
                 return warm_value, True
         try:
             value = compute()
@@ -346,19 +333,17 @@ class LRUCache:
             flight.event.set()
             raise
         flight.value = value
-        evicted: list[tuple[Hashable, Any]] = []
         try:
             with self._lock:
                 del self._inflight[key]
                 self._misses += 1
-                evicted = self._store(key, value)
+                self._store(key, value)
         finally:
             # Set the event even if the publish fails (e.g. a user-supplied
             # sizeof raising in _store): followers already hold
             # flight.value, and leaving the event unset would block them
             # forever.  The value simply is not cached; the leader re-raises.
             flight.event.set()
-        self._fire_evictions(evicted)
         if self._warm_tier is not None:
             # Write-behind publication for other processes; best-effort by
             # contract (the adapter may enqueue, drop under pressure, or
@@ -380,8 +365,8 @@ class LRUCache:
         Omitted bounds are left unchanged; ``None`` means unbounded.  The
         cross-session registry calls this to rebalance each member session's
         share of the global byte pool as the fleet grows and shrinks.
-        Evicted entries count in ``CacheStats.evictions`` and are reported
-        to ``on_evict`` exactly as insert-driven evictions are.
+        Evicted entries count in ``CacheStats.evictions`` exactly as
+        insert-driven evictions do.
         """
         with self._lock:
             if not isinstance(max_entries, _Unset):
@@ -390,8 +375,7 @@ class LRUCache:
             if not isinstance(max_bytes, _Unset):
                 self._validate_bound("max_bytes", max_bytes, name=self.name)
                 self.max_bytes = max_bytes
-            evicted = self._evict_to_bounds()
-        self._fire_evictions(evicted)
+            self._evict_to_bounds()
 
     # ------------------------------------------------------------------
     # Internals
@@ -401,38 +385,29 @@ class LRUCache:
         if bound is not None and bound < 1:
             raise BlinkMLError(f"{name}: {label} must be at least 1 or None")
 
-    def _fire_evictions(self, evicted: list[tuple[Hashable, Any]]) -> None:
-        """Invoke ``on_evict`` for each evicted entry, outside the lock."""
-        if self._on_evict is not None:
-            for key, value in evicted:
-                self._on_evict(key, value)
-
-    def _store(self, key: Hashable, value: Any) -> list[tuple[Hashable, Any]]:  # repro-lint: holds=_lock
-        """Insert under the lock; returns the entries evicted to make room."""
+    def _store(self, key: Hashable, value: Any) -> None:  # repro-lint: holds=_lock
+        """Insert under the lock, then evict LRU-first to make room."""
         nbytes = max(0, int(self._sizeof(value)))
         old = self._entries.pop(key, None)
         if old is not None:
             self._bytes -= old[1]
         self._entries[key] = (value, nbytes)
         self._bytes += nbytes
-        return self._evict_to_bounds()
+        self._evict_to_bounds()
 
-    def _evict_to_bounds(self) -> list[tuple[Hashable, Any]]:  # repro-lint: holds=_lock
+    def _evict_to_bounds(self) -> None:  # repro-lint: holds=_lock
         """Evict LRU-first until both bounds hold (lock held by caller).
 
         At least one entry is always retained so a single value larger than
         the whole byte budget is stored rather than recomputed forever.
         """
-        evicted: list[tuple[Hashable, Any]] = []
         while len(self._entries) > 1 and (
             (self.max_entries is not None and len(self._entries) > self.max_entries)
             or (self.max_bytes is not None and self._bytes > self.max_bytes)
         ):
-            evicted_key, (evicted_value, evicted_bytes) = self._entries.popitem(last=False)
+            _, (_, evicted_bytes) = self._entries.popitem(last=False)
             self._bytes -= evicted_bytes
             self._evictions += 1
-            evicted.append((evicted_key, evicted_value))
-        return evicted
 
     def stats(self) -> CacheStats:
         """A consistent snapshot of counters and occupancy."""

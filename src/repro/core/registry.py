@@ -140,12 +140,6 @@ class RegistryStats:
     fingerprint_invalidations: int
     per_session: tuple[SessionInfo, ...]
     refreshes: int = 0
-    #: snapshot from an attached serving front-end (``None`` when no
-    #: provider is attached) — the coalescing tier's aggregated
-    #: :class:`~repro.serving.batcher.BatcherStats` when served through
-    #: :class:`~repro.serving.service.CoalescingService`.  Typed loosely so
-    #: the core registry stays import-free of the serving package.
-    serving: object | None = None
     #: snapshot of the registry's shared cross-process warm tier
     #: (:class:`~repro.data.store.warm_cache.WarmCacheStats`: warm hits,
     #: misses, quarantined entries, on-disk bytes), or ``None`` when no
@@ -258,10 +252,6 @@ class SessionRegistry:
         self._invalidations = 0  # guarded-by: _lock
         self._fingerprint_invalidations = 0  # guarded-by: _lock
         self._refreshes = 0  # guarded-by: _lock
-        # Plain atomic reference swap; stats() reads it lock-free by design
-        # (providers may take their own locks), so it is intentionally not
-        # in the guarded-by table above.
-        self._serving_stats_provider = None
 
     # ------------------------------------------------------------------
     # Fleet capacity
@@ -522,26 +512,8 @@ class SessionRegistry:
         """The fleet-shared cross-process warm tier (``None`` = disabled)."""
         return self._warm_cache
 
-    def attach_serving_stats(self, provider: Callable[[], object] | None) -> None:
-        """Roll a serving front-end's stats snapshot into :meth:`stats`.
-
-        ``provider`` is a zero-argument callable returning any snapshot
-        object (the :class:`~repro.serving.service.CoalescingService`
-        attaches its aggregated
-        :class:`~repro.serving.batcher.BatcherStats`); every later
-        ``stats()`` call invokes it *outside* the registry lock — providers
-        may take their own locks freely — and reports the result as
-        :attr:`RegistryStats.serving`.  Pass ``None`` to detach.  Kept as a
-        callback so the core registry never imports the serving package.
-        """
-        if provider is not None and not callable(provider):
-            raise BlinkMLError("registry: serving stats provider must be callable")
-        self._serving_stats_provider = provider
-
     def stats(self) -> RegistryStats:
         """A snapshot of fleet occupancy, byte usage and counters."""
-        provider = self._serving_stats_provider
-        serving = provider() if provider is not None else None
         with self._lock:
             rows = []
             for key, member in self._members.items():
@@ -569,7 +541,6 @@ class SessionRegistry:
                 fingerprint_invalidations=self._fingerprint_invalidations,
                 per_session=per_session,
                 refreshes=self._refreshes,
-                serving=serving,
                 warm=(
                     None
                     if self._warm_cache is None

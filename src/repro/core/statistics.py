@@ -60,7 +60,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.config import DEFAULT_FINITE_DIFFERENCE_EPS, DEFAULT_STATS_BLOCK_ROWS
+from repro.config import DEFAULT_FINITE_DIFFERENCE_EPS, DEFAULT_HOLDOUT_BLOCK_ROWS
 from repro.data.dataset import Dataset
 from repro.evaluation import streaming as _streaming
 from repro.evaluation.streaming import BlockSource, StreamingConfig, as_block_source
@@ -183,8 +183,8 @@ class GradientMomentAccumulator:
     """Streaming ObservedFisher: folds per-example gradient blocks into a
     :class:`~repro.linalg.moments.GradientMomentSummary`.
 
-    Picklable (the spec drops its caches on pickling; the summary is plain
-    arrays), so process-backend workers can rebuild one from the task and
+    Picklable (the spec pickles by default; the summary is plain arrays),
+    so process-backend workers can rebuild one from the task and
     return their partial for the ordinary ``merge`` path.  Memory stays at
     one ``(block_rows, d)`` gradient block plus an ``(≤d, d)`` triangular
     factor — the N×d matrix never exists.
@@ -387,7 +387,7 @@ class _ShardSummaryTask(_StatisticsTask):
 
     start: int = 0
     stop: int = 0
-    block_rows: int = DEFAULT_STATS_BLOCK_ROWS
+    block_rows: int = DEFAULT_HOLDOUT_BLOCK_ROWS
 
 
 def _compute_shard_summary(task: _ShardSummaryTask) -> MomentSummary:
@@ -537,9 +537,10 @@ def compute_statistics(
     probe_eps:
         Finite-difference step for InverseGradients.
     streaming:
-        Block size / executor configuration; defaults to serial folding in
-        blocks of :data:`~repro.config.DEFAULT_STATS_BLOCK_ROWS` rows with
-        the session-wide worker/backend defaults.
+        Block size / executor configuration; ``None`` means the default
+        :class:`~repro.evaluation.streaming.StreamingConfig` (blocks of
+        :data:`~repro.config.DEFAULT_HOLDOUT_BLOCK_ROWS` rows, the
+        session-wide worker/backend defaults).
     persist:
         For store-backed sources: whether newly computed per-shard
         summaries may be written back as sidecars.  Pass ``False`` for
@@ -548,7 +549,7 @@ def compute_statistics(
     """
     method = StatisticsMethod(method)
     if streaming is None:
-        streaming = StreamingConfig(block_rows=DEFAULT_STATS_BLOCK_ROWS)
+        streaming = StreamingConfig()
     if method is StatisticsMethod.CLOSED_FORM and not spec.has_closed_form_hessian:
         raise StatisticsError(
             f"model {spec.name!r} has no closed-form Hessian; "

@@ -31,9 +31,9 @@ compilation cache in an inference stack:
 * **byte-bounded mtime-GC** — after each write the tier deletes
   oldest-first until the directory is back under ``max_bytes`` (and
   removes aged temp files left by crashed writers);
-* **async write-behind** — by default entries are published from a
-  background thread so the serving path never waits on disk; a bounded
-  queue drops (and counts) writes under pressure rather than blocking.
+* **async write-behind** — entries are published from a background
+  thread so the serving path never waits on disk; a bounded queue drops
+  (and counts) writes under pressure rather than blocking.
 
 Keys are built by the pure functions :func:`diff_entry_key` /
 :func:`size_entry_key` from content digests only — model-spec digest,
@@ -59,11 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import (
-    DEFAULT_WARM_CACHE_DIR,
-    DEFAULT_WARM_CACHE_MAX_BYTES,
-    DEFAULT_WARM_CACHE_WRITE_BEHIND,
-)
+from repro.config import DEFAULT_WARM_CACHE_DIR, DEFAULT_WARM_CACHE_MAX_BYTES
 from repro.linalg.utils import freeze
 
 #: entry kinds the session layer persists.
@@ -238,11 +234,11 @@ class WarmCacheTier:
     max_bytes:
         Byte bound for the directory; after each write an mtime-GC deletes
         oldest entries until the bound holds again.
-    write_behind:
-        When true (default), :meth:`put` enqueues the entry for a
-        background daemon thread and returns immediately (a full queue
-        drops the write and counts it — the tier is an optimisation, never
-        a blocking dependency).  When false, writes happen synchronously.
+
+    :meth:`put` enqueues the entry for a background daemon thread and
+    returns immediately (a full queue drops the write and counts it — the
+    tier is an optimisation, never a blocking dependency); :meth:`flush`
+    waits for the queue to drain.
     """
 
     def __init__(
@@ -250,11 +246,9 @@ class WarmCacheTier:
         directory: str | os.PathLike[str],
         *,
         max_bytes: int = DEFAULT_WARM_CACHE_MAX_BYTES,
-        write_behind: bool = bool(DEFAULT_WARM_CACHE_WRITE_BEHIND),
     ) -> None:
         self.directory = os.fspath(directory)
         self.max_bytes = max(1, int(max_bytes))
-        self.write_behind = bool(write_behind)
         self._lock = threading.Lock()
         self._hits = 0  # guarded-by: _lock
         self._misses = 0  # guarded-by: _lock
@@ -319,17 +313,14 @@ class WarmCacheTier:
     def put(self, kind: str, key: str, arrays: Mapping[str, np.ndarray]) -> None:
         """Publish (or re-publish) the payload for ``key``.
 
-        With write-behind enabled the entry lands on the background queue
-        (dropped and counted if the queue is full); otherwise it is
-        written synchronously.  Publication is atomic either way: readers
-        see the previous entry or the new one, never a torn file.
+        The entry lands on the background write-behind queue (dropped and
+        counted if the queue is full, or after :meth:`close`).  Publication
+        is atomic: readers see the previous entry or the new one, never a
+        torn file.
         """
         payload = {
             str(name): np.ascontiguousarray(value) for name, value in arrays.items()
         }
-        if not self.write_behind:
-            self._write_entry(kind, key, payload)
-            return
         with self._lock:
             if self._closed:
                 self._dropped_writes += 1

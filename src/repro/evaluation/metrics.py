@@ -53,11 +53,9 @@ def model_agreement(
 ) -> float:
     """The *actual accuracy* ``1 − v`` between an approximate and a full model.
 
-    By default this is routed through the batched diff path so that
-    repeated comparisons against the same full model (the common
-    benchmark-harness pattern) reuse the cached full-model predictions;
-    pass a ``streaming`` config for O(k · block) memory on holdouts too
-    large to materialise.
+    Streamed through the model family's diff accumulator like every other
+    batched ``diff``; ``streaming=None`` means the default
+    :class:`StreamingConfig`.
     """
     return float(model_agreements(spec, [theta_approx], theta_full, dataset, streaming)[0])
 
@@ -72,23 +70,11 @@ def model_agreements(
     """Batched *actual accuracy*: ``1 − v`` for a stack of approximate models.
 
     All model-difference metrics in the library are symmetric, so the full
-    model serves as the reference θ of the batched diff.  Without a
-    ``streaming`` config the materialised batched path is used — its
-    reference-prediction memo makes repeated sweeps against one full model
-    cheap; with one, the evaluation is sharded through the streaming engine
-    (O(k · block) memory, no cross-call memo).
+    model serves as the reference θ of the batched diff, which is streamed
+    through the family's diff accumulator at O(k · block) memory
+    (``streaming=None`` means the default :class:`StreamingConfig`).
     """
-    Thetas_approx = np.asarray(Thetas_approx, dtype=np.float64)
-    if streaming is None:
-        differences = np.asarray(
-            spec.prediction_differences(theta_full, Thetas_approx, dataset),
-            dtype=np.float64,
-        )
-    else:
-        differences = np.asarray(
-            streaming_prediction_differences(
-                spec, theta_full, Thetas_approx, dataset, config=streaming
-            ),
-            dtype=np.float64,
-        )
+    differences = streaming_prediction_differences(
+        spec, theta_full, Thetas_approx, dataset, config=streaming
+    )
     return 1.0 - differences

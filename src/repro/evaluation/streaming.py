@@ -1,9 +1,8 @@
 """Streaming sharded holdout evaluation over pluggable block sources.
 
-The PR 1 batched diff engine evaluates all k candidate parameters against
-the holdout in one GEMM but materialises the full ``(k, n_holdout)``
-prediction block, which caps holdout size well below the million-user
-target.  This module is the driver half of the streaming replacement:
+The batched ``diff`` evaluates all k candidate parameters against the
+holdout with one GEMM per block instead of materialising the full
+``(k, n_holdout)`` prediction block.  This module is its driver half:
 
 * the holdout is consumed as contiguous row blocks through the
   :class:`BlockSource` protocol — an in-memory
@@ -69,7 +68,7 @@ STREAMING_BACKENDS = ("threads", "processes")
 
 # Streamed-pass accounting: one tick per stream_accumulate() call that
 # actually consumes holdout blocks (parameter-space metrics and the
-# materialised fallback never stream and never count).  The coalescing
+# generic scalar-loop fallback never stream and never count).  The coalescing
 # serving tier's "passes saved" accounting is defined against this counter:
 # tests and the bench_coalesced_serving gate measure fused-vs-serial
 # executions by diffing it, so it must tick exactly once per pass no matter
@@ -222,7 +221,7 @@ def _block_view(dataset: Dataset, start: int, stop: int) -> Dataset:
 
     The X/y buffers are views; metadata is propagated like every other
     Dataset transformation so metadata-aware custom accumulators see the
-    same context on the streaming path as on the materialised one.
+    same context on a block as on the full holdout.
     """
     y = None if dataset.y is None else dataset.y[start:stop]
     return Dataset(
@@ -463,7 +462,7 @@ def stream_accumulate(task: StreamTask, config: StreamingConfig) -> Any:
     """
     first = task.make_accumulator()
     if not first.needs_holdout_blocks:
-        # Parameter-space metrics (PPCA) and the generic materialised
+        # Parameter-space metrics (PPCA) and the generic scalar-loop
         # fallback: nothing to shard.
         return first.finalize()
 
@@ -543,13 +542,15 @@ def streaming_prediction_differences(
     dataset: "Dataset | BlockSource",
     config: StreamingConfig | None = None,
 ) -> np.ndarray:
-    """Sharded equivalent of :meth:`ModelClassSpec.prediction_differences`.
+    """Batched ``diff``: ``v(θ_ref, Thetas[i])`` for each i, shape ``(k,)``.
 
-    Agrees with the materialised batched path to floating-point accuracy
-    (bitwise for the classification families, whose block statistics are
-    integer counts) while keeping memory at O(k · block_rows).  ``dataset``
-    may be an in-memory :class:`Dataset` or any :class:`BlockSource`
-    (e.g. a memory-mapped :class:`~repro.data.store.ShardedDataset`).
+    Drives the spec's :meth:`~ModelClassSpec.diff_accumulator` over the
+    holdout blocks.  Agrees with the scalar ``prediction_difference`` loop
+    to floating-point accuracy (bitwise for the classification families,
+    whose block statistics are integer counts) while keeping memory at
+    O(k · block_rows).  ``dataset`` may be an in-memory :class:`Dataset` or
+    any :class:`BlockSource` (e.g. a memory-mapped
+    :class:`~repro.data.store.ShardedDataset`).
     """
     config = config or DEFAULT_STREAMING_CONFIG
     return stream_accumulate(
@@ -582,8 +583,8 @@ def streaming_fanout_pairwise_prediction_differences(
     data-movement cost is shared.  Returns one difference vector per
     segment, in segment order; the one-segment call
     ``streaming_fanout_pairwise_prediction_differences(spec, [(a, b)], ...)[0]``
-    is the sharded equivalent of
-    :meth:`ModelClassSpec.pairwise_prediction_differences`.
+    is the elementwise batched ``diff`` ``v(a[i], b[i])``, driven through
+    the spec's :meth:`~ModelClassSpec.pairwise_diff_accumulator`.
     """
     config = config or DEFAULT_STREAMING_CONFIG
     tasks = tuple(

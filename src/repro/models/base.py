@@ -23,7 +23,6 @@ exactly as the paper describes in Appendix A.
 
 from __future__ import annotations
 
-import threading
 from abc import ABC, abstractmethod
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -44,8 +43,8 @@ class DiffAccumulator(ABC):
     The streaming sharded holdout engine
     (:mod:`repro.evaluation.streaming`) shards the holdout into row blocks
     and feeds them to an accumulator one at a time, so the full
-    ``(k, n_holdout)`` prediction block of the batched diff path never
-    exists in memory — only O(k · block) lives at once.  An accumulator is
+    ``(k, n_holdout)`` prediction block never exists in memory — only
+    O(k · block) lives at once.  An accumulator is
     created by :meth:`ModelClassSpec.diff_accumulator` /
     :meth:`ModelClassSpec.pairwise_diff_accumulator` with the parameter
     batch(es) bound in; the driver then calls :meth:`update` once per block
@@ -151,9 +150,9 @@ class PrecomputedDiffAccumulator(DiffAccumulator):
     Two uses: parameter-space metrics (PPCA's aligned cosine) that are fully
     determined by the parameter batches, and the generic fallback for custom
     :class:`ModelClassSpec` subclasses without a streaming decomposition —
-    the fallback evaluates the materialised batched diff on the full holdout
-    up front, which preserves correctness but not the O(k · block) memory
-    bound (documented in ``docs/architecture.md``).
+    the fallback evaluates the scalar ``prediction_difference`` pair by pair
+    on the full holdout up front, which preserves correctness but not the
+    O(k · block) memory bound (documented in ``docs/architecture.md``).
     """
 
     needs_holdout_blocks = False
@@ -219,21 +218,6 @@ def materialize_if_sharded(dataset: Any) -> Dataset:
     return dataset
 
 
-class _ReferenceMemo(threading.local):
-    """Per-thread one-slot memo for :meth:`ModelClassSpec._reference_predictions`.
-
-    Spec objects are shared by estimators, sessions and streaming worker
-    threads; a single shared slot would let two threads working on
-    different (θ, X) pairs evict each other's entry on every call (and,
-    without the GIL, publish a torn entry).  ``threading.local`` gives each
-    thread its own slot: no synchronisation on the hot path, no cross-thread
-    interference, and each streaming worker keeps its memo effective.
-    """
-
-    def __init__(self) -> None:
-        self.entry: tuple[bytes, np.ndarray, np.ndarray] | None = None
-
-
 class ModelClassSpec(ABC):
     """Abstract base class for every supported model family."""
 
@@ -246,26 +230,6 @@ class ModelClassSpec(ABC):
         if regularization < 0:
             raise ModelSpecError("regularization coefficient must be non-negative")
         self.regularization = float(regularization)
-        # Per-thread one-slot memo for the reference predictions of the
-        # batched diff path: (theta bytes, feature-matrix identity) ->
-        # predictions.  The feature matrix is kept alive by the memo entry
-        # itself, so the identity check cannot alias a recycled object.
-        self._reference_cache = _ReferenceMemo()
-
-    # ------------------------------------------------------------------
-    # Pickling (the process streaming backend ships specs to its workers):
-    # the per-thread memo is a threading.local and cannot cross a process
-    # boundary, so it is dropped and rebuilt empty on the other side —
-    # losing one memoised prediction, never correctness.
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_reference_cache", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._reference_cache = _ReferenceMemo()
 
     # ------------------------------------------------------------------
     # Parameter bookkeeping
@@ -360,12 +324,9 @@ class ModelClassSpec(ABC):
     #
     # The accuracy and sample-size estimators evaluate the MCS ``diff``
     # function against k = O(100) sampled parameter vectors at every
-    # estimate and every binary-search probe.  The methods below expose that
-    # inner loop as a set-at-a-time operation so model families can replace
+    # estimate and every binary-search probe.  ``predict_many`` exposes the
+    # predictions as a set-at-a-time operation so model families can replace
     # k separate predict calls with a single ``X @ Thetas.T``-style GEMM.
-    # The generic implementations fall back to the per-pair loop, so custom
-    # ModelClassSpec subclasses that only implement ``predict`` and
-    # ``prediction_difference`` keep working unchanged.
     # ------------------------------------------------------------------
     def _as_parameter_batch(self, Thetas: np.ndarray) -> np.ndarray:
         """Validate and coerce a stack of parameter vectors to ``(k, p)``."""
@@ -389,41 +350,6 @@ class ModelClassSpec(ABC):
             )
         return Thetas_a, Thetas_b
 
-    def _reference_predictions(self, theta_ref: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Predictions of the reference θ, memoised across consecutive calls.
-
-        The batched diff path evaluates many candidate parameter vectors
-        against the *same* reference θ on the *same* holdout features, so the
-        reference predictions are computed once per (θ, X) pair instead of
-        once per candidate.
-
-        The memo hit test is ``X is cached_X`` plus the θ bytes, which
-        relies on :class:`~repro.data.dataset.Dataset`'s documented
-        immutability: mutating a feature matrix in place and re-passing the
-        same array object would return stale predictions.  Build a new
-        Dataset (the library-wide convention) instead of mutating buffers.
-
-        The memo is **per thread** (:class:`_ReferenceMemo`): spec objects
-        are shared across estimator, session and streaming worker threads,
-        and a shared slot would thrash (or tear, on free-threaded builds)
-        under concurrent use with different (θ, X) pairs.
-        """
-        theta_ref = np.asarray(theta_ref, dtype=np.float64)
-        key = theta_ref.tobytes()
-        # getattr guards custom specs whose __init__ skips super().__init__
-        # (installing lazily is a benign race: a lost slot only costs one
-        # memoised prediction, never correctness).
-        memo = getattr(self, "_reference_cache", None)
-        if not isinstance(memo, _ReferenceMemo):
-            memo = _ReferenceMemo()
-            self._reference_cache = memo
-        entry = memo.entry
-        if entry is not None and entry[0] == key and entry[1] is X:
-            return entry[2]
-        predictions = self.predict(theta_ref, X)
-        memo.entry = (key, X, predictions)
-        return predictions
-
     def predict_many(self, Thetas: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Predictions for each parameter vector in the ``(k, p)`` batch.
 
@@ -434,56 +360,26 @@ class ModelClassSpec(ABC):
         Thetas = self._as_parameter_batch(Thetas)
         return np.stack([self.predict(theta, X) for theta in Thetas])
 
-    def prediction_differences(
-        self, theta_ref: np.ndarray, Thetas: np.ndarray, dataset: Dataset
-    ) -> np.ndarray:
-        """Batched ``diff``: ``v(θ_ref, Thetas[i])`` for each i, shape ``(k,)``.
-
-        This is the accuracy-estimator inner loop (Section 3.3 step 2): one
-        reference model against k sampled full-model parameters.
-        """
-        Thetas = self._as_parameter_batch(Thetas)
-        theta_ref = np.asarray(theta_ref, dtype=np.float64)
-        return np.array(
-            [self.prediction_difference(theta_ref, theta, dataset) for theta in Thetas],
-            dtype=np.float64,
-        )
-
-    def pairwise_prediction_differences(
-        self, Thetas_a: np.ndarray, Thetas_b: np.ndarray, dataset: Dataset
-    ) -> np.ndarray:
-        """Elementwise batched ``diff``: ``v(Thetas_a[i], Thetas_b[i])``.
-
-        This is the sample-size-estimator inner loop (Section 4.1): the k
-        two-stage pairs ``(θ_n,i, θ_N,i)`` are compared pair by pair at every
-        binary-search probe.
-        """
-        Thetas_a, Thetas_b = self._as_paired_batches(Thetas_a, Thetas_b)
-        return np.array(
-            [
-                self.prediction_difference(theta_a, theta_b, dataset)
-                for theta_a, theta_b in zip(Thetas_a, Thetas_b)
-            ],
-            dtype=np.float64,
-        )
-
     # ------------------------------------------------------------------
-    # Streaming sharded holdout evaluation
+    # The batched ``diff``, streamed over holdout blocks
     #
-    # The batched methods above still materialise the full (k, n_holdout)
-    # prediction block.  The factories below instead hand back a
-    # DiffAccumulator that the streaming engine
-    # (repro.evaluation.streaming) drives block by block, keeping memory
-    # at O(k · block).  The five built-in families override them with
-    # disagreement-count / squared-error-sum accumulators; the generic
-    # fallbacks evaluate the materialised batched diff once so any custom
-    # spec keeps working (correct, but without the memory bound).
+    # The two factories below are the one batched ``diff`` implementation:
+    # each hands back a DiffAccumulator that the streaming engine
+    # (repro.evaluation.streaming) drives block by block, keeping memory at
+    # O(k · block).  The built-in families override them with
+    # disagreement-count / squared-error-sum accumulators over
+    # ``predict_many`` GEMMs; the generic fallbacks evaluate the scalar
+    # ``prediction_difference`` pair by pair, so a custom spec that only
+    # implements ``predict`` and ``prediction_difference`` keeps working
+    # (correct, but without the memory bound).
     # ------------------------------------------------------------------
     def diff_accumulator(
         self, theta_ref: np.ndarray, Thetas: np.ndarray, dataset: Dataset
     ) -> DiffAccumulator:
-        """Accumulator computing ``prediction_differences`` block by block.
+        """Batched ``diff``: ``v(θ_ref, Thetas[i])`` for each i, block by block.
 
+        This is the accuracy-estimator inner loop (Section 3.3 step 2): one
+        reference model against k sampled full-model parameters.
         ``dataset`` is the *full* holdout: factories may read global context
         from it (e.g. the label scale of normalised regression metrics) but
         must not evaluate predictions on it — rows arrive via ``update``.
@@ -492,19 +388,34 @@ class ModelClassSpec(ABC):
         correctness for custom specs at the cost of the memory bound (the
         built-in families override with true streaming decompositions).
         """
+        Thetas = self._as_parameter_batch(Thetas)
+        theta_ref = np.asarray(theta_ref, dtype=np.float64)
+        holdout = materialize_if_sharded(dataset)
         return PrecomputedDiffAccumulator(
-            self.prediction_differences(
-                theta_ref, Thetas, materialize_if_sharded(dataset)
+            np.array(
+                [self.prediction_difference(theta_ref, theta, holdout) for theta in Thetas],
+                dtype=np.float64,
             )
         )
 
     def pairwise_diff_accumulator(
         self, Thetas_a: np.ndarray, Thetas_b: np.ndarray, dataset: Dataset
     ) -> DiffAccumulator:
-        """Accumulator computing ``pairwise_prediction_differences`` blockwise."""
+        """Elementwise batched ``diff``: ``v(Thetas_a[i], Thetas_b[i])``.
+
+        This is the sample-size-estimator inner loop (Section 4.1): the k
+        two-stage pairs ``(θ_n,i, θ_N,i)`` are compared pair by pair at every
+        binary-search probe.
+        """
+        Thetas_a, Thetas_b = self._as_paired_batches(Thetas_a, Thetas_b)
+        holdout = materialize_if_sharded(dataset)
         return PrecomputedDiffAccumulator(
-            self.pairwise_prediction_differences(
-                Thetas_a, Thetas_b, materialize_if_sharded(dataset)
+            np.array(
+                [
+                    self.prediction_difference(theta_a, theta_b, holdout)
+                    for theta_a, theta_b in zip(Thetas_a, Thetas_b)
+                ],
+                dtype=np.float64,
             )
         )
 

@@ -154,24 +154,6 @@ class LinearRegressionSpec(ModelClassSpec):
         rms = float(np.sqrt(np.mean((predictions_a - predictions_b) ** 2)))
         return rms / self._difference_scale(dataset)
 
-    def prediction_differences(
-        self, theta_ref: np.ndarray, Thetas: np.ndarray, dataset: Dataset
-    ) -> np.ndarray:
-        reference = self._reference_predictions(theta_ref, dataset.X)
-        batch = self.predict_many(Thetas, dataset.X)  # (k, n) in one GEMM
-        rms = np.sqrt(np.mean((batch - reference[None, :]) ** 2, axis=1))
-        return rms / self._difference_scale(dataset)
-
-    def pairwise_prediction_differences(
-        self, Thetas_a: np.ndarray, Thetas_b: np.ndarray, dataset: Dataset
-    ) -> np.ndarray:
-        Thetas_a, Thetas_b = self._as_paired_batches(Thetas_a, Thetas_b)
-        # Predictions are linear in θ, so the k prediction gaps collapse to
-        # a single GEMM over the parameter deltas.
-        deltas = self.predict_many(Thetas_a - Thetas_b, dataset.X)
-        rms = np.sqrt(np.mean(deltas**2, axis=1))
-        return rms / self._difference_scale(dataset)
-
     def diff_accumulator(
         self, theta_ref: np.ndarray, Thetas: np.ndarray, dataset: Dataset
     ) -> DiffAccumulator:
@@ -181,8 +163,8 @@ class LinearRegressionSpec(ModelClassSpec):
     def pairwise_diff_accumulator(
         self, Thetas_a: np.ndarray, Thetas_b: np.ndarray, dataset: Dataset
     ) -> DiffAccumulator:
-        # Linearity: the k prediction gaps per block are one GEMM over the
-        # parameter deltas, exactly as in the materialised pairwise path.
+        # Predictions are linear in θ, so the k prediction gaps per block
+        # collapse to a single GEMM over the parameter deltas.
         return self._pairwise_rms_accumulator(
             Thetas_a, Thetas_b, self._difference_scale(dataset), linear_predictions=True
         )

@@ -115,30 +115,13 @@ class LogisticRegressionSpec(ModelClassSpec):
         predictions_b = self.predict(theta_b, dataset.X)
         return float(np.mean(predictions_a != predictions_b))
 
-    def prediction_differences(
-        self, theta_ref: np.ndarray, Thetas: np.ndarray, dataset: Dataset
-    ) -> np.ndarray:
-        reference = self._reference_predictions(theta_ref, dataset.X)
-        batch = self.predict_many(Thetas, dataset.X)  # (k, n)
-        return np.mean(batch != reference[None, :], axis=1)
-
-    def pairwise_prediction_differences(
-        self, Thetas_a: np.ndarray, Thetas_b: np.ndarray, dataset: Dataset
-    ) -> np.ndarray:
-        Thetas_a, Thetas_b = self._as_paired_batches(Thetas_a, Thetas_b)
-        # One GEMM for both sides of every pair.
-        stacked = np.concatenate([Thetas_a, Thetas_b], axis=0)
-        labels = self.predict_many(stacked, dataset.X)
-        k = Thetas_a.shape[0]
-        return np.mean(labels[:k] != labels[k:], axis=1)
-
     def diff_accumulator(
         self, theta_ref: np.ndarray, Thetas: np.ndarray, dataset: Dataset
     ) -> DiffAccumulator:
         """Streaming disagreement: integer mismatch counts per holdout block.
 
-        Counts are exact, so the sharded result is bitwise identical to the
-        materialised path regardless of block size.
+        Counts are exact, so the result is bitwise identical to the scalar
+        ``prediction_difference`` loop regardless of block size.
         """
         del dataset  # disagreement needs no global holdout context
         return self._disagreement_accumulator(theta_ref, Thetas)

@@ -173,23 +173,6 @@ class MaxEntropySpec(ModelClassSpec):
         predictions_b = self.predict(theta_b, dataset.X)
         return float(np.mean(predictions_a != predictions_b))
 
-    def prediction_differences(
-        self, theta_ref: np.ndarray, Thetas: np.ndarray, dataset: Dataset
-    ) -> np.ndarray:
-        reference = self._reference_predictions(theta_ref, dataset.X)
-        batch = self.predict_many(Thetas, dataset.X)  # (k, n)
-        return np.mean(batch != reference[None, :], axis=1)
-
-    def pairwise_prediction_differences(
-        self, Thetas_a: np.ndarray, Thetas_b: np.ndarray, dataset: Dataset
-    ) -> np.ndarray:
-        Thetas_a, Thetas_b = self._as_paired_batches(Thetas_a, Thetas_b)
-        labels = self.predict_many(
-            np.concatenate([Thetas_a, Thetas_b], axis=0), dataset.X
-        )
-        k = Thetas_a.shape[0]
-        return np.mean(labels[:k] != labels[k:], axis=1)
-
     def diff_accumulator(
         self, theta_ref: np.ndarray, Thetas: np.ndarray, dataset: Dataset
     ) -> DiffAccumulator:

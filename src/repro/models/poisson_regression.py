@@ -111,25 +111,6 @@ class PoissonRegressionSpec(ModelClassSpec):
         rms = float(np.sqrt(np.mean((rates_a - rates_b) ** 2)))
         return rms / self._difference_scale(dataset)
 
-    def prediction_differences(
-        self, theta_ref: np.ndarray, Thetas: np.ndarray, dataset: Dataset
-    ) -> np.ndarray:
-        reference = self._reference_predictions(theta_ref, dataset.X)
-        batch = self.predict_many(Thetas, dataset.X)
-        rms = np.sqrt(np.mean((batch - reference[None, :]) ** 2, axis=1))
-        return rms / self._difference_scale(dataset)
-
-    def pairwise_prediction_differences(
-        self, Thetas_a: np.ndarray, Thetas_b: np.ndarray, dataset: Dataset
-    ) -> np.ndarray:
-        Thetas_a, Thetas_b = self._as_paired_batches(Thetas_a, Thetas_b)
-        # The rate map is nonlinear, so both sides are evaluated — still in
-        # a single stacked GEMM.
-        rates = self.predict_many(np.concatenate([Thetas_a, Thetas_b], axis=0), dataset.X)
-        k = Thetas_a.shape[0]
-        rms = np.sqrt(np.mean((rates[:k] - rates[k:]) ** 2, axis=1))
-        return rms / self._difference_scale(dataset)
-
     def diff_accumulator(
         self, theta_ref: np.ndarray, Thetas: np.ndarray, dataset: Dataset
     ) -> DiffAccumulator:

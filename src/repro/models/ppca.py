@@ -271,35 +271,10 @@ class PPCASpec(ModelClassSpec):
         differences[valid] = 1.0 - np.minimum(cosines, 1.0)
         return differences
 
-    def prediction_differences(
-        self, theta_ref: np.ndarray, Thetas: np.ndarray, dataset: Dataset
-    ) -> np.ndarray:
-        theta_ref = np.asarray(theta_ref, dtype=np.float64)
-        loadings = self._loading_batch(Thetas, dataset.n_features)
-        norm_ref = float(np.linalg.norm(theta_ref))
-        if norm_ref == 0:
-            return np.ones(loadings.shape[0])
-        reference = self.reshape(theta_ref, dataset.n_features)
-        references = np.broadcast_to(reference, loadings.shape)
-        norms = np.linalg.norm(loadings.reshape(loadings.shape[0], -1), axis=1)
-        return self._batched_procrustes_differences(
-            references, loadings, np.full(loadings.shape[0], norm_ref), norms
-        )
-
-    def pairwise_prediction_differences(
-        self, Thetas_a: np.ndarray, Thetas_b: np.ndarray, dataset: Dataset
-    ) -> np.ndarray:
-        Thetas_a, Thetas_b = self._as_paired_batches(Thetas_a, Thetas_b)
-        loadings_a = self._loading_batch(Thetas_a, dataset.n_features)
-        loadings_b = self._loading_batch(Thetas_b, dataset.n_features)
-        norms_a = np.linalg.norm(loadings_a.reshape(loadings_a.shape[0], -1), axis=1)
-        norms_b = np.linalg.norm(loadings_b.reshape(loadings_b.shape[0], -1), axis=1)
-        return self._batched_procrustes_differences(loadings_a, loadings_b, norms_a, norms_b)
-
     # Streaming note: PPCA's diff lives in parameter space — the aligned
     # ``1 − cosine`` metric depends only on the loading matrices
     # (Appendix C), already O(k · d · q) in time and memory with no
-    # ``(k, n_holdout)`` block to shard.  The overrides below hand the
+    # ``(k, n_holdout)`` block to shard.  The accumulators below hand the
     # driver a PrecomputedDiffAccumulator (``needs_holdout_blocks = False``)
     # computed straight from the parameter batches; unlike the generic
     # base-class fallback they never materialise the holdout, because the
@@ -309,15 +284,30 @@ class PPCASpec(ModelClassSpec):
     def diff_accumulator(
         self, theta_ref: np.ndarray, Thetas: np.ndarray, dataset: Dataset
     ) -> DiffAccumulator:
+        theta_ref = np.asarray(theta_ref, dtype=np.float64)
+        loadings = self._loading_batch(Thetas, dataset.n_features)
+        norm_ref = float(np.linalg.norm(theta_ref))
+        if norm_ref == 0:
+            return PrecomputedDiffAccumulator(np.ones(loadings.shape[0]))
+        reference = self.reshape(theta_ref, dataset.n_features)
+        references = np.broadcast_to(reference, loadings.shape)
+        norms = np.linalg.norm(loadings.reshape(loadings.shape[0], -1), axis=1)
         return PrecomputedDiffAccumulator(
-            self.prediction_differences(theta_ref, Thetas, dataset)
+            self._batched_procrustes_differences(
+                references, loadings, np.full(loadings.shape[0], norm_ref), norms
+            )
         )
 
     def pairwise_diff_accumulator(
         self, Thetas_a: np.ndarray, Thetas_b: np.ndarray, dataset: Dataset
     ) -> DiffAccumulator:
+        Thetas_a, Thetas_b = self._as_paired_batches(Thetas_a, Thetas_b)
+        loadings_a = self._loading_batch(Thetas_a, dataset.n_features)
+        loadings_b = self._loading_batch(Thetas_b, dataset.n_features)
+        norms_a = np.linalg.norm(loadings_a.reshape(loadings_a.shape[0], -1), axis=1)
+        norms_b = np.linalg.norm(loadings_b.reshape(loadings_b.shape[0], -1), axis=1)
         return PrecomputedDiffAccumulator(
-            self.pairwise_prediction_differences(Thetas_a, Thetas_b, dataset)
+            self._batched_procrustes_differences(loadings_a, loadings_b, norms_a, norms_b)
         )
 
     def describe(self) -> dict:

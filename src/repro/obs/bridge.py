@@ -11,49 +11,27 @@ at scrape time, so one Prometheus/JSON export covers the whole stack.
 
 Everything is published as gauges mirroring the snapshots' cumulative
 counters: the snapshots own the truth (and their own locking), the
-bridge just copies the latest values on each scrape — registered by
-:class:`~repro.serving.service.CoalescingService` as a registry
-collector, so the cost is per scrape, never per request.
+bridge just copies the latest values on each scrape —
+:class:`~repro.serving.service.CoalescingService` registers a metrics
+collector that bridges its registry's and its batchers' snapshots, so
+the cost is per scrape, never per request.
 
-The batcher snapshot is typed structurally (:class:`BatcherStatsLike`)
-so this module never imports the serving package — the serving package
-imports :mod:`repro.obs` for its own instrumentation, and a concrete
-import here would close an import cycle.
+:class:`~repro.serving.batcher.BatcherStats` is imported for type
+checking only: the serving package imports :mod:`repro.obs` for its own
+instrumentation, so a runtime import here would close an import cycle.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, cast
+from typing import TYPE_CHECKING
 
 from repro.core.caching import CacheStats
 from repro.core.registry import RegistryStats
 from repro.data.store.warm_cache import WarmCacheStats
 from repro.obs.metrics import MetricsRegistry
 
-
-class BatcherStatsLike(Protocol):
-    """The coalescing-counter surface the serving bridge reads.
-
-    Matches :class:`~repro.serving.batcher.BatcherStats` structurally;
-    kept as a protocol so :mod:`repro.obs` never imports
-    :mod:`repro.serving` (which imports it back).
-    """
-
-    batches: int
-    requests: int
-    coalesced_requests: int
-    answer_requests: int
-    train_requests: int
-    fused_passes: int
-    serial_passes: int
-    load_shed: int
-    max_queue_depth: int
-    window_slots: int
-    queue_wait_seconds: float
-    max_queue_wait_seconds: float
-
-    @property
-    def passes_saved(self) -> int: ...  # pragma: no cover - protocol
+if TYPE_CHECKING:
+    from repro.serving.batcher import BatcherStats
 
 
 def bridge_cache_stats(
@@ -110,9 +88,7 @@ def bridge_warm_stats(metrics: MetricsRegistry, stats: WarmCacheStats) -> None:
         metrics.gauge(name, help_text).set(value)
 
 
-def bridge_batcher_stats(
-    metrics: MetricsRegistry, stats: BatcherStatsLike
-) -> None:
+def bridge_batcher_stats(metrics: MetricsRegistry, stats: BatcherStats) -> None:
     """Publish the aggregated coalescing counters as ``repro_coalescing_*``."""
     for name, value, help_text in (
         (
@@ -180,14 +156,13 @@ def bridge_batcher_stats(
 
 
 def bridge_registry_stats(metrics: MetricsRegistry, stats: RegistryStats) -> None:
-    """Publish a fleet snapshot: registry, per-cache, warm and serving.
+    """Publish a fleet snapshot: registry, per-cache and warm.
 
     One call covers everything :meth:`SessionRegistry.stats` reports —
     occupancy and byte budget, lifetime hit/miss/eviction/invalidation/
     rebalance counters, the fleet-wide per-cache roll-up
     (:meth:`~repro.core.registry.RegistryStats.cache_totals`), each live
-    session's cache bytes, the warm tier and the attached serving
-    front-end's coalescing counters.  Each session's byte share is
+    session's cache bytes and the warm tier.  Each session's byte share is
     ``repro_registry_max_total_bytes / repro_registry_sessions``.
     """
     for name, value, help_text in (
@@ -245,6 +220,3 @@ def bridge_registry_stats(metrics: MetricsRegistry, stats: RegistryStats) -> Non
         ).set(info.bytes, session=session)
     if stats.warm is not None:
         bridge_warm_stats(metrics, stats.warm)
-    serving = stats.serving
-    if serving is not None and hasattr(serving, "fused_passes"):
-        bridge_batcher_stats(metrics, cast(BatcherStatsLike, serving))

@@ -36,8 +36,7 @@ calls through an executor); a single daemon dispatcher thread per batcher
 owns the batching loop, started lazily on first submission and joined by
 :meth:`ContractBatcher.close`.  All counters are guarded by the batcher
 condition variable and exposed as an immutable :class:`BatcherStats`
-snapshot, which the service aggregates and the registry rolls into
-``registry.stats().serving``.
+snapshot, which the service aggregates (``service.batching_stats()``).
 """
 
 from __future__ import annotations

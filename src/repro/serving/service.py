@@ -23,12 +23,10 @@ should treat as retryable, instead of growing the queue without bound.
 no longer owns (evicted or invalidated) so a later request constructs a
 fresh pair.
 
-**Observability.**  :meth:`batching_stats` merges every batcher's
-:class:`~repro.serving.batcher.BatcherStats` and is attached to the
-registry via
-:meth:`~repro.core.registry.SessionRegistry.attach_serving_stats`, so one
-``service.stats()`` call reports fleet occupancy, byte usage *and* the
-coalescing counters (``stats().serving``).
+**Observability.**  :meth:`stats` is the registry's fleet snapshot
+(occupancy, byte usage, counters) and :meth:`batching_stats` merges every
+batcher's :class:`~repro.serving.batcher.BatcherStats`; the service's
+scrape collector bridges both into the metrics registry.
 """
 
 from __future__ import annotations
@@ -65,7 +63,7 @@ from repro.obs import (
     render_json,
     render_prometheus,
 )
-from repro.obs.bridge import bridge_registry_stats
+from repro.obs.bridge import bridge_batcher_stats, bridge_registry_stats
 from repro.serving.batcher import BatcherStats, ContractBatcher
 
 
@@ -76,9 +74,7 @@ class CoalescingService:
     ----------
     registry:
         The :class:`~repro.core.registry.SessionRegistry` to serve from
-        (``None`` constructs one with the defaults).  The service attaches
-        its :meth:`batching_stats` provider to it, so
-        ``registry.stats().serving`` reports the coalescing counters.
+        (``None`` constructs one with the defaults).
     warm_cache:
         Forwarded to the default-constructed registry
         (:class:`~repro.core.registry.SessionRegistry`'s ``warm_cache``):
@@ -143,16 +139,12 @@ class CoalescingService:
             max_workers=max(32, 4 * self._max_batch),
             thread_name_prefix="repro-serving-wait",
         )
-        self.registry.attach_serving_stats(self.batching_stats)
         # Scrape-time bridge: every metrics snapshot (Prometheus text, JSON,
-        # ``python -m repro.obs``) folds the fleet's RegistryStats — cache
-        # roll-ups, warm tier, coalescing counters —
-        # into the global registry.  Cost is per scrape, never per request;
-        # deregistered in close().
-        self._metrics_collector = lambda: bridge_registry_stats(
-            get_metrics(), self.stats()
-        )
-        get_metrics().add_collector(self._metrics_collector)
+        # ``python -m repro.obs``) folds the fleet's RegistryStats (cache
+        # roll-ups, warm tier) and the coalescing counters into the global
+        # registry.  Cost is per scrape, never per request; deregistered in
+        # close().
+        get_metrics().add_collector(self._bridge_metrics)
         self._stop = threading.Event()
         self._housekeeper: threading.Thread | None = None
         if start_housekeeping:
@@ -379,8 +371,13 @@ class CoalescingService:
         return merged
 
     def stats(self) -> RegistryStats:
-        """The registry snapshot, with :attr:`RegistryStats.serving` populated."""
+        """The registry's fleet snapshot (see :meth:`batching_stats` for coalescing)."""
         return self.registry.stats()
+
+    def _bridge_metrics(self) -> None:
+        metrics = get_metrics()
+        bridge_registry_stats(metrics, self.registry.stats())
+        bridge_batcher_stats(metrics, self.batching_stats())
 
     def metrics_snapshot(self) -> MetricsSnapshot:
         """One frozen scrape of the global metrics registry.
@@ -411,8 +408,8 @@ class CoalescingService:
         """Stop housekeeping, drain and close every batcher.  Idempotent.
 
         The registry (and its sessions) stays usable — the service owns
-        only the coalescing tier on top of it — but the serving stats
-        provider is detached.
+        only the coalescing tier on top of it — and keeps no reference to
+        the closed service; the service's metrics collector is removed.
         """
         with self._lock:
             if self._closed:
@@ -422,7 +419,7 @@ class CoalescingService:
             self._batchers.clear()
             for _, batcher in batchers:
                 self._retired_stats = self._retired_stats.merge(batcher.stats())
-        get_metrics().remove_collector(self._metrics_collector)
+        get_metrics().remove_collector(self._bridge_metrics)
         self._stop.set()
         if self._housekeeper is not None:
             self._housekeeper.join()

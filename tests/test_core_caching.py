@@ -52,6 +52,7 @@ class TestBasicOperations:
         cache.clear()
         assert len(cache) == 0
         assert cache.stats().bytes == 0
+        assert cache.stats().evictions == 0  # clearing is not evicting
 
     def test_invalid_bounds_rejected(self):
         with pytest.raises(BlinkMLError):
@@ -330,35 +331,3 @@ class TestResizeAndEvictionCallbacks:
             cache.resize(max_entries=0)
         with pytest.raises(BlinkMLError):
             cache.resize(max_bytes=-1)
-
-    def test_on_evict_fires_for_insert_and_resize_not_clear(self):
-        evicted = []
-        cache = LRUCache(
-            "cb", max_entries=2, on_evict=lambda key, value: evicted.append((key, value))
-        )
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("c", 3)  # evicts "a"
-        assert evicted == [("a", 1)]
-        cache.resize(max_entries=1)  # evicts "b"
-        assert evicted == [("a", 1), ("b", 2)]
-        cache.put("c", 30)  # same-key replacement: no callback
-        cache.clear()  # clear: no callback
-        assert evicted == [("a", 1), ("b", 2)]
-
-    def test_on_evict_fires_on_get_or_compute_eviction(self):
-        evicted = []
-        cache = LRUCache(
-            "cb", max_entries=1, on_evict=lambda key, value: evicted.append(key)
-        )
-        cache.get_or_compute("a", lambda: 1)
-        cache.get_or_compute("b", lambda: 2)
-        assert evicted == ["a"]
-
-    def test_on_evict_may_reenter_the_cache(self):
-        """Callbacks run outside the lock, so touching the cache is legal."""
-        seen = []
-        cache = LRUCache("cb", max_entries=2, on_evict=lambda key, value: seen.append(len(cache)))
-        for key in range(4):
-            cache.put(key, key)
-        assert seen == [2, 2]

@@ -38,14 +38,6 @@ class SpyLogisticSpec(LogisticRegressionSpec):
         self.diff_evaluations += 1
         return super().pairwise_diff_accumulator(Thetas_a, Thetas_b, dataset)
 
-    def prediction_differences(self, theta_ref, Thetas, dataset):
-        self.diff_evaluations += 1
-        return super().prediction_differences(theta_ref, Thetas, dataset)
-
-    def pairwise_prediction_differences(self, Thetas_a, Thetas_b, dataset):
-        self.diff_evaluations += 1
-        return super().pairwise_prediction_differences(Thetas_a, Thetas_b, dataset)
-
 
 class InfeasibleSpec(LinearRegressionSpec):
     """A spec whose model difference never certifies any contract."""

@@ -68,6 +68,11 @@ def write_store(dataset: Dataset, directory, shard_rows: int = 256) -> ShardedDa
     return ShardStore.write(dataset, directory, shard_rows=shard_rows).dataset()
 
 
+def scalar_diffs(spec, theta, Thetas, dataset: Dataset) -> np.ndarray:
+    """The scalar reference: ``prediction_difference`` against θ, pair by pair."""
+    return np.array([spec.prediction_difference(theta, other, dataset) for other in Thetas])
+
+
 # ----------------------------------------------------------------------
 # Write → read roundtrip
 # ----------------------------------------------------------------------
@@ -123,9 +128,7 @@ class TestRoundtrip:
         # ModelSpecError as the in-memory path, not a manifest DataError.
         spec = LinearRegressionSpec()
         with pytest.raises(ModelSpecError, match="needs holdout labels"):
-            spec.prediction_differences(
-                np.zeros(4), np.zeros((2, 4)), sharded.materialize()
-            )
+            spec.diff_accumulator(np.zeros(4), np.zeros((2, 4)), sharded.materialize())
         with pytest.raises(ModelSpecError, match="needs holdout labels"):
             spec.diff_accumulator(np.zeros(4), np.zeros((2, 4)), sharded)
 
@@ -506,7 +509,7 @@ class TestBlockSource:
         p = spec.n_parameters(data)
         rng = np.random.default_rng(3)
         theta, Thetas = rng.normal(size=p), rng.normal(size=(5, p))
-        expected = spec.prediction_differences(theta, Thetas, data)
+        expected = scalar_diffs(spec, theta, Thetas, data)
         actual = streaming_prediction_differences(
             spec, theta, Thetas, sharded, StreamingConfig(block_rows=100)
         )
@@ -606,7 +609,7 @@ class TestStreamingParity:
         sharded = write_store(cls_data, tmp_path, shard_rows=300)
         spec = NoStreamingSpec(regularization=1e-3)
         theta, Thetas, _ = sampled_parameters(cls_data.n_features)
-        expected = spec.prediction_differences(theta, Thetas, cls_data)
+        expected = scalar_diffs(spec, theta, Thetas, cls_data)
         actual = streaming_prediction_differences(
             spec, theta, Thetas, sharded, StreamingConfig(block_rows=128)
         )
@@ -705,12 +708,11 @@ class TestAccumulatorTransport:
         with pytest.raises(ModelSpecError, match="deserialized partial"):
             restored.finalize()
         full.merge(restored)
-        expected = spec.prediction_differences(theta, Thetas, cls_data)
+        expected = scalar_diffs(spec, theta, Thetas, cls_data)
         assert np.array_equal(full.finalize(), expected)
 
-    def test_specs_pickle_without_their_thread_local_memo(self):
+    def test_specs_pickle_round_trip(self):
         spec = LogisticRegressionSpec(regularization=1e-3)
-        spec._reference_predictions(np.zeros(3), np.ones((4, 3)))  # warm the memo
         clone = pickle.loads(pickle.dumps(spec))
-        assert clone.regularization == spec.regularization
-        assert clone._reference_cache.entry is None
+        assert type(clone) is LogisticRegressionSpec
+        assert vars(clone) == vars(spec)

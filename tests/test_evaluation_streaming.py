@@ -1,8 +1,8 @@
 """Property tests for the streaming sharded holdout engine.
 
-The acceptance bar for the streaming refactor: sharded accumulation must
-agree with the materialised batched diff path within 1e-12 for all five
-model families and arbitrary block sizes, serial or thread-fanned.
+The acceptance bar for the streamed batched ``diff``: sharded accumulation
+must agree with the scalar ``prediction_difference`` loop within 1e-12 for
+all five model families and arbitrary block sizes, serial or thread-fanned.
 """
 
 import numpy as np
@@ -60,6 +60,18 @@ FAMILIES = ("lin", "lr", "me", "poisson", "ppca")
 _CACHE = {name: _family(name) for name in FAMILIES}
 
 
+def _scalar_diffs(spec, theta_ref, Thetas, holdout):
+    """The scalar reference: ``prediction_difference`` against θ_ref, pair by pair."""
+    return np.array([spec.prediction_difference(theta_ref, theta, holdout) for theta in Thetas])
+
+
+def _scalar_pairwise_diffs(spec, Thetas_a, Thetas_b, holdout):
+    """The scalar reference for the elementwise form ``v(Thetas_a[i], Thetas_b[i])``."""
+    return np.array(
+        [spec.prediction_difference(a, b, holdout) for a, b in zip(Thetas_a, Thetas_b)]
+    )
+
+
 def _parameter_batches(p, seed):
     rng = np.random.default_rng(seed)
     theta_ref = 0.1 * rng.normal(size=p)
@@ -78,7 +90,7 @@ class TestStreamingMatchesMaterialised:
     def test_reference_diffs_agree(self, family, block_rows, n_workers):
         spec, holdout, p = _CACHE[family]
         theta_ref, Thetas, _ = _parameter_batches(p, seed=31)
-        expected = spec.prediction_differences(theta_ref, Thetas, holdout)
+        expected = _scalar_diffs(spec, theta_ref, Thetas, holdout)
         streamed = streaming_prediction_differences(
             spec, theta_ref, Thetas, holdout,
             config=StreamingConfig(block_rows=block_rows, n_workers=n_workers),
@@ -94,7 +106,7 @@ class TestStreamingMatchesMaterialised:
     def test_pairwise_diffs_agree(self, family, block_rows, n_workers):
         spec, holdout, p = _CACHE[family]
         _, Thetas, Thetas_b = _parameter_batches(p, seed=32)
-        expected = spec.pairwise_prediction_differences(Thetas, Thetas_b, holdout)
+        expected = _scalar_pairwise_diffs(spec, Thetas, Thetas_b, holdout)
         streamed = streaming_fanout_pairwise_prediction_differences(
             spec, [(Thetas, Thetas_b)], holdout,
             config=StreamingConfig(block_rows=block_rows, n_workers=n_workers),
@@ -106,7 +118,7 @@ class TestStreamingMatchesMaterialised:
         # change the result at all, not just within tolerance.
         spec, holdout, p = _CACHE["lr"]
         theta_ref, Thetas, _ = _parameter_batches(p, seed=33)
-        expected = spec.prediction_differences(theta_ref, Thetas, holdout)
+        expected = _scalar_diffs(spec, theta_ref, Thetas, holdout)
         for block_rows in (1, 7, 64, 1000):
             streamed = streaming_prediction_differences(
                 spec, theta_ref, Thetas, holdout,
@@ -118,8 +130,8 @@ class TestStreamingMatchesMaterialised:
 class TestGenericFallback:
     def test_custom_spec_without_overrides_still_works(self):
         # A custom ModelClassSpec that only implements the scalar interface
-        # gets the materialised fallback accumulator: correct results, no
-        # memory bound.
+        # gets the scalar-loop fallback accumulator: the family's streamed
+        # results, without the memory bound.
         class LoopOnlySpec(LinearRegressionSpec):
             diff_accumulator = ModelClassSpec.diff_accumulator
             pairwise_diff_accumulator = ModelClassSpec.pairwise_diff_accumulator
@@ -132,7 +144,7 @@ class TestGenericFallback:
                 loop_spec, theta_ref, Thetas, holdout,
                 config=StreamingConfig(block_rows=13, n_workers=2),
             ),
-            spec.prediction_differences(theta_ref, Thetas, holdout),
+            streaming_prediction_differences(spec, theta_ref, Thetas, holdout),
             atol=1e-12,
         )
         np.testing.assert_allclose(
@@ -140,7 +152,9 @@ class TestGenericFallback:
                 loop_spec, [(Thetas, Thetas_b)], holdout,
                 config=StreamingConfig(block_rows=13),
             )[0],
-            spec.pairwise_prediction_differences(Thetas, Thetas_b, holdout),
+            streaming_fanout_pairwise_prediction_differences(
+                spec, [(Thetas, Thetas_b)], holdout
+            )[0],
             atol=1e-12,
         )
 
@@ -217,7 +231,7 @@ class TestAccumulatorProtocol:
         assert accumulator.needs_holdout_blocks is False
         np.testing.assert_allclose(
             accumulator.finalize(),
-            spec.prediction_differences(theta_ref, Thetas, holdout),
+            _scalar_diffs(spec, theta_ref, Thetas, holdout),
             atol=1e-15,
         )
 

@@ -84,85 +84,6 @@ class TestBaseBehaviour:
             ModelClassSpec()  # type: ignore[abstract]
 
 
-class TestReferencePredictionMemo:
-    def test_memo_hit_on_repeated_pair(self, tiny_regression):
-        spec = LinearRegressionSpec()
-        theta = np.array([0.5, -1.0, 0.25])
-        first = spec._reference_predictions(theta, tiny_regression.X)
-        second = spec._reference_predictions(theta, tiny_regression.X)
-        assert first is second  # memoised, not recomputed
-
-    def test_threaded_alternating_pairs_are_race_free(self, tiny_regression):
-        """Regression for the shared one-slot reference memo.
-
-        The memo used to be a single unsynchronised slot on the spec object,
-        which concurrent streaming workers with different (θ, X) pairs would
-        mutate underneath each other — thrashing the memo and (on
-        free-threaded builds) risking a torn entry.  With the per-thread
-        memo, hammering ``_reference_predictions`` from threads with two
-        alternating pairs must stay correct AND each thread must keep its
-        own slot effective: one predict() per thread, not one per call.
-        """
-        from concurrent.futures import ThreadPoolExecutor
-        import threading
-
-        class CountingSpec(LinearRegressionSpec):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                self.predict_calls = 0
-                self._count_lock = threading.Lock()
-
-            def predict(self, theta, X):
-                with self._count_lock:
-                    self.predict_calls += 1
-                return super().predict(theta, X)
-
-        spec = CountingSpec()
-        rng = np.random.default_rng(5)
-        pairs = [
-            (np.array([1.0, 2.0, 3.0]), rng.normal(size=(64, 3))),
-            (np.array([-1.0, 0.5, 0.0]), rng.normal(size=(64, 3))),
-        ]
-        expected = [LinearRegressionSpec().predict(theta, X) for theta, X in pairs]
-        n_threads, n_iterations = 4, 200
-        failures = []
-
-        def hammer(worker_id):
-            theta, X = pairs[worker_id % 2]
-            want = expected[worker_id % 2]
-            for _ in range(n_iterations):
-                got = spec._reference_predictions(theta, X)
-                if not np.array_equal(got, want):
-                    failures.append(worker_id)
-                    return
-
-        with ThreadPoolExecutor(n_threads) as pool:
-            list(pool.map(hammer, range(n_threads)))
-
-        assert not failures  # every call saw its own pair's predictions
-        # Per-thread memo: the first call of each worker misses, every
-        # later call hits — alternating pairs on other threads cannot
-        # evict this thread's entry.
-        assert spec.predict_calls == n_threads
-
-    def test_custom_spec_without_super_init_still_works(self, tiny_regression):
-        # Custom specs that skip super().__init__ lazily install the memo.
-        class BareSpec(LinearRegressionSpec):
-            def __init__(self):
-                # Deliberately skip ModelClassSpec.__init__.
-                self.regularization = 0.0
-                self.noise_variance = None
-                self.normalize_difference = True
-
-        spec = BareSpec()
-        theta = np.array([0.1, 0.2, 0.3])
-        predictions = spec._reference_predictions(theta, tiny_regression.X)
-        np.testing.assert_array_equal(
-            predictions, LinearRegressionSpec().predict(theta, tiny_regression.X)
-        )
-        assert spec._reference_predictions(theta, tiny_regression.X) is predictions
-
-
 class TestRegistry:
     def test_available_models(self):
         assert available_models() == ["lin", "lr", "me", "poisson", "ppca"]

@@ -8,9 +8,11 @@ well-formed dataset, not just the hand-picked cases of the unit tests:
 * prediction differences are symmetric, bounded and zero on the diagonal;
 * classification losses decrease along the negative gradient (descent
   direction sanity);
-* the batched diff engine (``predict_many`` / ``prediction_differences`` /
-  ``pairwise_prediction_differences``) agrees with the per-pair loop path
-  to 1e-12 for every model family and random θ batch.
+* the batched ``diff`` — ``predict_many`` and the streamed diff
+  accumulators behind ``streaming_prediction_differences`` /
+  ``streaming_fanout_pairwise_prediction_differences`` — agrees with the
+  scalar ``prediction_difference`` loop to 1e-12 (bitwise for the
+  classification families) for every model family and random θ batch.
 """
 
 import numpy as np
@@ -19,7 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.dataset import Dataset
-from repro.models.base import ModelClassSpec
+from repro.evaluation.streaming import (
+    StreamingConfig,
+    streaming_fanout_pairwise_prediction_differences,
+    streaming_prediction_differences,
+)
+from repro.exceptions import ModelSpecError
 from repro.models.linear_regression import LinearRegressionSpec
 from repro.models.logistic_regression import LogisticRegressionSpec
 from repro.models.max_entropy import MaxEntropySpec
@@ -213,17 +220,35 @@ BATCHED_FAMILIES = {
 }
 
 
-def _assert_batched_matches_loop(spec, data, theta_ref, batch_a, batch_b):
-    """The vectorised overrides must agree with the base-class loop path."""
-    batched = spec.prediction_differences(theta_ref, batch_a, data)
-    loop = ModelClassSpec.prediction_differences(spec, theta_ref, batch_a, data)
-    np.testing.assert_allclose(batched, loop, atol=1e-12)
-
-    paired = spec.pairwise_prediction_differences(batch_a, batch_b, data)
-    paired_loop = ModelClassSpec.pairwise_prediction_differences(
-        spec, batch_a, batch_b, data
+def _streaming_configs(data):
+    """One block, and several blocks fanned out over 2 threads."""
+    return (
+        StreamingConfig(block_rows=data.n_rows),
+        StreamingConfig(block_rows=7, n_workers=2, backend="threads"),
     )
-    np.testing.assert_allclose(paired, paired_loop, atol=1e-12)
+
+
+def _assert_batched_matches_loop(spec, data, theta_ref, batch_a, batch_b):
+    """The streamed batched ``diff`` must agree with the scalar loop."""
+    loop = np.array(
+        [spec.prediction_difference(theta_ref, theta, data) for theta in batch_a]
+    )
+    paired_loop = np.array(
+        [spec.prediction_difference(a, b, data) for a, b in zip(batch_a, batch_b)]
+    )
+    for config in _streaming_configs(data):
+        streamed = streaming_prediction_differences(
+            spec, theta_ref, batch_a, data, config=config
+        )
+        paired = streaming_fanout_pairwise_prediction_differences(
+            spec, [(batch_a, batch_b)], data, config=config
+        )[0]
+        if spec.name in ("lr", "me"):
+            # Disagreement counts are exact: sharding cannot move a bit.
+            assert np.array_equal(streamed, loop)
+            assert np.array_equal(paired, paired_loop)
+        np.testing.assert_allclose(streamed, loop, atol=1e-12)
+        np.testing.assert_allclose(paired, paired_loop, atol=1e-12)
 
     many = spec.predict_many(batch_a, data.X)
     stacked = np.stack([spec.predict(theta, data.X) for theta in batch_a])
@@ -231,7 +256,7 @@ def _assert_batched_matches_loop(spec, data, theta_ref, batch_a, batch_b):
 
 
 class TestBatchedDifferenceConsistency:
-    """Batched GEMM path ≡ per-pair loop path, per model family."""
+    """Streamed batched ``diff`` ≡ scalar ``prediction_difference`` loop, per family."""
 
     @given(case=_batched_case(*BATCHED_FAMILIES["lin"]))
     @settings(max_examples=25, deadline=None)
@@ -265,16 +290,14 @@ class TestBatchedDifferenceConsistency:
         data = Dataset(np.zeros((2, 3)))
         ref = np.random.default_rng(0).normal(size=6)
         batch = np.vstack([np.zeros(6), np.random.default_rng(1).normal(size=6)])
-        batched = spec.prediction_differences(ref, batch, data)
-        loop = ModelClassSpec.prediction_differences(spec, ref, batch, data)
-        np.testing.assert_allclose(batched, loop, atol=1e-12)
-        zero_ref = spec.prediction_differences(np.zeros(6), batch, data)
+        _assert_batched_matches_loop(spec, data, ref, batch, batch[::-1])
+        zero_ref = streaming_prediction_differences(spec, np.zeros(6), batch, data)
         np.testing.assert_allclose(zero_ref, np.ones(2))
 
     def test_pairwise_shape_mismatch_rejected(self):
-        from repro.exceptions import ModelSpecError
-
         spec = LinearRegressionSpec(normalize_difference=False)
         data = Dataset(np.ones((4, 3)), np.zeros(4))
         with pytest.raises(ModelSpecError):
-            spec.pairwise_prediction_differences(np.ones((2, 3)), np.ones((3, 3)), data)
+            streaming_fanout_pairwise_prediction_differences(
+                spec, [(np.ones((2, 3)), np.ones((3, 3)))], data
+            )

@@ -11,8 +11,10 @@ against real :class:`EstimationSession`\\ s on a small synthetic workload.
 from __future__ import annotations
 
 import asyncio
+import gc
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -394,7 +396,7 @@ class TestContractBatcherMechanics:
 
 
 # ----------------------------------------------------------------------
-# Registry integration: serving stats roll-up
+# Registry integration: a closed service releases its registry
 # ----------------------------------------------------------------------
 class FakeSession(StubSession):
     """A stub session with just enough surface to be a registry member."""
@@ -430,16 +432,17 @@ class FakeData:
 
 
 class TestRegistryServingIntegration:
-    def test_attach_serving_stats_rolls_into_stats(self):
+    def test_closed_service_is_not_kept_alive_by_its_registry(self):
         registry = SessionRegistry(session_factory=FakeSession, min_session_bytes=1)
-        assert registry.stats().serving is None
-        sentinel = BatcherStats(batches=3)
-        registry.attach_serving_stats(lambda: sentinel)
-        assert registry.stats().serving is sentinel
-        registry.attach_serving_stats(None)
-        assert registry.stats().serving is None
-        with pytest.raises(BlinkMLError, match="callable"):
-            registry.attach_serving_stats("not callable")
+        service = CoalescingService(registry)
+        service_ref = weakref.ref(service)
+        service.close()
+        del service
+        gc.collect()
+        assert service_ref() is None
+        # The registry outlives its front-end and stays usable.
+        registry.get_or_create("k", None, FakeData(), FakeData())
+        assert registry.stats().sessions == 1
 
 
 # ----------------------------------------------------------------------
@@ -451,10 +454,6 @@ class FakeRegistry:
     def __init__(self):
         self.sessions: dict[object, object] = {}
         self.evict_calls: list[float] = []
-        self.provider = None
-
-    def attach_serving_stats(self, provider):
-        self.provider = provider
 
     def get_or_create(self, key, spec, train, holdout, **kwargs):
         return self.sessions.setdefault(key, StubSession())
@@ -501,8 +500,6 @@ class TestCoalescingService:
             stats = service.batching_stats()
             assert stats.requests == len(CONTRACTS)
             assert stats.coalesced_requests > 0 or stats.batches > 1
-            # The registry snapshot carries the same counters.
-            assert registry.stats().serving.requests == len(CONTRACTS)
 
     def test_requires_spec_or_live_session(self):
         service = CoalescingService(FakeRegistry(), start_housekeeping=False)

@@ -121,10 +121,11 @@ def _payload(seed: int = 0) -> dict[str, np.ndarray]:
 # ----------------------------------------------------------------------
 class TestWarmCacheTier:
     def test_roundtrip_and_counters(self, tmp_path):
-        tier = WarmCacheTier(tmp_path, write_behind=False)
+        tier = WarmCacheTier(tmp_path)
         payload = _payload()
         assert tier.get(DIFF_KIND, "k1") is None
         tier.put(DIFF_KIND, "k1", payload)
+        tier.flush()
         loaded = tier.get(DIFF_KIND, "k1")
         assert loaded is not None
         np.testing.assert_array_equal(loaded["differences"], payload["differences"])
@@ -136,8 +137,8 @@ class TestWarmCacheTier:
         assert stats.entries == 1 and stats.bytes > 0
         assert stats.requests == 2 and stats.hit_rate == 0.5
 
-    def test_write_behind_flush(self, tmp_path):
-        tier = WarmCacheTier(tmp_path, write_behind=True)
+    def test_flush_publishes_queued_writes(self, tmp_path):
+        tier = WarmCacheTier(tmp_path)
         tier.put(DIFF_KIND, "k1", _payload())
         tier.flush()
         assert tier.get(DIFF_KIND, "k1") is not None
@@ -157,18 +158,21 @@ class TestWarmCacheTier:
 
     def test_racing_writers_produce_identical_bytes(self, tmp_path):
         """Last-writer-wins is benign: same key → byte-identical files."""
-        a = WarmCacheTier(tmp_path / "a", write_behind=False)
-        b = WarmCacheTier(tmp_path / "b", write_behind=False)
+        a = WarmCacheTier(tmp_path / "a")
+        b = WarmCacheTier(tmp_path / "b")
         a.put(DIFF_KIND, "k1", _payload())
+        a.flush()
         b.put(DIFF_KIND, "k1", _payload())
+        b.flush()
         (file_a,) = glob.glob(str(tmp_path / "a" / "warm-*.npz"))
         (file_b,) = glob.glob(str(tmp_path / "b" / "warm-*.npz"))
         with open(file_a, "rb") as fa, open(file_b, "rb") as fb:
             assert fa.read() == fb.read()
 
     def test_bit_flip_quarantined_and_recomputed(self, tmp_path):
-        tier = WarmCacheTier(tmp_path, write_behind=False)
+        tier = WarmCacheTier(tmp_path)
         tier.put(DIFF_KIND, "k1", _payload())
+        tier.flush()
         (path,) = glob.glob(str(tmp_path / "warm-*.npz"))
         blob = bytearray(open(path, "rb").read())
         blob[len(blob) // 2] ^= 0xFF
@@ -182,12 +186,14 @@ class TestWarmCacheTier:
         assert len(quarantined) == 1
         # Transparent recovery: the next put republishes a good entry.
         tier.put(DIFF_KIND, "k1", _payload())
+        tier.flush()
         assert tier.get(DIFF_KIND, "k1") is not None
 
     def test_key_collision_is_rejected(self, tmp_path):
         """An entry copied under another key's file name never serves."""
-        tier = WarmCacheTier(tmp_path, write_behind=False)
+        tier = WarmCacheTier(tmp_path)
         tier.put(DIFF_KIND, "k1", _payload())
+        tier.flush()
         source = os.path.join(tmp_path, entry_filename(DIFF_KIND, "k1"))
         target = os.path.join(tmp_path, entry_filename(DIFF_KIND, "k2"))
         with open(source, "rb") as handle:
@@ -200,7 +206,7 @@ class TestWarmCacheTier:
 
     def test_crashed_writer_leaves_no_visible_entry(self, tmp_path):
         """SIGKILL mid-write = temp file present, final name never created."""
-        tier = WarmCacheTier(tmp_path, write_behind=False)
+        tier = WarmCacheTier(tmp_path)
         final = os.path.join(tmp_path, entry_filename(DIFF_KIND, "k1"))
         temp = f"{final}.tmp-99999-deadbeef"
         os.makedirs(tmp_path, exist_ok=True)
@@ -218,19 +224,22 @@ class TestWarmCacheTier:
         assert not os.path.exists(temp)
         # Recompute path: publishing k1 now works normally.
         tier.put(DIFF_KIND, "k1", _payload())
+        tier.flush()
         assert tier.get(DIFF_KIND, "k1") is not None
 
     def test_gc_evicts_oldest_to_byte_bound(self, tmp_path):
-        tier = WarmCacheTier(tmp_path, write_behind=False)
+        tier = WarmCacheTier(tmp_path)
         entry_bytes = len(serialize_entry(DIFF_KIND, "k0", _payload()))
         tier.max_bytes = 3 * entry_bytes + entry_bytes // 2
         now = time.time()
         for index in range(4):
             tier.put(DIFF_KIND, f"k{index}", _payload())
+            tier.flush()
             path = os.path.join(tmp_path, entry_filename(DIFF_KIND, f"k{index}"))
             stamp = now - 100 + index
             os.utime(path, (stamp, stamp))
         tier.put(DIFF_KIND, "k4", _payload())
+        tier.flush()
         stats = tier.stats()
         assert stats.bytes <= tier.max_bytes
         assert stats.gc_removed >= 1
