@@ -146,7 +146,14 @@ class MaxEntropySpec(ModelClassSpec):
         return softmax(X @ Theta.T)
 
     def predict(self, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
-        return np.argmax(self.predict_proba(theta, X), axis=1).astype(np.int64)
+        """The argmax of the logits ``X @ Θᵀ``.
+
+        Softmax is monotone but rounds near-tied logits to equal
+        probabilities, so the argmax runs before it, as in :meth:`predict_many`.
+        """
+        X = np.asarray(X, dtype=np.float64)
+        Theta = self.reshape(theta, X.shape[1])
+        return np.argmax(X @ Theta.T, axis=1).astype(np.int64)
 
     def predict_many(self, Thetas: np.ndarray, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -161,8 +168,6 @@ class MaxEntropySpec(ModelClassSpec):
                 f"parameter vectors have length {Thetas.shape[1]}, expected {K * d}"
             )
         # All k·K class scores come from a single (k·K, d) × (d, n) GEMM.
-        # Softmax is strictly monotone per row, so argmax over raw logits
-        # matches argmax over the per-θ predict_proba path.
         logits = (Thetas.reshape(k * K, d) @ X.T).reshape(k, K, -1)
         return np.argmax(logits, axis=1).astype(np.int64)
 

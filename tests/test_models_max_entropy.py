@@ -124,3 +124,12 @@ class TestFitPredictDiff:
         theta_b = rng.normal(size=K * data.n_features)
         assert spec.prediction_difference(theta_a, theta_a, data) == 0.0
         assert 0.0 <= spec.prediction_difference(theta_a, theta_b, data) <= 1.0
+
+    def test_predict_takes_logit_argmax_on_near_ties(self):
+        # Logits 0 and 1e-17: softmax rounds both probabilities to 0.5, so
+        # only the argmax of the raw logits sees that class 1 wins.
+        spec = MaxEntropySpec(n_classes=2)
+        X = np.array([[1.0, 1e-17]])
+        theta = np.array([0.0, 0.0, 0.0, 1.0])
+        assert spec.predict(theta, X).tolist() == [1]
+        assert spec.predict_many(theta[None, :], X).tolist() == [[1]]
