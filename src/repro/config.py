@@ -129,10 +129,11 @@ DEFAULT_DELTA = _env_float("DEFAULT_DELTA", 0.05, minimum=0.0, maximum=1.0)
 # size for its (block_rows, d) per-example gradient blocks.
 # Env-overridable.
 DEFAULT_HOLDOUT_BLOCK_ROWS = _env_int("DEFAULT_HOLDOUT_BLOCK_ROWS", 8_192, minimum=1)
-# 0 or 1 means serial block processing; larger values fan contiguous block
-# ranges out across that many threads (NumPy releases the GIL inside the
-# per-block GEMMs).  Overridable via the DEFAULT_STREAMING_WORKERS
-# environment variable (the CI threaded-stress job sets 4).
+# 0 or 1 means serial block processing; larger values fold each unit (a
+# holdout block, or a store shard for statistics) on that many workers and
+# left-fold the partials in source order, so no worker count changes a bit.
+# Overridable via the DEFAULT_STREAMING_WORKERS environment variable (the
+# CI threaded-stress job runs the whole suite at 4 threads and at 2 processes).
 DEFAULT_STREAMING_WORKERS = _env_int("DEFAULT_STREAMING_WORKERS", 0)
 # Which executor the streamed block fan-out uses when n_workers > 1:
 # "threads" (default; NumPy releases the GIL inside the per-block GEMMs) or

@@ -34,36 +34,45 @@ in-memory :class:`~repro.data.dataset.Dataset` or any
 blocks by a picklable accumulator that folds each block into a
 shard-mergeable moment summary (:mod:`repro.linalg.moments`).  Resident
 memory is O(block · d) — the full N×d per-example gradient matrix is never
-materialised — and the executor fan-out (threads | processes) of
-:func:`~repro.evaluation.streaming.stream_accumulate` applies unchanged.
+materialised.
+
+The fold unit decides where work can fan out without changing a bit.  A
+store-backed source's unit is one shard: each shard is folded from zero
+(fixed-size blocks from the shard start) on the streaming tier's one
+executor (:func:`~repro.evaluation.streaming.map_units`), and the shard
+summaries are left-folded in shard order.  Any other source is one unit —
+ObservedFisher's TSQR update is not a merge of per-block partials — so it
+folds serially on the calling thread whatever the worker count.
 
 Store-backed sources additionally get a **per-shard statistics index**:
 each shard's moment summary is persisted as a sidecar file keyed by
-(model-spec digest, θ-digest, method) next to the shard data
+(model-spec digest, θ-digest, method, block size) next to the shard data
 (:mod:`repro.data.store.statistics_index`), written lazily on first
 computation and reused on every later bootstrap.  After an append, only the
 new shards' summaries are computed; the merged result is bitwise identical
-to a cold rebuild over the grown store because per-shard summaries are
-always folded canonically (serial, fixed-size blocks from the shard start)
-and merged in shard order.
+to a cold rebuild over the grown store, under every worker count and
+backend, because every per-shard summary is the same canonical fold and
+the summaries merge in shard order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.config import DEFAULT_FINITE_DIFFERENCE_EPS, DEFAULT_HOLDOUT_BLOCK_ROWS
+from repro.config import DEFAULT_FINITE_DIFFERENCE_EPS
 from repro.data.dataset import Dataset
-from repro.evaluation import streaming as _streaming
-from repro.evaluation.streaming import BlockSource, StreamingConfig, as_block_source
+from repro.evaluation.streaming import (
+    BlockSource,
+    StreamingConfig,
+    map_units,
+    stream_accumulate,
+)
 from repro.exceptions import StatisticsError
 from repro.linalg.covariance import FactoredCovariance
 from repro.linalg.moments import (
@@ -306,8 +315,10 @@ class BlockHessianAccumulator:
 class _StatisticsTask:
     """Picklable recipe for one streamed moment accumulation.
 
-    The statistics-tier counterpart of the diff `_StreamTask`; anything
-    :func:`~repro.evaluation.streaming.stream_accumulate` needs.
+    The statistics-tier counterpart of the diff `_StreamTask`: what
+    :func:`~repro.evaluation.streaming.stream_accumulate` folds for an
+    in-memory source, and what :func:`~repro.evaluation.streaming.map_units`
+    folds shard by shard for a store.
     """
 
     spec: ModelClassSpec
@@ -326,6 +337,11 @@ class _StatisticsTask:
                 self.spec, self.theta, probe_eps=self.probe_eps
             )
         return GradientMomentAccumulator(self.spec, self.theta)
+
+    def units(self, bounds: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+        # The whole source: ObservedFisher's TSQR ``updated`` is not a merge
+        # of per-block partials, so re-blocking would change serial bits.
+        return [bounds]
 
 
 # ----------------------------------------------------------------------
@@ -381,48 +397,6 @@ def _shard_block_bounds(
     ]
 
 
-@dataclass(frozen=True)
-class _ShardSummaryTask(_StatisticsTask):
-    """One shard's canonical summary computation (picklable for processes)."""
-
-    start: int = 0
-    stop: int = 0
-    block_rows: int = DEFAULT_HOLDOUT_BLOCK_ROWS
-
-
-def _compute_shard_summary(task: _ShardSummaryTask) -> MomentSummary:
-    """Worker body: serial canonical fold over one shard's blocks.
-
-    Top-level so the process backend can pickle it; parallelism across
-    shards never leaks into a shard's own fold order.
-    """
-    accumulator = task.make_accumulator()
-    blocks = as_block_source(task.source)
-    for block_start, block_stop in _shard_block_bounds(
-        task.start, task.stop, task.block_rows
-    ):
-        accumulator.update(blocks.read_block(block_start, block_stop))
-    return accumulator.finalize()
-
-
-def _map_shard_tasks(
-    tasks: list[_ShardSummaryTask], config: StreamingConfig
-) -> list[MomentSummary]:
-    """Run shard-summary tasks on the configured executor, results in order."""
-    if config.n_workers <= 1 or len(tasks) <= 1:
-        return [_compute_shard_summary(task) for task in tasks]
-    if config.backend == "processes":
-        pool = _streaming._shared_process_pool(config.n_workers)
-        try:
-            return list(pool.map(_compute_shard_summary, tasks))
-        except BrokenProcessPool:
-            _streaming._discard_process_pool(config.n_workers, pool)
-            raise
-    n_workers = min(config.n_workers, len(tasks))
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(_compute_shard_summary, tasks))
-
-
 def _merge_summaries(summaries: list[MomentSummary]) -> MomentSummary:
     """Left fold in shard order — the single merge order used everywhere."""
     merged = summaries[0]
@@ -450,43 +424,30 @@ def _store_backed_summary(
 ) -> tuple[MomentSummary, int, int]:
     """Merged summary over a store source, reusing / refreshing sidecars.
 
-    Returns ``(summary, reused, computed)``.  Missing shards are computed
-    canonically (possibly fanned out across the executor, each shard's own
-    fold staying serial) and, when ``persist`` is set, the complete
-    per-shard summary set is republished so the next bootstrap — or a cold
-    rebuild over the grown store — reads the identical bits.
+    Returns ``(summary, reused, computed)``.  Missing shards are folded
+    canonically, one shard per unit on the streaming executor, and, when
+    ``persist`` is set, the complete per-shard summary set is republished
+    so the next bootstrap — or a cold rebuild over the grown store — reads
+    the identical bits.
     """
     index: StatisticsIndex = source.statistics_index()
     manifest = source.manifest
     key_spec = spec_digest(task.spec)
     key_theta = theta_digest(task.theta, task.method, task.probe_eps)
-    cached = index.load(key_spec, key_theta, task.method.value)
+    cached = index.load(key_spec, key_theta, task.method.value, config.block_rows)
 
     shard_summaries: list[MomentSummary | None] = []
-    missing: list[tuple[int, _ShardSummaryTask]] = []
+    missing: list[int] = []
+    units: list[list[tuple[int, int]]] = []
     for position, shard in enumerate(manifest.shards):
-        summary = cached.get(shard.digest) if cached else None
+        summary = cached.get(shard.digest)
         if summary is None:
-            missing.append(
-                (
-                    position,
-                    _ShardSummaryTask(
-                        spec=task.spec,
-                        method=task.method,
-                        theta=task.theta,
-                        probe_eps=task.probe_eps,
-                        source=source,
-                        start=shard.start,
-                        stop=shard.stop,
-                        block_rows=config.block_rows,
-                    ),
-                )
-            )
+            missing.append(position)
+            units.append(_shard_block_bounds(shard.start, shard.stop, config.block_rows))
         shard_summaries.append(summary)
 
-    computed = _map_shard_tasks([item[1] for item in missing], config)
-    for (position, _), summary in zip(missing, computed):
-        shard_summaries[position] = summary
+    for position, partial in zip(missing, map_units(task, units, config)):
+        shard_summaries[position] = partial.finalize()
 
     if missing and persist:
         try:
@@ -572,7 +533,7 @@ def compute_statistics(
         )
         source_digest = source.content_digest()
     else:
-        summary = _streaming.stream_accumulate(task, streaming)
+        summary = stream_accumulate(task, streaming)
     covariance = covariance_from_summary(spec, summary, probe_eps=task.probe_eps)
     elapsed = time.perf_counter() - start
     return ModelStatistics(

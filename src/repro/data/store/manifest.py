@@ -141,8 +141,9 @@ class StatisticsSidecarInfo:
     """One statistics sidecar file: per-shard moment summaries for one key.
 
     A sidecar holds every covered shard's H/J moment summary for one
-    ``(model-spec digest, θ-digest, method)`` key — what lets a session
-    bootstrap merge persisted summaries instead of re-reading raw rows.
+    ``(model-spec digest, θ-digest, method, block_rows)`` key — what lets a
+    session bootstrap merge persisted summaries instead of re-reading raw
+    rows.
 
     ``digest`` is the blake2b hex digest of the sidecar file's bytes (the
     tamper check :meth:`ShardStore.verify` replays); ``shard_digests``
@@ -239,6 +240,17 @@ class ShardManifest:
     @property
     def n_shards(self) -> int:
         return len(self.shards)
+
+    def extends(self, older: "ShardManifest") -> bool:
+        """Whether ``older``'s shards survive unchanged as a prefix of this one's.
+
+        The append case, an unchanged layout included: every shard of
+        ``older`` is still here with the same file and content digest.
+        """
+        return len(self.shards) >= len(older.shards) and all(
+            old.digest == new.digest and old.x_file == new.x_file
+            for old, new in zip(older.shards, self.shards)
+        )
 
     def shard_for_row(self, row: int) -> ShardInfo:
         """The shard holding global row index ``row`` (binary search)."""

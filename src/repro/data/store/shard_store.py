@@ -502,23 +502,15 @@ class ShardStore:
         return writer.close()
 
     @classmethod
-    def open(
-        cls, directory: str | os.PathLike, *, validate_layout: bool = True
-    ) -> "ShardStore":
+    def open(cls, directory: str | os.PathLike) -> "ShardStore":
         """Open an existing store, validating layout against the manifest.
 
-        ``validate_layout=True`` (the default) checks every shard file's
-        ``.npy`` header — existence, shape, dtype — up front, so a partial
-        or mismatched store fails at open time.  Pass ``False`` on hot
-        re-open paths that will validate lazily anyway (every
-        ``read_block`` re-checks the header of the shard it touches):
-        process-backend workers unpickling a ``ShardedDataset`` per task
-        must not pay O(n_shards) file opens before reading a single row.
+        Checks every shard file's ``.npy`` header — existence, shape,
+        dtype — up front, so a partial or mismatched store fails at open
+        time.
         """
         manifest = ShardManifest.load(directory)
         store = cls(directory, manifest)
-        if not validate_layout:
-            return store
         x_dtype = np.dtype(manifest.x_dtype)
         y_dtype = None if manifest.y_dtype is None else np.dtype(manifest.y_dtype)
         for shard in manifest.shards:
@@ -693,9 +685,9 @@ class ShardedDataset:
     draws the paper's small training samples from an arbitrarily large
     store.
 
-    Instances pickle as the store *path* (plus expected digest), not the
-    data: the process streaming backend ships a handle to each worker and
-    every worker re-opens its own memory maps.
+    Instances pickle as the store *path* plus the manifest they read, not
+    the data: the process streaming backend ships a handle to each worker
+    and every worker re-opens its own memory maps.
     """
 
     #: most shards whose memory maps one instance keeps open at a time.
@@ -788,13 +780,7 @@ class ShardedDataset:
         """
         new_manifest = ShardManifest.load(self._store.directory)
         old_manifest = self._adopted
-        old_shards = old_manifest.shards
-        new_shards = new_manifest.shards
-        appended_prefix = len(new_shards) >= len(old_shards) and all(
-            old.digest == new.digest and old.x_file == new.x_file
-            for old, new in zip(old_shards, new_shards)
-        )
-        if not appended_prefix:
+        if not new_manifest.extends(old_manifest):
             with self._memmap_lock:
                 self._memmaps.clear()
         self._store._manifest = new_manifest
@@ -951,28 +937,29 @@ class ShardedDataset:
         return Dataset(X, y, name=self._name, metadata=self.metadata)
 
     # ------------------------------------------------------------------
-    # Pickling: ship the path, not the data
+    # Pickling: ship the path and the manifest, not the data
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         return {
             "directory": self._store.directory,
             "name": self._name,
-            "content_digest": self.manifest.content_digest,
+            "manifest": self.manifest,
         }
 
     def __setstate__(self, state: dict) -> None:
-        # Manifest + digest check only: eager per-shard header validation
-        # would cost O(n_shards) opens on every process-backend task, and
-        # read_block validates each shard it actually touches anyway.
-        store = ShardStore.open(state["directory"], validate_layout=False)
-        if store.manifest.content_digest != state["content_digest"]:
+        # The copy reads the pickled manifest, so it serves the original's
+        # rows even after another handle appended shards; any other change
+        # on disk raises.  No per-shard header validation: read_block checks
+        # each shard it touches, and a worker must not pay O(n_shards) opens.
+        manifest: ShardManifest = state["manifest"]
+        if not ShardManifest.load(state["directory"]).extends(manifest):
             raise DataError(
                 "shard store changed between pickling and unpickling "
-                f"({state['directory']!r}): content digest mismatch"
+                f"({state['directory']!r}): shards were rewritten"
             )
-        self._store = store
+        self._store = ShardStore(state["directory"], manifest)
         self._name = state["name"]
-        self._adopted = store.manifest
+        self._adopted = manifest
         self._memmaps = OrderedDict()
         self._memmap_lock = threading.Lock()
 

@@ -28,6 +28,8 @@ Integrity / staleness rules:
 * summaries are keyed by shard *content* digest, so a summary is only ever
   applied to the exact bytes it was computed from (after an append the old
   sidecar covers the old shards; the new shards are computed fresh);
+* a sidecar serves only readers folding on its ``block_rows`` grid — any
+  other block size is a miss, and that reader's publish replaces it;
 * ``publish`` garbage-collects sidecars that share the (spec, method) key
   but were taken at a **different θ** — those became stale the moment the
   model's bootstrap parameter moved (a grown store re-trains a new θ₀) and
@@ -93,20 +95,26 @@ class StatisticsIndex:
     # Reading
     # ------------------------------------------------------------------
     def find(
-        self, spec_digest: str, theta_digest: str, method: str
+        self, spec_digest: str, theta_digest: str, method: str, block_rows: int
     ) -> StatisticsSidecarInfo | None:
-        """The manifest entry for one statistics key, or ``None``."""
+        """The manifest entry for one statistics key, or ``None``.
+
+        ``block_rows`` is part of the key: summaries folded on another
+        block grid differ in their last bits, so a mismatch is a miss (and
+        the next publish replaces the entry).
+        """
         for entry in self.manifest.statistics:
             if (
                 entry.spec_digest == spec_digest
                 and entry.theta_digest == theta_digest
                 and entry.method == method
+                and entry.block_rows == block_rows
             ):
                 return entry
         return None
 
     def load(
-        self, spec_digest: str, theta_digest: str, method: str
+        self, spec_digest: str, theta_digest: str, method: str, block_rows: int
     ) -> dict[str, MomentSummary]:
         """Per-shard summaries for one key, as ``{shard digest: summary}``.
 
@@ -115,7 +123,7 @@ class StatisticsIndex:
         manifest digest, or whose payload is malformed raises
         :class:`DataError` — tampered statistics must never be merged.
         """
-        entry = self.find(spec_digest, theta_digest, method)
+        entry = self.find(spec_digest, theta_digest, method, block_rows)
         if entry is None:
             return {}
         path = os.path.join(self.directory, entry.file)

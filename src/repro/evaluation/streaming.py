@@ -14,13 +14,15 @@ holdout with one GEMM per block instead of materialising the full
   disagreement counts / squared-error sums;
 * memory therefore stays O(k · block) no matter how large the holdout is —
   and with a sharded source, the *data* is never resident either;
-* optionally, contiguous block ranges fan out across an executor.  Two
-  backends: ``"threads"`` (NumPy releases the GIL inside the per-block
-  GEMMs — right for the built-in families) and ``"processes"`` (a process
-  pool for GIL-bound custom model specs; each worker builds its own
-  accumulator from the spec, consumes its block range, and the parent
-  merges the returned partials with the ordinary
-  :meth:`DiffAccumulator.merge` path).
+* optionally, the fold fans out across an executor under one rule: each
+  canonical *unit* (one block for the diff tasks) is folded from zero
+  wherever it runs, and the parent left-folds the partials in source order
+  with the ordinary :meth:`DiffAccumulator.merge` path — so the result is
+  bitwise identical to the serial fold whatever the worker count or
+  backend.  Two backends: ``"threads"`` (NumPy releases the GIL inside the
+  per-block GEMMs — right for the built-in families) and ``"processes"``
+  (a process pool for GIL-bound custom model specs; each worker builds its
+  own accumulators from the spec).
 
 Process-backend requirements: the spec, the source and the accumulator's
 partial state must be picklable, and — as with any ``spawn``/``forkserver``
@@ -43,6 +45,7 @@ where the rows live.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import threading
 from collections.abc import Iterable, Iterator
@@ -185,10 +188,11 @@ class StreamingConfig:
         Rows per holdout block; peak memory of a streamed diff is
         O(k · block_rows).
     n_workers:
-        0 or 1 processes blocks serially on the calling thread; larger
-        values split the block sequence into that many contiguous ranges
-        and run them on the configured executor, merging partials in
-        holdout order.
+        0 or 1 folds blocks serially on the calling thread; larger values
+        fold the task's units (one block for a diff, one shard for
+        store-backed statistics) on that many executor workers, each unit
+        from zero, and left-fold the partials in source order.  The result
+        is bitwise identical for every worker count and backend.
     backend:
         ``"threads"`` (default) or ``"processes"``.  Threads suit the
         built-in NumPy families (the GIL is released inside the per-block
@@ -284,18 +288,23 @@ def iter_holdout_blocks(
 class StreamTask(Protocol):
     """Picklable recipe for one streamed block-fold evaluation.
 
-    Anything :func:`stream_accumulate` can drive: it names the block source
-    and knows how to build a fresh accumulator (an object with the
+    Anything :func:`stream_accumulate` can drive: it names the block source,
+    knows how to build a fresh accumulator (an object with the
     :class:`~repro.models.base.DiffAccumulator` fold surface —
-    ``needs_holdout_blocks`` / ``update`` / ``merge`` / ``finalize``).
-    Implemented by the diff tasks below and by the statistics tasks in
-    :mod:`repro.core.statistics`.
+    ``needs_holdout_blocks`` / ``update`` / ``merge`` / ``finalize``), and
+    names its fold *unit*: ``units(bounds)`` groups the source's block
+    bounds into the runs a fan-out folds from zero.  A task may only pick
+    units whose partials, left-folded in order onto a zero accumulator,
+    reproduce the serial fold bit for bit.  Implemented by the diff tasks
+    below and by the statistics task in :mod:`repro.core.statistics`.
     """
 
     @property
     def source(self) -> "Dataset | BlockSource": ...
 
     def make_accumulator(self) -> DiffAccumulator: ...
+
+    def units(self, bounds: list[tuple[int, int]]) -> list[list[tuple[int, int]]]: ...
 
 
 @dataclass(frozen=True)
@@ -320,6 +329,11 @@ class _StreamTask:
         return self.spec.pairwise_diff_accumulator(
             self.Thetas_a, self.Thetas_b, self.source
         )
+
+    def units(self, bounds: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+        # A block's sums added onto zero are exact, so per-block partials
+        # left-folded in order equal the serial update loop bit for bit.
+        return [[bound] for bound in bounds]
 
 
 class FanoutDiffAccumulator(DiffAccumulator):
@@ -366,8 +380,8 @@ class _FanoutStreamTask:
 
     All member tasks must share one block source (the session holdout); the
     fan-out accumulator is simply each member's own accumulator driven in
-    lockstep, so process workers rebuild and merge exactly as they do for a
-    single task.
+    lockstep, with the members' one-block units, so process workers rebuild
+    and merge exactly as they do for a single task.
     """
 
     tasks: tuple[_StreamTask, ...]
@@ -379,9 +393,12 @@ class _FanoutStreamTask:
     def make_accumulator(self) -> FanoutDiffAccumulator:
         return FanoutDiffAccumulator([task.make_accumulator() for task in self.tasks])
 
+    def units(self, bounds: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+        return self.tasks[0].units(bounds)
+
 
 def _run_block_range(task: StreamTask, bounds: list[tuple[int, int]]) -> DiffAccumulator:
-    """Worker body (both backends): one fresh accumulator over one range.
+    """Worker body (both backends): one fresh accumulator over one unit.
 
     Top-level so the process backend can pickle it; with a sharded source
     the worker's ``read_block`` calls hit its own re-opened memory maps.
@@ -441,30 +458,57 @@ def _discard_process_pool(max_workers: int, pool: ProcessPoolExecutor) -> None:
     pool.shutdown(wait=False, cancel_futures=True)
 
 
-def _split_ranges(
-    bounds: list[tuple[int, int]], n_workers: int
-) -> list[list[tuple[int, int]]]:
-    """Split the bound list into ``n_workers`` contiguous, in-order ranges."""
-    splits = np.array_split(np.arange(len(bounds)), n_workers)
-    return [[bounds[i] for i in split] for split in splits if split.size]
+def map_units(
+    task: StreamTask, units: list[list[tuple[int, int]]], config: StreamingConfig
+) -> list[Any]:
+    """Fold each unit from zero on the configured executor; partials in order.
+
+    The one executor: :func:`stream_accumulate` maps a pass's units here,
+    the statistics tier a store's missing shards.  Every unit runs
+    :func:`_run_block_range`, so where a unit runs never changes its partial.
+    """
+    n_workers = min(config.n_workers, len(units))
+    if n_workers <= 1:
+        return [_run_block_range(task, unit) for unit in units]
+    if config.backend == "processes":
+        # One contiguous chunk of units per worker keeps IPC at one message
+        # each way per worker.  The shared pool is keyed by the *configured*
+        # worker count, not this call's effective one — otherwise sources of
+        # varying sizes would accumulate one persistent pool per distinct
+        # min(n_workers, n_units).  A broken pool is discarded so later
+        # calls recover with a fresh one.
+        pool = _shared_process_pool(config.n_workers)
+        chunksize = -(-len(units) // n_workers)
+        try:
+            return list(
+                pool.map(
+                    _run_block_range, itertools.repeat(task), units, chunksize=chunksize
+                )
+            )
+        except BrokenProcessPool:
+            _discard_process_pool(config.n_workers, pool)
+            raise
+    with ThreadPoolExecutor(max_workers=n_workers) as threads:
+        return list(threads.map(_run_block_range, itertools.repeat(task), units))
 
 
 def stream_accumulate(task: StreamTask, config: StreamingConfig) -> Any:
-    """Run one accumulator (or one per worker) over the task's block source.
+    """Fold the task's block source into one accumulator and finalize it.
 
-    The generic executor core behind every streamed fold in the system: the
-    two ``streaming_*`` diff functions below and the statistics tier's
-    moment accumulation (:func:`repro.core.statistics.compute_statistics`)
-    all delegate here.  Returns whatever the merged accumulator's
-    ``finalize()`` produces — a per-candidate diff vector for the diff
-    tasks, a moment summary for the statistics tasks.  Partials are always
-    merged in source order, so results are independent of executor timing.
+    The streamed pass behind the ``streaming_*`` diff functions below and
+    the statistics tier's in-memory moment fold; returns the accumulator's
+    ``finalize()`` (a per-candidate diff vector or a moment summary).
+    Serially (``n_workers <= 1``, or a single unit) the blocks fold in
+    place; otherwise :func:`map_units` folds each unit from zero and the
+    partials are left-folded onto the zero accumulator in source order —
+    the same arithmetic, so the result never depends on the worker count,
+    the backend or executor timing.
     """
-    first = task.make_accumulator()
-    if not first.needs_holdout_blocks:
+    accumulator = task.make_accumulator()
+    if not accumulator.needs_holdout_blocks:
         # Parameter-space metrics (PPCA) and the generic scalar-loop
         # fallback: nothing to shard.
-        return first.finalize()
+        return accumulator.finalize()
 
     _count_streaming_pass()
     blocks = as_block_source(task.source)
@@ -480,53 +524,14 @@ def stream_accumulate(task: StreamTask, config: StreamingConfig) -> Any:
         blocks=len(bounds),
         rows=blocks.n_rows,
     ) as span:
-        if config.n_workers <= 1 or len(bounds) <= 1:
+        units = task.units(bounds)
+        if config.n_workers <= 1 or len(units) <= 1:
             for start, stop in bounds:
-                first.update(blocks.read_block(start, stop))
+                accumulator.update(blocks.read_block(start, stop))
         else:
-            # Contiguous block ranges per worker so merge order equals
-            # holdout order.
-            ranges = _split_ranges(bounds, min(config.n_workers, len(bounds)))
-            if config.backend == "processes":
-                # Workers rebuild the accumulator from the task (closures
-                # never cross the process boundary) and return their
-                # partial state; the parent merges the partials into its own
-                # full accumulator in holdout order, so finalize() runs with
-                # the parent's closures.  The pool is shared across calls
-                # (see _shared_process_pool) and keyed by the *configured*
-                # worker count, not this call's effective range count —
-                # otherwise holdouts of varying sizes would accumulate one
-                # persistent pool per distinct min(n_workers, n_blocks).  A
-                # short call simply submits fewer tasks than the pool has
-                # workers.  A broken pool is discarded so later calls
-                # recover with a fresh one.
-                pool = _shared_process_pool(config.n_workers)
-                try:
-                    partials = list(
-                        pool.map(_run_block_range, [task] * len(ranges), ranges)
-                    )
-                except BrokenProcessPool:
-                    _discard_process_pool(config.n_workers, pool)
-                    raise
-            else:
-
-                def run_range(
-                    accumulator: DiffAccumulator,
-                    range_bounds: list[tuple[int, int]],
-                ) -> DiffAccumulator:
-                    for start, stop in range_bounds:
-                        accumulator.update(blocks.read_block(start, stop))
-                    return accumulator
-
-                # The first range folds into ``first`` itself.
-                accumulators = [first] + [
-                    task.make_accumulator() for _ in range(len(ranges) - 1)
-                ]
-                with ThreadPoolExecutor(max_workers=len(ranges)) as threads:
-                    partials = list(threads.map(run_range, accumulators, ranges))[1:]
-            for partial in partials:
-                first.merge(partial)
-        result = first.finalize()
+            for partial in map_units(task, units, config):
+                accumulator.merge(partial)
+        result = accumulator.finalize()
     if span is not None:
         _PASS_SECONDS.observe(span.duration, scope=scope)
         _PASS_BLOCKS_TOTAL.inc(len(bounds), scope=scope)

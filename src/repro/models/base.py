@@ -50,9 +50,9 @@ class DiffAccumulator(ABC):
     batch(es) bound in; the driver then calls :meth:`update` once per block
     (in holdout order) and :meth:`finalize` exactly once at the end.
 
-    For parallel sharding the driver creates one accumulator per worker,
-    gives each a contiguous range of blocks, and folds the partials together
-    with :meth:`merge` in block order before finalizing.
+    For parallel sharding the engine folds each block into a fresh
+    accumulator wherever it runs, then left-folds those partials with
+    :meth:`merge` in block order onto a zero accumulator before finalizing.
     """
 
     #: set to False by accumulators whose metric does not depend on the
@@ -68,8 +68,8 @@ class DiffAccumulator(ABC):
     def merge(self, other: "DiffAccumulator") -> None:
         """Fold another accumulator's partial statistics into this one.
 
-        ``other`` must come from the same factory call and have consumed a
-        disjoint, later range of holdout blocks.
+        ``other`` must come from the same factory and parameters and have
+        consumed a disjoint, later range of holdout blocks.
         """
 
     @abstractmethod

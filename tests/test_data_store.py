@@ -658,6 +658,41 @@ class TestServingFromShards:
             assert ra.sample_size == rb.sample_size
             assert np.array_equal(ra.model.theta, rb.model.theta)
 
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_fanned_out_session_answers_like_serial(self, tmp_path, backend):
+        # A session's answers depend on its data and seed alone: fanning the
+        # holdout passes out over 3 workers changes no bit.  (Not comparable
+        # with an in-memory session: the Lin label scale comes from manifest
+        # moments here and from np.std there.)
+        data = power_like(n_rows=3_000, n_features=5, seed=12)
+        train, holdout = split_rows(data, 2_000)
+        spec = LinearRegressionSpec(regularization=1e-3)
+
+        def open_session(n_workers, directory):
+            return EstimationSession(
+                spec,
+                ShardStore.write(train, directory / "train", shard_rows=500).dataset(),
+                ShardStore.write(holdout, directory / "holdout", shard_rows=250).dataset(),
+                streaming=StreamingConfig(
+                    block_rows=50, n_workers=n_workers, backend=backend
+                ),
+                initial_sample_size=200,
+                n_parameter_samples=16,
+                rng=0,
+            )
+
+        serial = open_session(0, tmp_path / "serial")
+        fanned = open_session(3, tmp_path / "fanned")
+        assert serial.initial_model.theta.tobytes() == fanned.initial_model.theta.tobytes()
+        for epsilon in (0.02, 0.05):
+            contract = ApproximationContract(epsilon=epsilon, delta=0.05)
+            a, b = serial.answer(contract), fanned.answer(contract)
+            assert a.satisfied == b.satisfied
+            assert a.estimate.epsilon == b.estimate.epsilon
+            ra, rb = serial.train_to(contract), fanned.train_to(contract)
+            assert ra.sample_size == rb.sample_size
+            assert ra.model.theta.tobytes() == rb.model.theta.tobytes()
+
     def test_registry_fingerprints_sharded_members_without_materializing(
         self, cls_data, tmp_path
     ):

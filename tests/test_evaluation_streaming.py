@@ -3,13 +3,17 @@
 The acceptance bar for the streamed batched ``diff``: sharded accumulation
 must agree with the scalar ``prediction_difference`` loop within 1e-12 for
 all five model families and arbitrary block sizes, serial or thread-fanned.
+And the fold rule: for a given source, every worker count and backend
+gives diffs and statistics bitwise equal to the serial fold.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.statistics import StatisticsMethod, compute_statistics
 from repro.data.dataset import Dataset
+from repro.data.store import ShardStore
 from repro.data.synthetic import gas_like, higgs_like, mnist_like
 from repro.evaluation.streaming import (
     StreamingConfig,
@@ -240,6 +244,43 @@ class TestAccumulatorProtocol:
             BlockSumDiffAccumulator(0, lambda block: 0, lambda sums, rows: sums)
 
 
+@pytest.fixture(scope="module")
+def fold_sources(tmp_path_factory):
+    """Each family's holdout in memory and as a five-shard store."""
+    root = tmp_path_factory.mktemp("fold-rule")
+    sources = {}
+    for family in FAMILIES:
+        holdout = _CACHE[family][1]
+        sources[family, "memory"] = holdout
+        sources[family, "store"] = ShardStore.write(
+            holdout, root / family, shard_rows=150
+        ).dataset()
+    return sources
+
+
+def _fold_results(family, holdout, config):
+    """Both diff entry points and every applicable statistics method."""
+    spec, _, p = _CACHE[family]
+    theta_ref, Thetas, Thetas_b = _parameter_batches(p, seed=40)
+    results = [
+        streaming_prediction_differences(spec, theta_ref, Thetas, holdout, config=config),
+        *streaming_fanout_pairwise_prediction_differences(
+            spec, [(Thetas, Thetas_b), (Thetas_b[::-1], Thetas)], holdout, config=config
+        ),
+    ]
+    for method in StatisticsMethod:
+        if method is StatisticsMethod.CLOSED_FORM and not spec.has_closed_form_hessian:
+            continue
+        statistics = compute_statistics(
+            spec, theta_ref, holdout, method=method, streaming=config, persist=False
+        )
+        results += [
+            statistics.covariance.transform,
+            statistics.covariance.singular_values,
+        ]
+    return results
+
+
 class TestExecutorBackends:
     """The threads | processes executor abstraction over block fan-out."""
 
@@ -247,26 +288,29 @@ class TestExecutorBackends:
         with pytest.raises(DataError):
             StreamingConfig(backend="gpu")
 
-    @pytest.mark.parametrize("family", ["lr", "lin"])
-    def test_process_backend_matches_serial_on_in_memory_data(self, family):
-        spec, holdout, p = _CACHE[family]
-        theta_ref, Thetas, Thetas_b = _parameter_batches(p, seed=40)
-        serial = streaming_prediction_differences(
-            spec, theta_ref, Thetas, holdout, config=StreamingConfig(block_rows=100)
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("source", ["memory", "store"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_fold_rule(self, family, source, backend, n_workers, fold_sources):
+        # Each unit (a block for diffs, a shard for store statistics, the
+        # whole source otherwise) folds from zero and the partials left-fold
+        # in source order, so no worker count or backend changes a bit.
+        # In-memory and store results are not compared with each other: the
+        # regression label scale comes from np.std in memory and from the
+        # Chan-combined manifest moments in a store.
+        holdout = fold_sources[family, source]
+        serial = _fold_results(
+            family, holdout, StreamingConfig(block_rows=64, n_workers=0)
         )
-        processed = streaming_prediction_differences(
-            spec, theta_ref, Thetas, holdout,
-            config=StreamingConfig(block_rows=100, n_workers=2, backend="processes"),
+        fanned = _fold_results(
+            family,
+            holdout,
+            StreamingConfig(block_rows=64, n_workers=n_workers, backend=backend),
         )
-        np.testing.assert_allclose(processed, serial, atol=1e-12)
-        serial_pair = streaming_fanout_pairwise_prediction_differences(
-            spec, [(Thetas, Thetas_b)], holdout, config=StreamingConfig(block_rows=100)
-        )[0]
-        processed_pair = streaming_fanout_pairwise_prediction_differences(
-            spec, [(Thetas, Thetas_b)], holdout,
-            config=StreamingConfig(block_rows=100, n_workers=2, backend="processes"),
-        )[0]
-        np.testing.assert_allclose(processed_pair, serial_pair, atol=1e-12)
+        assert len(fanned) == len(serial)
+        for actual, expected in zip(fanned, serial):
+            assert np.array_equal(actual, expected)
 
     def test_process_backend_bitwise_for_classification(self):
         spec, holdout, p = _CACHE["lr"]

@@ -27,6 +27,7 @@ import shutil
 import numpy as np
 import pytest
 
+from repro.config import DEFAULT_HOLDOUT_BLOCK_ROWS
 from repro.core.statistics import compute_statistics, spec_digest, theta_digest
 from repro.data.store import (
     ShardManifest,
@@ -36,6 +37,7 @@ from repro.data.store import (
     sidecar_filename,
 )
 from repro.data.synthetic import higgs_like
+from repro.evaluation.streaming import StreamingConfig
 from repro.exceptions import DataError
 from repro.models.logistic_regression import LogisticRegressionSpec
 
@@ -85,7 +87,10 @@ class TestSidecarReuse:
         assert first.computed_shard_summaries == 4
         assert first.reused_shard_summaries == 0
         entry = source.statistics_index().find(
-            spec_digest(spec), theta_digest(theta), first.method.value
+            spec_digest(spec),
+            theta_digest(theta),
+            first.method.value,
+            DEFAULT_HOLDOUT_BLOCK_ROWS,
         )
         assert entry is not None
         assert len(entry.shard_digests) == 4
@@ -99,6 +104,29 @@ class TestSidecarReuse:
         assert np.array_equal(
             first.covariance.dense(), second.covariance.dense()
         )
+
+    def test_block_rows_mismatch_is_a_miss(self, store_setup):
+        # Summaries folded on another block grid differ in their last bits,
+        # so a reader with a different block size must not merge them.
+        _, directory, spec, theta = store_setup
+        compute_statistics(
+            spec, theta, ShardStore.open(directory).dataset(),
+            streaming=StreamingConfig(block_rows=1_000, n_workers=0),
+        )
+        at_128 = StreamingConfig(block_rows=128, n_workers=0)
+        reread = compute_statistics(
+            spec, theta, ShardStore.open(directory).dataset(), streaming=at_128
+        )
+        assert reread.reused_shard_summaries == 0
+        assert reread.computed_shard_summaries == 4
+        cold = compute_statistics(
+            spec, theta, ShardStore.open(_strip_sidecars(directory)).dataset(),
+            streaming=at_128, persist=False,
+        )
+        assert np.array_equal(reread.covariance.dense(), cold.covariance.dense())
+        # The 128-row publish replaced the 1,000-row entry.
+        (entry,) = ShardStore.open(directory).manifest.statistics
+        assert entry.block_rows == 128
 
     def test_persist_false_writes_nothing(self, store_setup):
         _, directory, spec, theta = store_setup
@@ -139,7 +167,7 @@ class TestSidecarIntegrity:
             store.verify()
         with pytest.raises(DataError):
             StatisticsIndex(store).load(
-                entry.spec_digest, entry.theta_digest, entry.method
+                entry.spec_digest, entry.theta_digest, entry.method, entry.block_rows
             )
 
     def test_missing_sidecar_detected(self, store_setup):
@@ -160,7 +188,10 @@ class TestSidecarIntegrity:
         assert remaining[0].file != old_entry.file
         assert not os.path.exists(os.path.join(str(directory), old_entry.file))
         assert StatisticsIndex(store).load(
-            old_entry.spec_digest, old_entry.theta_digest, old_entry.method
+            old_entry.spec_digest,
+            old_entry.theta_digest,
+            old_entry.method,
+            old_entry.block_rows,
         ) == {}
         store.verify()
 
@@ -212,20 +243,36 @@ class TestAppend:
         assert reader.n_rows == 1_600
         assert np.array_equal(reader.materialize().X, data.X)
 
-    def test_stale_handle_publish_keeps_appended_shards(self, store_setup):
+    @pytest.mark.parametrize(
+        "streaming",
+        [
+            StreamingConfig(n_workers=0),
+            StreamingConfig(n_workers=2, backend="threads"),
+            StreamingConfig(n_workers=2, backend="processes"),
+        ],
+        ids=["seq", "2thr", "2proc"],
+    )
+    def test_stale_handle_publish_keeps_appended_shards(self, store_setup, streaming):
         data, directory, spec, theta = store_setup
         stale = ShardStore.open(directory)  # opened before the append
         ShardStore.open(directory).append_shards(
             [(data.X[1_200:], data.y[1_200:])], shard_rows=300
         )
-        stats = compute_statistics(spec, theta, stale.dataset())
+        # Every backend serves the stale handle's snapshot: process workers
+        # unpickle its manifest and accept the grown store as an extension.
+        stats = compute_statistics(spec, theta, stale.dataset(), streaming=streaming)
+        assert stats.sample_size == 1_200
+        assert stats.computed_shard_summaries == 4
         # The publish through the stale handle applied its sidecar entry to
         # the manifest on disk, so the appended shards survived it.
         reopened = ShardStore.open(directory)
         assert reopened.manifest.n_rows == 1_600
         assert reopened.manifest.n_shards == 6
         assert reopened.statistics_index().find(
-            spec_digest(spec), theta_digest(theta), stats.method.value
+            spec_digest(spec),
+            theta_digest(theta),
+            stats.method.value,
+            streaming.block_rows,
         ) is not None
         reopened.verify()
 
