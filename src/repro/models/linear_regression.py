@@ -31,12 +31,12 @@ from repro.data.dataset import Dataset
 from repro.exceptions import ModelSpecError
 from repro.models.base import (
     DiffAccumulator,
-    ModelClassSpec,
+    GeneralizedLinearSpec,
     holdout_label_scale,
 )
 
 
-class LinearRegressionSpec(ModelClassSpec):
+class LinearRegressionSpec(GeneralizedLinearSpec):
     """L2-regularised Gaussian linear regression.
 
     Parameters
@@ -111,20 +111,12 @@ class LinearRegressionSpec(ModelClassSpec):
     # ------------------------------------------------------------------
     # Objective pieces
     # ------------------------------------------------------------------
-    def _residuals(self, theta: np.ndarray, dataset: Dataset) -> np.ndarray:
-        return dataset.X @ theta - dataset.y
+    def _data_term(self, z: np.ndarray, y: np.ndarray) -> float:
+        residuals = z - y
+        return 0.5 * float(np.mean(residuals**2)) / self.noise_variance
 
-    def loss(self, theta: np.ndarray, dataset: Dataset) -> float:
-        self.validate_dataset(dataset)
-        residuals = self._residuals(theta, dataset)
-        data_term = 0.5 * float(np.mean(residuals**2)) / self.noise_variance
-        reg_term = 0.5 * self.regularization * float(theta @ theta)
-        return data_term + reg_term
-
-    def per_example_gradients(self, theta: np.ndarray, dataset: Dataset) -> np.ndarray:
-        self.validate_dataset(dataset)
-        residuals = self._residuals(theta, dataset)
-        return (residuals / self.noise_variance)[:, None] * dataset.X
+    def _slopes(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return (z - y) / self.noise_variance
 
     def hessian(self, theta: np.ndarray, dataset: Dataset) -> np.ndarray:
         del theta  # the Hessian of a quadratic does not depend on θ

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.exceptions import ModelSpecError
-from repro.models.base import DiffAccumulator, ModelClassSpec
+from repro.models.base import DiffAccumulator, GeneralizedLinearSpec
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -39,7 +39,7 @@ def log_sigmoid(z: np.ndarray) -> np.ndarray:
     return -np.logaddexp(0.0, -z)
 
 
-class LogisticRegressionSpec(ModelClassSpec):
+class LogisticRegressionSpec(GeneralizedLinearSpec):
     """L2-regularised binary logistic regression."""
 
     task = "binary"
@@ -66,21 +66,13 @@ class LogisticRegressionSpec(ModelClassSpec):
     # ------------------------------------------------------------------
     # Objective pieces
     # ------------------------------------------------------------------
-    def loss(self, theta: np.ndarray, dataset: Dataset) -> float:
-        self.validate_dataset(dataset)
-        z = dataset.X @ theta
+    def _data_term(self, z: np.ndarray, y: np.ndarray) -> float:
         # t log σ(z) + (1 − t) log σ(−z) has one non-zero term per row, the
         # log-sigmoid of the label-signed logit.
-        log_likelihood = log_sigmoid(np.where(dataset.y == 1, z, -z))
-        data_term = -float(np.mean(log_likelihood))
-        reg_term = 0.5 * self.regularization * float(theta @ theta)
-        return data_term + reg_term
+        return -float(np.mean(log_sigmoid(np.where(y == 1, z, -z))))
 
-    def per_example_gradients(self, theta: np.ndarray, dataset: Dataset) -> np.ndarray:
-        self.validate_dataset(dataset)
-        z = dataset.X @ theta
-        t = dataset.y.astype(np.float64)
-        return (sigmoid(z) - t)[:, None] * dataset.X
+    def _slopes(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return sigmoid(z) - y.astype(np.float64)
 
     def hessian(self, theta: np.ndarray, dataset: Dataset) -> np.ndarray:
         probabilities = sigmoid(dataset.X @ theta)

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.exceptions import ModelSpecError
-from repro.models.base import DiffAccumulator, ModelClassSpec
+from repro.models.base import DiffAccumulator, ModelClassSpec, fold_row_mean
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -95,38 +95,75 @@ class MaxEntropySpec(ModelClassSpec):
     # ------------------------------------------------------------------
     # Objective pieces
     # ------------------------------------------------------------------
-    def loss(self, theta: np.ndarray, dataset: Dataset) -> float:
+    def _forward(
+        self, theta: np.ndarray, dataset: Dataset
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The one forward pass: max-shifted logits, their exps and row sums.
+
+        These are exactly :func:`softmax`'s intermediates, so the
+        probabilities ``exp / sums`` carry its bits.
+        """
         self.validate_dataset(dataset)
-        K = self._resolve_classes(dataset)
+        self._resolve_classes(dataset)
         Theta = self.reshape(theta, dataset.n_features)
         logits = dataset.X @ Theta.T
         shifted = logits - logits.max(axis=1, keepdims=True)
-        log_norm = np.log(np.exp(shifted).sum(axis=1))
-        correct = shifted[np.arange(dataset.n_rows), dataset.y.astype(np.intp)]
-        data_term = float(np.mean(log_norm - correct))
-        reg_term = 0.5 * self.regularization * float(theta @ theta)
-        del K
-        return data_term + reg_term
+        exp = np.exp(shifted)
+        return shifted, exp, exp.sum(axis=1, keepdims=True)
+
+    @staticmethod
+    def _data_term(shifted: np.ndarray, sums: np.ndarray, y: np.ndarray) -> float:
+        correct = shifted[np.arange(y.shape[0]), y.astype(np.intp)]
+        return float(np.mean(np.log(sums[:, 0]) - correct))
+
+    @staticmethod
+    def _residuals(exp: np.ndarray, sums: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Softmax probabilities minus the one-hot labels, shape ``(n, K)``."""
+        residual = exp / sums
+        residual[np.arange(y.shape[0]), y.astype(np.intp)] -= 1.0
+        return residual
+
+    @staticmethod
+    def _rows(residual: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Per-example gradients: row i is ``residual_i ⊗ x_i`` flattened to K·d."""
+        n, K = residual.shape
+        d = X.shape[1]
+        outer = np.multiply(
+            residual[:, :, None],
+            X[:, None, :],
+            out=None if out is None else out.reshape(n, K, d),
+        )
+        return outer.reshape(n, K * d)
+
+    def loss(self, theta: np.ndarray, dataset: Dataset) -> float:
+        shifted, _, sums = self._forward(theta, dataset)
+        return self._data_term(shifted, sums, dataset.y) + self.regularizer(theta)
 
     def per_example_gradients(self, theta: np.ndarray, dataset: Dataset) -> np.ndarray:
-        self.validate_dataset(dataset)
-        K = self._resolve_classes(dataset)
-        Theta = self.reshape(theta, dataset.n_features)
-        probabilities = softmax(dataset.X @ Theta.T)  # (n, K)
-        indicator = np.zeros_like(probabilities)
-        indicator[np.arange(dataset.n_rows), dataset.y.astype(np.intp)] = 1.0
-        residual = probabilities - indicator  # (n, K)
-        # q_i is the outer product residual_i ⊗ x_i flattened to length K·d.
-        per_example = residual[:, :, None] * dataset.X[:, None, :]
-        return per_example.reshape(dataset.n_rows, K * dataset.n_features)
+        _, exp, sums = self._forward(theta, dataset)
+        return self._rows(self._residuals(exp, sums, dataset.y), dataset.X)
+
+    def value_and_gradient(
+        self, theta: np.ndarray, dataset: Dataset
+    ) -> tuple[float, np.ndarray]:
+        shifted, exp, sums = self._forward(theta, dataset)
+        residual = self._residuals(exp, sums, dataset.y)
+        X = dataset.X
+        data_gradient = fold_row_mean(
+            X.shape[0],
+            residual.shape[1] * X.shape[1],
+            lambda lo, hi, out: self._rows(residual[lo:hi], X[lo:hi], out),
+        )
+        return (
+            self._data_term(shifted, sums, dataset.y) + self.regularizer(theta),
+            data_gradient + self.regularizer_gradient(theta),
+        )
 
     def hessian(self, theta: np.ndarray, dataset: Dataset) -> np.ndarray:
-        self.validate_dataset(dataset)
-        K = self._resolve_classes(dataset)
-        d = dataset.n_features
-        Theta = self.reshape(theta, d)
-        probabilities = softmax(dataset.X @ Theta.T)
-        n = dataset.n_rows
+        _, exp, sums = self._forward(theta, dataset)
+        probabilities = exp / sums
+        n, d = dataset.X.shape
+        K = probabilities.shape[1]
         H = np.zeros((K * d, K * d))
         for k in range(K):
             for l in range(K):

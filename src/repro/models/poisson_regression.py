@@ -28,7 +28,7 @@ from repro.data.dataset import Dataset
 from repro.exceptions import ModelSpecError
 from repro.models.base import (
     DiffAccumulator,
-    ModelClassSpec,
+    GeneralizedLinearSpec,
     holdout_label_scale,
 )
 
@@ -37,7 +37,12 @@ from repro.models.base import (
 _MAX_LOG_RATE = 30.0
 
 
-class PoissonRegressionSpec(ModelClassSpec):
+def _log_rates(z: np.ndarray) -> np.ndarray:
+    """Linear predictors clipped to ``±_MAX_LOG_RATE``: the log of each rate."""
+    return np.clip(z, -_MAX_LOG_RATE, _MAX_LOG_RATE)
+
+
+class PoissonRegressionSpec(GeneralizedLinearSpec):
     """L2-regularised Poisson (log-linear) regression for count targets."""
 
     task = "regression"
@@ -62,20 +67,14 @@ class PoissonRegressionSpec(ModelClassSpec):
     # Objective pieces
     # ------------------------------------------------------------------
     def _rates(self, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
-        log_rates = np.clip(X @ theta, -_MAX_LOG_RATE, _MAX_LOG_RATE)
-        return np.exp(log_rates)
+        return np.exp(_log_rates(X @ theta))
 
-    def loss(self, theta: np.ndarray, dataset: Dataset) -> float:
-        self.validate_dataset(dataset)
-        log_rates = np.clip(dataset.X @ theta, -_MAX_LOG_RATE, _MAX_LOG_RATE)
-        data_term = float(np.mean(np.exp(log_rates) - dataset.y * log_rates))
-        reg_term = 0.5 * self.regularization * float(theta @ theta)
-        return data_term + reg_term
+    def _data_term(self, z: np.ndarray, y: np.ndarray) -> float:
+        log_rates = _log_rates(z)
+        return float(np.mean(np.exp(log_rates) - y * log_rates))
 
-    def per_example_gradients(self, theta: np.ndarray, dataset: Dataset) -> np.ndarray:
-        self.validate_dataset(dataset)
-        rates = self._rates(theta, dataset.X)
-        return (rates - dataset.y)[:, None] * dataset.X
+    def _slopes(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return np.exp(_log_rates(z)) - y
 
     def hessian(self, theta: np.ndarray, dataset: Dataset) -> np.ndarray:
         rates = self._rates(theta, dataset.X)
@@ -93,10 +92,7 @@ class PoissonRegressionSpec(ModelClassSpec):
     def predict_many(self, Thetas: np.ndarray, X: np.ndarray) -> np.ndarray:
         Thetas = self._as_parameter_batch(Thetas)
         # All k log-rate vectors in one GEMM, then a single clipped exp.
-        log_rates = np.clip(
-            Thetas @ np.asarray(X, dtype=np.float64).T, -_MAX_LOG_RATE, _MAX_LOG_RATE
-        )
-        return np.exp(log_rates)
+        return np.exp(_log_rates(Thetas @ np.asarray(X, dtype=np.float64).T))
 
     def _difference_scale(self, dataset: Dataset) -> float:
         if not self.normalize_difference:

@@ -29,6 +29,7 @@ from repro.models.base import (
     DiffAccumulator,
     ModelClassSpec,
     PrecomputedDiffAccumulator,
+    fold_row_mean,
 )
 
 
@@ -144,10 +145,17 @@ class PPCASpec(ModelClassSpec):
     # ------------------------------------------------------------------
     # Objective pieces
     # ------------------------------------------------------------------
-    def loss(self, theta: np.ndarray, dataset: Dataset) -> float:
+    def _forward(
+        self, theta: np.ndarray, dataset: Dataset
+    ) -> tuple[np.ndarray, np.ndarray, float]:
+        """Θ, ``M⁻¹`` and ``log|C|``: the Woodbury terms every piece shares."""
         Theta = self.reshape(theta, dataset.n_features)
         _, M_inv, logdet_C = self._woodbury(Theta)
-        X = dataset.X
+        return Theta, M_inv, logdet_C
+
+    def _data_term(
+        self, Theta: np.ndarray, M_inv: np.ndarray, logdet_C: float, X: np.ndarray
+    ) -> float:
         n, d = X.shape
         # tr(C⁻¹ S) with S = (1/n) XᵀX, evaluated without forming S:
         # (1/(n σ²)) (‖X‖_F² − tr(M⁻¹ (XΘ)ᵀ (XΘ))).
@@ -155,23 +163,54 @@ class PPCASpec(ModelClassSpec):
         trace_term = (float(np.sum(X * X)) - float(np.sum((XTheta @ M_inv) * XTheta))) / (
             n * self.sigma2
         )
-        data_term = 0.5 * (d * np.log(2.0 * np.pi) + logdet_C + trace_term)
-        reg_term = 0.5 * self.regularization * float(theta @ theta)
-        return data_term + reg_term
+        return 0.5 * (d * np.log(2.0 * np.pi) + logdet_C + trace_term)
 
-    def per_example_gradients(self, theta: np.ndarray, dataset: Dataset) -> np.ndarray:
-        Theta = self.reshape(theta, dataset.n_features)
-        _, M_inv, _ = self._woodbury(Theta)
-        X = dataset.X
-        n, d = X.shape
-        q = self.n_factors
-        # A = C⁻¹Θ is shared by every example; the data-dependent part is
-        # the rank-one correction C⁻¹ x_i x_iᵀ A.
+    def _gradient_factors(
+        self, Theta: np.ndarray, M_inv: np.ndarray, X: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``A = C⁻¹Θ`` and the rows ``C⁻¹ x_i`` and ``x_iᵀ A`` of every example.
+
+        A is shared by every example; the data-dependent part of
+        ``q(Θ; x_i)`` is the rank-one correction ``C⁻¹ x_i x_iᵀ A``.
+        """
         A = self._apply_C_inverse(Theta, M_inv, Theta)  # (d, q)
         B = self._apply_C_inverse(Theta, M_inv, X.T).T  # rows are C⁻¹ x_i, (n, d)
         P = X @ A  # rows are x_iᵀ A, (n, q)
-        per_example = A[None, :, :] - B[:, :, None] * P[:, None, :]
-        return per_example.reshape(n, d * q)
+        return A, B, P
+
+    @staticmethod
+    def _rows(
+        A: np.ndarray, B: np.ndarray, P: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Per-example gradients ``A − (C⁻¹ x_i)(x_iᵀ A)``, flattened to d·q."""
+        n, d = B.shape
+        q = A.shape[1]
+        correction = np.multiply(
+            B[:, :, None], P[:, None, :], out=None if out is None else out.reshape(n, d, q)
+        )
+        return np.subtract(A, correction, out=correction).reshape(n, d * q)
+
+    def loss(self, theta: np.ndarray, dataset: Dataset) -> float:
+        Theta, M_inv, logdet_C = self._forward(theta, dataset)
+        return self._data_term(Theta, M_inv, logdet_C, dataset.X) + self.regularizer(theta)
+
+    def per_example_gradients(self, theta: np.ndarray, dataset: Dataset) -> np.ndarray:
+        Theta, M_inv, _ = self._forward(theta, dataset)
+        return self._rows(*self._gradient_factors(Theta, M_inv, dataset.X))
+
+    def value_and_gradient(
+        self, theta: np.ndarray, dataset: Dataset
+    ) -> tuple[float, np.ndarray]:
+        Theta, M_inv, logdet_C = self._forward(theta, dataset)
+        X = dataset.X
+        A, B, P = self._gradient_factors(Theta, M_inv, X)
+        data_gradient = fold_row_mean(
+            X.shape[0], A.size, lambda lo, hi, out: self._rows(A, B[lo:hi], P[lo:hi], out)
+        )
+        return (
+            self._data_term(Theta, M_inv, logdet_C, X) + self.regularizer(theta),
+            data_gradient + self.regularizer_gradient(theta),
+        )
 
     # ------------------------------------------------------------------
     # Prediction and diff

@@ -21,7 +21,11 @@ class Objective:
     Subclasses must implement :meth:`value` and :meth:`gradient`;
     :meth:`hessian` is optional (only Newton's method requires it) and
     :meth:`value_and_gradient` may be overridden when the two can share
-    work (the model classes do so because both need the same forward pass).
+    work.  The quasi-Newton methods and their line search call only
+    :meth:`value_and_gradient`.  A model's objective delegates it to
+    ``ModelClassSpec.value_and_gradient``, where every built-in family runs
+    its forward pass once and returns the bytes of ``value`` and
+    ``gradient``.
     """
 
     def value(self, theta: np.ndarray) -> float:

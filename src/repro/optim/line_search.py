@@ -11,7 +11,7 @@ Two strategies are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -104,7 +104,8 @@ def wolfe_line_search(
                 best = LineSearchResult(alpha, candidate_value, candidate_gradient, evaluations, True)
             if abs(alpha_hi - alpha_lo) < 1e-14:
                 break
-        return best
+        # ``best`` may predate the last evaluations; report all of them.
+        return replace(best, n_evaluations=evaluations)
 
     previous_alpha = 0.0
     previous_value = phi0

@@ -30,16 +30,40 @@ class TestBaseBehaviour:
         spec = LinearRegressionSpec(regularization=0.01)
         objective = spec.objective(tiny_regression)
         theta = np.array([0.3, -0.2, 0.1])
-        assert objective.value(theta) == pytest.approx(spec.loss(theta, tiny_regression))
-        np.testing.assert_allclose(
-            objective.gradient(theta), spec.gradient(theta, tiny_regression)
+        loss = spec.loss(theta, tiny_regression)
+        gradient = spec.gradient(theta, tiny_regression)
+        assert objective.value(theta) == loss
+        assert objective.gradient(theta).tobytes() == gradient.tobytes()
+        fused_value, fused_gradient = objective.value_and_gradient(theta)
+        assert fused_value == loss
+        assert fused_gradient.tobytes() == gradient.tobytes()
+        assert (
+            objective.hessian(theta).tobytes()
+            == spec.hessian(theta, tiny_regression).tobytes()
         )
-        value, gradient = objective.value_and_gradient(theta)
-        assert value == pytest.approx(spec.loss(theta, tiny_regression))
-        np.testing.assert_allclose(gradient, spec.gradient(theta, tiny_regression))
-        np.testing.assert_allclose(
-            objective.hessian(theta), spec.hessian(theta, tiny_regression)
-        )
+
+    def test_custom_spec_inherits_loss_and_gradient(self, tiny_regression):
+        class SquaredError(ModelClassSpec):
+            def n_parameters(self, dataset):
+                return dataset.n_features
+
+            def loss(self, theta, dataset):
+                return 0.5 * float(np.mean((dataset.X @ theta - dataset.y) ** 2))
+
+            def per_example_gradients(self, theta, dataset):
+                return (dataset.X @ theta - dataset.y)[:, None] * dataset.X
+
+            def predict(self, theta, X):
+                return X @ theta
+
+            def prediction_difference(self, theta_a, theta_b, dataset):
+                return 0.0
+
+        spec = SquaredError()
+        theta = np.array([0.3, -0.2, 0.1])
+        value, gradient = spec.objective(tiny_regression).value_and_gradient(theta)
+        assert value == spec.loss(theta, tiny_regression)
+        assert gradient.tobytes() == spec.gradient(theta, tiny_regression).tobytes()
 
     def test_initial_parameters_are_zero_by_default(self, tiny_regression):
         spec = LinearRegressionSpec()

@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro.optim.base import FunctionObjective
+from repro.optim.driver import minimize
 from repro.optim.line_search import backtracking_line_search, wolfe_line_search
 
 
@@ -97,3 +98,24 @@ class TestWolfe:
         result = wolfe_line_search(objective, theta, -gradient, value, gradient)
         assert result.success
         assert result.value < value
+
+    def test_zoom_counts_evaluations_after_its_best_point(self):
+        # Along |t − 0.3| from t = 1, zoom keeps bisecting past the last
+        # point it accepted; every one of those calls is an evaluation.
+        calls = []
+
+        def value(theta):
+            calls.append(float(theta[0]))
+            return abs(float(theta[0]) - 0.3)
+
+        objective = FunctionObjective(value, lambda theta: np.sign(theta - 0.3))
+        theta = np.array([1.0])
+        value0, gradient = objective.value_and_gradient(theta)
+        calls.clear()
+        result = wolfe_line_search(objective, theta, -gradient, value0, gradient)
+        assert result.success
+        assert result.n_evaluations == len(calls) == 26
+
+        calls.clear()
+        optimum = minimize(objective, theta)
+        assert optimum.n_function_evaluations == len(calls)
