@@ -4,9 +4,8 @@ The observability tier (`repro.obs`) instruments the whole serving stack
 with zero dependencies: a metrics registry (counters, gauges, latency
 histograms) that every layer ticks into, and a tracer whose spans record
 how an `answer()` decomposes into size-search rounds and streamed passes.
-Telemetry is off by default; enabling it (``REPRO_OBS_ENABLED=1`` or
-:func:`repro.obs.set_obs_enabled`) never changes results — only what you
-can see.
+Telemetry is always on and never changes results — it only records what
+you can see.
 
 The example runs a small fleet (two model families behind a
 `CoalescingService`), serves a burst of contracts, then:
@@ -44,7 +43,6 @@ from repro import (
 )
 from repro.data import gas_like, higgs_like, train_holdout_test_split
 from repro.data.splits import SplitSpec
-from repro.obs import set_obs_enabled
 from repro.obs.export import load_json_snapshot, write_json_snapshot
 
 SMOKE = bool(os.environ.get("REPRO_EXAMPLES_SMOKE"))
@@ -87,7 +85,6 @@ def build_fleet(service: CoalescingService) -> None:
 
 
 def main() -> None:
-    set_obs_enabled(True)  # equivalent: REPRO_OBS_ENABLED=1 in the environment
     service = CoalescingService(window_ms=100.0)
     build_fleet(service)
 
@@ -134,7 +131,6 @@ def main() -> None:
         )
 
     service.close()
-    set_obs_enabled(None)
 
 
 if __name__ == "__main__":

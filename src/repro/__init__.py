@@ -69,7 +69,6 @@ from repro.obs import (
     Tracer,
     get_metrics,
     get_tracer,
-    obs_enabled,
     render_prometheus,
     render_span_tree,
 )
@@ -136,7 +135,6 @@ __all__ = [
     "Tracer",
     "get_metrics",
     "get_tracer",
-    "obs_enabled",
     "render_prometheus",
     "render_span_tree",
     "train_holdout_test_split",

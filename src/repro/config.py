@@ -243,21 +243,6 @@ DEFAULT_SERVICE_IDLE_EVICT_SECONDS = _env_float(
 )
 
 
-# Observability tier (repro.obs).  ENABLED gates the *extra* telemetry —
-# tracing spans, latency histograms, per-pass block/byte metrics — on the
-# hot paths; the metrics registry itself (and the streamed-pass counter
-# behind streaming_pass_count()) is always live, so scrapes and pass
-# accounting work with the flag off and enabling it can never change a
-# result, only record more about how it was produced.  Deployments may
-# also flip the runtime alias REPRO_OBS_ENABLED (read per call by
-# repro.obs.obs_enabled, so tests and CI can toggle telemetry without
-# re-importing this module).  SPAN_BUFFER bounds the tracer's ring buffer
-# of completed spans — the oldest spans are dropped first, so a
-# long-running server's trace memory stays O(buffer), not O(requests).
-DEFAULT_OBS_ENABLED = _env_int("DEFAULT_OBS_ENABLED", 0)
-DEFAULT_OBS_SPAN_BUFFER = _env_int("DEFAULT_OBS_SPAN_BUFFER", 4096, minimum=1)
-
-
 def validate_delta(delta: float) -> float:
     """Validate a contract violation probability ``0 < δ < 1``."""
     if not 0.0 < delta < 1.0:

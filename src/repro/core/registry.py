@@ -81,11 +81,11 @@ from repro.data.store import ShardedDataset
 from repro.data.store.warm_cache import WarmCacheStats, WarmCacheTier, resolve_warm_cache
 from repro.exceptions import BlinkMLError
 from repro.models.base import ModelClassSpec
-from repro.obs import get_metrics, obs_enabled
+from repro.obs import get_metrics
 
-# Fleet lifecycle *events* (repro.obs, telemetry-gated): the cumulative
-# totals in RegistryStats are bridged to gauges at scrape time; these
-# counters attribute each event to a reason as it happens.
+# Fleet lifecycle *events* (repro.obs): the cumulative totals in
+# RegistryStats are bridged to gauges at scrape time; these counters
+# attribute each event to a reason as it happens.
 _REBALANCE_EVENTS = get_metrics().counter(
     "repro_registry_rebalance_total",
     "Byte-pool re-splits applied on fleet membership changes.",
@@ -463,8 +463,7 @@ class SessionRegistry:
                 del self._members[key]
                 self._evictions += 1
             if stale:
-                if obs_enabled():
-                    _EVICTION_EVENTS.inc(len(stale), reason="idle")
+                _EVICTION_EVENTS.inc(len(stale), reason="idle")
                 self._rebalance_locked()
             return len(stale)
 
@@ -487,8 +486,7 @@ class SessionRegistry:
                 return
             del self._members[victim]
             self._evictions += 1
-            if obs_enabled():
-                _EVICTION_EVENTS.inc(1, reason="capacity")
+            _EVICTION_EVENTS.inc(1, reason="capacity")
 
     def _rebalance_locked(self) -> None:  # repro-lint: holds=_lock
         """Re-split the byte pool evenly across the current members (lock held).
@@ -501,8 +499,7 @@ class SessionRegistry:
             return
         for member in self._members.values():
             member.session.resize_cache_budget(share)
-        if obs_enabled():
-            _REBALANCE_EVENTS.inc(1)
+        _REBALANCE_EVENTS.inc(1)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -52,12 +52,11 @@ from repro.evaluation.streaming import (
 )
 from repro.exceptions import SampleSizeError
 from repro.models.base import ModelClassSpec
-from repro.obs import get_metrics, maybe_span
+from repro.obs import get_metrics, get_tracer
 
 # Size-search round economics (repro.obs): every round is one streamed
 # candidate pass, so rounds plus the passes-saved counter reproduce the
-# coalescing tier's exact pass accounting at scrape time.  Ticked only
-# when telemetry is enabled (obs_enabled()).
+# coalescing tier's exact pass accounting at scrape time.
 _SEARCH_ROUNDS = get_metrics().counter(
     "repro_size_search_rounds_total",
     "Size-search evaluation rounds executed (one streamed candidate pass "
@@ -383,7 +382,7 @@ class SampleSizeEstimator:
                 for search, candidates in active
             ]
 
-        with maybe_span(
+        with get_tracer().span(
             "size_search.estimate_many",
             contracts=len(contracts),
             n0=n0,
@@ -432,13 +431,11 @@ class SampleSizeEstimator:
                 fused_passes=fused_passes,
                 serial_passes=serial_passes,
             )
-            if span is not None:
-                span.set_attribute("fused_passes", outcome.fused_passes)
-                span.set_attribute("serial_passes", outcome.serial_passes)
-        if span is not None:
-            _SEARCH_ROUNDS.inc(outcome.fused_passes)
-            _SEARCHES_TOTAL.inc(len(contracts))
-            _PASSES_SAVED_TOTAL.inc(outcome.passes_saved)
+            span.set_attribute("fused_passes", outcome.fused_passes)
+            span.set_attribute("serial_passes", outcome.serial_passes)
+        _SEARCH_ROUNDS.inc(outcome.fused_passes)
+        _SEARCHES_TOTAL.inc(len(contracts))
+        _PASSES_SAVED_TOTAL.inc(outcome.passes_saved)
         return outcome
 
 

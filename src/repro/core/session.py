@@ -89,11 +89,11 @@ from repro.evaluation.streaming import StreamingConfig
 from repro.exceptions import BlinkMLError, DataError, SampleSizeError
 from repro.linalg.utils import freeze
 from repro.models.base import ModelClassSpec, TrainedModel
-from repro.obs import get_metrics, maybe_span, pass_scope
+from repro.obs import get_metrics, get_tracer, pass_scope
 
-# Serving-latency histograms (repro.obs): observed only when telemetry is
-# enabled, labelled by the session's model-spec class so fleets mixing
-# model families stay distinguishable in one scrape.
+# Serving-latency histograms (repro.obs), labelled by the session's
+# model-spec class so fleets mixing model families stay distinguishable in
+# one scrape.
 _ANSWER_SECONDS = get_metrics().histogram(
     "repro_session_answer_seconds",
     "Wall time of EstimationSession.answer() — quantile lookup when the "
@@ -662,7 +662,7 @@ class EstimationSession:
         """
         with self._standing_contracts_lock:
             self._standing_contracts[contract] = None
-        with maybe_span(
+        with get_tracer().span(
             "session.answer",
             session=self._session_label,
             epsilon=contract.epsilon,
@@ -671,8 +671,7 @@ class EstimationSession:
             estimate, from_cache = self._accuracy_estimate(
                 self.initial_model.theta, self._n0, contract.delta
             )
-        if span is not None:
-            _ANSWER_SECONDS.observe(span.duration, session=self._session_label)
+        _ANSWER_SECONDS.observe(span.duration, session=self._session_label)
         return SessionAnswer(
             contract=contract,
             satisfied=estimate.epsilon <= contract.epsilon or self._n0 >= self._N,
@@ -994,7 +993,7 @@ class EstimationSession:
                 results=(), fused_search_passes=0, serial_search_passes=0
             )
         self._touch()
-        with maybe_span(
+        with get_tracer().span(
             "session.train_to_many",
             session=self._session_label,
             contracts=len(contracts),
@@ -1099,11 +1098,9 @@ class EstimationSession:
                 fused_search_passes=fused_passes,
                 serial_search_passes=serial_passes,
             )
-            if span is not None:
-                span.set_attribute("fused_passes", fused_passes)
-                span.set_attribute("serial_passes", serial_passes)
-        if span is not None:
-            _TRAIN_SECONDS.observe(span.duration, session=self._session_label)
+            span.set_attribute("fused_passes", fused_passes)
+            span.set_attribute("serial_passes", serial_passes)
+        _TRAIN_SECONDS.observe(span.duration, session=self._session_label)
         return outcome
 
 

@@ -64,7 +64,7 @@ from repro.config import (
 from repro.data.dataset import Dataset
 from repro.exceptions import DataError
 from repro.models.base import DiffAccumulator, ModelClassSpec
-from repro.obs import current_pass_scope, get_metrics, maybe_span
+from repro.obs import current_pass_scope, get_metrics, get_tracer
 
 #: executor backends accepted by :class:`StreamingConfig`.
 STREAMING_BACKENDS = ("threads", "processes")
@@ -86,9 +86,7 @@ STREAMING_BACKENDS = ("threads", "processes")
 # any fan-out.  Process workers execute _run_block_range only — they never
 # call stream_accumulate, so no increment can be lost in (or double-counted
 # by) a worker process whose registry dies with it; the same reasoning
-# keeps the per-pass telemetry below parent-side.  The counter is always
-# live (not gated by obs_enabled) because pass economy is this library's
-# central claim, not optional telemetry.
+# keeps the per-pass telemetry below parent-side.
 _PASSES_TOTAL = get_metrics().counter(
     "repro_streaming_passes_total",
     "Streamed passes over a block source (one per stream_accumulate() "
@@ -513,11 +511,10 @@ def stream_accumulate(task: StreamTask, config: StreamingConfig) -> Any:
     _count_streaming_pass()
     blocks = as_block_source(task.source)
     bounds = blocks.block_bounds(config.block_rows)
-    # Extra per-pass telemetry (REPRO_OBS_ENABLED): a span plus block/row/
-    # byte/wall-time metrics, recorded parent-side around the fold — which
-    # is untouched, so results are bitwise identical with the flag on or off.
+    # Per-pass telemetry: a span plus block/row/byte/wall-time metrics,
+    # recorded parent-side around the fold, which it never touches.
     scope, _session = current_pass_scope()
-    with maybe_span(
+    with get_tracer().span(
         "streaming.pass",
         scope=scope,
         backend=config.backend,
@@ -532,11 +529,10 @@ def stream_accumulate(task: StreamTask, config: StreamingConfig) -> Any:
             for partial in map_units(task, units, config):
                 accumulator.merge(partial)
         result = accumulator.finalize()
-    if span is not None:
-        _PASS_SECONDS.observe(span.duration, scope=scope)
-        _PASS_BLOCKS_TOTAL.inc(len(bounds), scope=scope)
-        _PASS_ROWS_TOTAL.inc(blocks.n_rows, scope=scope)
-        _PASS_BYTES_TOTAL.inc(_approx_pass_nbytes(blocks), scope=scope)
+    _PASS_SECONDS.observe(span.duration, scope=scope)
+    _PASS_BLOCKS_TOTAL.inc(len(bounds), scope=scope)
+    _PASS_ROWS_TOTAL.inc(blocks.n_rows, scope=scope)
+    _PASS_BYTES_TOTAL.inc(_approx_pass_nbytes(blocks), scope=scope)
     return result
 
 

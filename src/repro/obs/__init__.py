@@ -8,17 +8,16 @@ sample-size search, the coalescing tier — so a single scrape
 (:func:`~repro.obs.export.render_prometheus`, or
 ``python -m repro.obs``) covers the fleet.
 
-**Enablement semantics.**  The metrics registry is *always* live: the
+**Always live.**  Every instrumented layer records on every call: the
 streamed-pass counter behind
-:func:`~repro.evaluation.streaming.streaming_pass_count` ticks through
-it unconditionally, so the pass-economy accounting every benchmark gate
-diffs works with observability off.  :func:`obs_enabled` gates only the
-*extra* telemetry — tracing spans, latency histograms, per-pass
-block/byte/wall-time metrics — and is consulted per operation, reading
-the ``REPRO_OBS_ENABLED`` runtime alias first and the REP005 knob
-``DEFAULT_OBS_ENABLED`` as the fallback (default off).  Results are
-bitwise identical either way; the flag buys detail, never answers
-(gated by ``benchmarks/bench_observability.py``).
+:func:`~repro.evaluation.streaming.streaming_pass_count`, the per-pass
+block/row/byte/wall-time metrics, the latency histograms, the event
+counters and the tracing spans (opened with ``get_tracer().span``) — so
+a scrape, the ``stats()`` surfaces and the span tree always describe
+the same run.  Observation never changes a result: it draws no
+randomness and touches no float path.  Completed spans land in the
+tracer's bounded ring buffer, so trace memory stays O(buffer) however
+long a server runs.
 
 **Pass attribution.**  The streaming engine labels each pass with the
 calling *scope* ("accuracy", "size-search", "statistics", …) and session
@@ -32,12 +31,10 @@ on one event loop.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
 
-from repro.config import DEFAULT_OBS_ENABLED
 from repro.obs.export import (
     load_json_snapshot,
     render_json,
@@ -70,22 +67,12 @@ __all__ = [
     "get_metrics",
     "get_tracer",
     "load_json_snapshot",
-    "maybe_span",
-    "obs_enabled",
     "pass_scope",
     "render_json",
     "render_prometheus",
     "render_span_tree",
-    "set_obs_enabled",
     "write_json_snapshot",
 ]
-
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
-
-#: programmatic override for :func:`obs_enabled` (None = consult the
-#: environment).  A plain atomic reference — read per call, set rarely
-#: (tests, the benchmark harness), so no lock is needed.
-_ENABLED_OVERRIDE: bool | None = None
 
 _GLOBAL_METRICS = MetricsRegistry()
 _GLOBAL_TRACER = Tracer()
@@ -106,28 +93,6 @@ def get_metrics() -> MetricsRegistry:
 def get_tracer() -> Tracer:
     """The process-global tracer."""
     return _GLOBAL_TRACER
-
-
-def obs_enabled() -> bool:
-    """Whether the extra telemetry (spans, histograms) is on right now.
-
-    Precedence: :func:`set_obs_enabled` override, then the
-    ``REPRO_OBS_ENABLED`` runtime alias, then the REP005 knob
-    ``DEFAULT_OBS_ENABLED``.  Read per operation, so flipping the
-    environment variable takes effect without re-importing anything.
-    """
-    if _ENABLED_OVERRIDE is not None:
-        return _ENABLED_OVERRIDE
-    raw = os.environ.get("REPRO_OBS_ENABLED")
-    if raw is not None and raw.strip():
-        return raw.strip().lower() in _TRUTHY
-    return bool(DEFAULT_OBS_ENABLED)
-
-
-def set_obs_enabled(value: bool | None) -> None:
-    """Force telemetry on/off programmatically (``None`` = follow the env)."""
-    global _ENABLED_OVERRIDE
-    _ENABLED_OVERRIDE = value
 
 
 def current_pass_scope() -> tuple[str, str]:
@@ -151,18 +116,3 @@ def pass_scope(scope: str, session: str | None = None) -> Iterator[None]:
         yield
     finally:
         _PASS_SCOPE.reset(token)
-
-
-@contextmanager
-def maybe_span(name: str, **attributes: object) -> Iterator[Span | None]:
-    """Open a span on the global tracer when telemetry is enabled.
-
-    The one-liner instrumentation sites use: with observability off it
-    yields ``None`` and costs a single flag read, so the hot paths stay
-    uninstrumented-fast by default.
-    """
-    if not obs_enabled():
-        yield None
-        return
-    with _GLOBAL_TRACER.span(name, **attributes) as span:
-        yield span

@@ -341,6 +341,12 @@ class Gauge(_Instrument):
         with self._lock:
             self._series[key] = self._series.get(key, 0.0) + amount
 
+    def remove(self, **labels: object) -> None:
+        """Drop one series, so scrapes stop reporting it (no-op if absent)."""
+        key = self._key(labels)
+        with self._lock:
+            self._series.pop(key, None)
+
     def value(self, **labels: object) -> float:
         key = self._key(labels)
         with self._lock:

@@ -17,9 +17,8 @@ Determinism: the clock is injectable (tests drive a fake monotonic clock
 and assert exact durations) and span/trace ids come from a plain counter,
 not from randomness — a traced run is reproducible like every other part
 of this codebase.  Completed spans land in a bounded ring buffer
-(``DEFAULT_OBS_SPAN_BUFFER`` entries, oldest dropped first) so a
-long-running server's trace memory is O(buffer), never O(requests
-served).
+(4096 entries by default, oldest dropped first) so a long-running
+server's trace memory is O(buffer), never O(requests served).
 """
 
 from __future__ import annotations
@@ -32,8 +31,10 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 
-from repro.config import DEFAULT_OBS_SPAN_BUFFER
 from repro.exceptions import ObservabilityError
+
+#: completed spans the process tracer keeps (oldest dropped first).
+_SPAN_BUFFER = 4096
 
 
 @dataclass
@@ -88,8 +89,8 @@ class Tracer:
         :func:`time.monotonic`).  Tests inject a fake for exact-duration
         assertions.
     buffer_size:
-        Ring-buffer bound on completed spans (default
-        ``DEFAULT_OBS_SPAN_BUFFER``); the oldest are dropped first.
+        Ring-buffer bound on completed spans (default 4096); the oldest
+        are dropped first.
     """
 
     def __init__(
@@ -97,7 +98,7 @@ class Tracer:
         clock: Callable[[], float] | None = None,
         buffer_size: int | None = None,
     ) -> None:
-        size = DEFAULT_OBS_SPAN_BUFFER if buffer_size is None else int(buffer_size)
+        size = _SPAN_BUFFER if buffer_size is None else int(buffer_size)
         if size < 1:
             raise ObservabilityError(f"tracer: buffer_size must be >= 1, got {size}")
         self._clock = clock if clock is not None else time.monotonic

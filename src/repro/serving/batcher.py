@@ -56,11 +56,11 @@ from repro.core.contract import ApproximationContract
 from repro.core.result import ApproximateTrainingResult
 from repro.core.session import EstimationSession, SessionAnswer
 from repro.exceptions import BlinkMLError, ServingError, ServingOverloadError
-from repro.obs import get_metrics, maybe_span, obs_enabled
+from repro.obs import get_metrics, get_tracer
 
-# Queue-wait *distribution* (repro.obs, telemetry-gated): the cumulative
-# totals live in BatcherStats (bridged to gauges at scrape time); the
-# histogram adds per-request latency quantiles the totals cannot recover.
+# Queue-wait *distribution* (repro.obs): the cumulative totals live in
+# BatcherStats (bridged to gauges at scrape time); the histogram adds
+# per-request latency quantiles the totals cannot recover.
 _QUEUE_WAIT_SECONDS = get_metrics().histogram(
     "repro_coalescing_queue_wait_latency_seconds",
     "Per-request time spent queued in the coalescing window before its "
@@ -352,10 +352,9 @@ class ContractBatcher:
         answers = [request for request in batch if request.kind == "answer"]
         trains = [request for request in batch if request.kind == "train"]
         coalesced = sum(count - 1 for count in duplicates.values())
-        if obs_enabled():
-            for wait in waits:
-                _QUEUE_WAIT_SECONDS.observe(wait)
-        with maybe_span(
+        for wait in waits:
+            _QUEUE_WAIT_SECONDS.observe(wait)
+        with get_tracer().span(
             "coalescing.dispatch",
             batch=len(batch),
             coalesced=coalesced,
@@ -364,9 +363,8 @@ class ContractBatcher:
             window_slots=self._max_batch,
         ) as span:
             fused, serial = self._execute_batch(batch, answers, trains)
-            if span is not None:
-                span.set_attribute("fused_passes", fused)
-                span.set_attribute("serial_passes", serial)
+            span.set_attribute("fused_passes", fused)
+            span.set_attribute("serial_passes", serial)
         with self._cond:
             self._batches += 1
             self._requests += len(batch)

@@ -59,11 +59,10 @@ from repro.obs import (
     MetricsSnapshot,
     get_metrics,
     get_tracer,
-    obs_enabled,
     render_json,
     render_prometheus,
 )
-from repro.obs.bridge import bridge_batcher_stats, bridge_registry_stats
+from repro.obs.bridge import FleetBridge
 from repro.serving.batcher import BatcherStats, ContractBatcher
 
 
@@ -142,8 +141,9 @@ class CoalescingService:
         # Scrape-time bridge: every metrics snapshot (Prometheus text, JSON,
         # ``python -m repro.obs``) folds the fleet's RegistryStats (cache
         # roll-ups, warm tier) and the coalescing counters into the global
-        # registry.  Cost is per scrape, never per request; deregistered in
-        # close().
+        # registry.  Cost is per scrape, never per request; deregistered
+        # and retracted in close().
+        self._bridge = FleetBridge(get_metrics())
         get_metrics().add_collector(self._bridge_metrics)
         self._stop = threading.Event()
         self._housekeeper: threading.Thread | None = None
@@ -311,8 +311,6 @@ class CoalescingService:
         The ``service.*`` span then joins the request's trace even though
         the blocking batcher wait runs on a pool thread.
         """
-        if not obs_enabled():
-            return work
         tracer = get_tracer()
         parent = tracer.current_span()
 
@@ -375,9 +373,7 @@ class CoalescingService:
         return self.registry.stats()
 
     def _bridge_metrics(self) -> None:
-        metrics = get_metrics()
-        bridge_registry_stats(metrics, self.registry.stats())
-        bridge_batcher_stats(metrics, self.batching_stats())
+        self._bridge.publish(self.registry.stats(), self.batching_stats())
 
     def metrics_snapshot(self) -> MetricsSnapshot:
         """One frozen scrape of the global metrics registry.
@@ -409,7 +405,8 @@ class CoalescingService:
 
         The registry (and its sessions) stays usable — the service owns
         only the coalescing tier on top of it — and keeps no reference to
-        the closed service; the service's metrics collector is removed.
+        the closed service; the service's metrics collector is removed and
+        every series it published drops out of later scrapes.
         """
         with self._lock:
             if self._closed:
@@ -420,6 +417,7 @@ class CoalescingService:
             for _, batcher in batchers:
                 self._retired_stats = self._retired_stats.merge(batcher.stats())
         get_metrics().remove_collector(self._bridge_metrics)
+        self._bridge.retract()
         self._stop.set()
         if self._housekeeper is not None:
             self._housekeeper.join()

@@ -26,17 +26,11 @@ def _isolated_repro_env(monkeypatch, tmp_path):
     disables: when the surrounding run enables the warm cache
     (``REPRO_WARM_CACHE_DIR`` — the CI warm-enabled tier-1 job), it is
     re-pointed at a per-test temporary directory so tests share no on-disk
-    entries while the warm code path stays active.  ``REPRO_OBS_ENABLED``
-    survives the scrub the same way (the CI obs-enabled tier-1 job runs
-    the whole suite with telemetry on to prove results are identical);
-    tests that assert on enablement semantics set their own value.
+    entries while the warm code path stays active.
     """
     warm_enabled = bool(os.environ.get("REPRO_WARM_CACHE_DIR", "").strip())
-    obs_override = os.environ.get("REPRO_OBS_ENABLED")
     for name in [name for name in os.environ if name.startswith("REPRO_")]:
         monkeypatch.delenv(name)
-    if obs_override is not None:
-        monkeypatch.setenv("REPRO_OBS_ENABLED", obs_override)
     if not warm_enabled:
         yield
         return

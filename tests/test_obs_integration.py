@@ -1,41 +1,49 @@
 """Integration tests for the observability tier against the real stack.
 
-The two hard guarantees the tier ships with:
+Telemetry is always live, so every test here runs at default settings.
+The two guarantees the tier ships with:
 
-* **identity** — a coalesced warm-restart run produces bitwise-identical
-  results (models, ε estimates, sample sizes, probe schedules *and*
-  streamed-pass counts) with telemetry on and off;
 * **fidelity** — the exported counters agree exactly with the accounting
   the stack already proves elsewhere: the pass counter with
-  ``streaming_pass_count()`` across every executor backend, the bridged
-  roll-ups with the pre-existing ``RegistryStats.cache_totals`` fold.
+  ``streaming_pass_count()`` across every executor backend, the
+  size-search counters with ``CoalescedTrainOutcome``, the eviction-event
+  counter with ``RegistryStats``, the bridged roll-ups with the
+  pre-existing ``RegistryStats.cache_totals`` fold;
+* **liveness** — a scrape's per-session series are exactly the live
+  fleet's sessions: evicted sessions and closed services drop out.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro.core.caching import CacheStats
 from repro.core.contract import ApproximationContract
+from repro.core.registry import SessionRegistry
 from repro.core.session import EstimationSession
 from repro.data.splits import SplitSpec, train_holdout_test_split
-from repro.data.synthetic import higgs_like
+from repro.data.synthetic import gas_like, higgs_like
 from repro.evaluation.streaming import (
     StreamingConfig,
     streaming_pass_count,
     streaming_prediction_differences,
 )
 from repro.exceptions import BlinkMLError
+from repro.models.linear_regression import LinearRegressionSpec
 from repro.models.logistic_regression import LogisticRegressionSpec
 from repro.obs import (
+    MetricsRegistry,
     current_pass_scope,
     get_metrics,
     get_tracer,
     pass_scope,
     render_prometheus,
-    set_obs_enabled,
 )
+from repro.obs.bridge import FleetBridge
 from repro.serving import CoalescingService
 
 SPEC = LogisticRegressionSpec(regularization=1e-3)
@@ -55,71 +63,6 @@ def splits():
         SplitSpec(holdout_fraction=0.2, test_fraction=0.1),
         rng=np.random.default_rng(29),
     )
-
-
-@pytest.fixture(autouse=True)
-def _follow_env():
-    """Leave enablement as the ambient environment dictates after each test."""
-    yield
-    set_obs_enabled(None)
-
-
-def run_coalesced_warm_restart(splits, warm_dir):
-    """One cold fleet run plus a warm restart; returns results and passes.
-
-    The e2e shape from the warm-cache tier: a first session streams the
-    real passes and publishes warm artifacts, a second session (same
-    seeds, fresh process state modulo the shared directory) answers the
-    same contracts from the tier.
-    """
-
-    def build():
-        return EstimationSession(
-            SPEC,
-            splits.train,
-            splits.holdout,
-            initial_sample_size=200,
-            n_parameter_samples=16,
-            rng=3,
-            warm_cache=warm_dir,
-        )
-
-    before = streaming_pass_count()
-    cold = build().train_to_many(CONTRACTS)
-    warm = build().train_to_many(CONTRACTS)
-    passes = streaming_pass_count() - before
-    return cold, warm, passes
-
-
-def summarise(outcome):
-    return [
-        (
-            result.sample_size,
-            result.estimated_epsilon,
-            result.model.theta.tobytes(),
-            result.metadata["size_search_probes"],
-        )
-        for result in outcome.results
-    ]
-
-
-class TestObsIdentity:
-    def test_coalesced_warm_restart_identical_on_and_off(self, splits, tmp_path):
-        set_obs_enabled(False)
-        cold_off, warm_off, passes_off = run_coalesced_warm_restart(
-            splits, tmp_path / "off"
-        )
-        set_obs_enabled(True)
-        cold_on, warm_on, passes_on = run_coalesced_warm_restart(
-            splits, tmp_path / "on"
-        )
-        # Bitwise-identical results and identical pass economics: telemetry
-        # buys detail, never answers.
-        assert summarise(cold_on) == summarise(cold_off)
-        assert summarise(warm_on) == summarise(warm_off)
-        assert passes_on == passes_off
-        assert cold_on.fused_search_passes == cold_off.fused_search_passes
-        assert warm_on.serial_search_passes == warm_off.serial_search_passes
 
 
 class TestPassCounterParity:
@@ -222,7 +165,6 @@ class TestBridgedRollups:
 
     def test_scrape_covers_fleet_and_matches_batcher_accounting(self, splits):
         """One scrape reports coalescing counters equal to BatcherStats."""
-        set_obs_enabled(True)
         service = CoalescingService(start_housekeeping=False)
         try:
             service.batcher(
@@ -265,7 +207,6 @@ class TestBridgedRollups:
 
     def test_span_tree_reconstructs_request_causality(self, splits):
         """answer → accuracy streaming passes hang off one service trace."""
-        set_obs_enabled(True)
         tracer = get_tracer()
         session = EstimationSession(
             SPEC,
@@ -296,3 +237,159 @@ class TestBridgedRollups:
             while node.parent_id is not None:
                 node = by_id[node.parent_id]
             assert node is root
+
+
+def admit(service, key, splits, seed):
+    """Admit ``key`` to the service's fleet and fill its caches once."""
+    service.batcher(
+        key,
+        SPEC,
+        splits.train,
+        splits.holdout,
+        initial_sample_size=200,
+        n_parameter_samples=16,
+        rng=seed,
+    )
+    service.answer_sync(key, CONTRACTS[0])
+
+
+def scrape_delta(before, after, name):
+    return after.total(name) - before.total(name)
+
+
+class TestExportFidelity:
+    def test_pass_and_search_counters_match_stack_accounting(self):
+        """One coalesced dispatch of a mixed contract set, counted twice.
+
+        Tight searches, a duplicate and loose contracts in one
+        ``train_to_many``: the scrape's deltas must equal the pass counter's
+        delta and the outcome's own fused / passes-saved accounting.
+        """
+        splits = train_holdout_test_split(
+            gas_like(n_rows=6_000, n_features=24, seed=401),
+            SplitSpec(holdout_fraction=0.45, test_fraction=0.05),
+            rng=np.random.default_rng(402),
+        )
+        spec = LinearRegressionSpec.with_estimated_noise(
+            splits.train, regularization=1e-3
+        )
+        session = EstimationSession(
+            spec,
+            splits.train,
+            splits.holdout,
+            initial_sample_size=1_000,
+            n_parameter_samples=128,
+            rng=0,
+        )
+        epsilon0 = session.answer(
+            ApproximationContract(epsilon=0.5, delta=0.05)
+        ).estimate.epsilon
+        tight = 0.25 * epsilon0
+        contracts = [
+            ApproximationContract(epsilon=tight, delta=0.05),
+            ApproximationContract(epsilon=tight, delta=0.04),
+            ApproximationContract(epsilon=tight, delta=0.05),  # duplicate
+            ApproximationContract(epsilon=tight, delta=0.06),
+            ApproximationContract(epsilon=0.9 * epsilon0, delta=0.05),
+            ApproximationContract(epsilon=0.8 * epsilon0, delta=0.10),
+        ]
+        before = get_metrics().snapshot()
+        passes_before = streaming_pass_count()
+        outcome = session.train_to_many(contracts)
+        passes = streaming_pass_count() - passes_before
+        after = get_metrics().snapshot()
+
+        assert outcome.passes_saved > 0
+        assert [
+            scrape_delta(before, after, "repro_streaming_passes_total"),
+            scrape_delta(before, after, "repro_size_search_rounds_total"),
+            scrape_delta(before, after, "repro_size_search_passes_saved_total"),
+        ] == [passes, outcome.fused_search_passes, outcome.passes_saved]
+
+    def test_eviction_events_match_registry_stats(self, splits):
+        service = CoalescingService(
+            SessionRegistry(max_sessions=1), start_housekeeping=False
+        )
+        try:
+            before = service.metrics_snapshot()
+            for seed, key in enumerate(("evict-a", "evict-b", "evict-c")):
+                admit(service, key, splits, seed)
+            after = service.metrics_snapshot()
+            evictions = service.stats().evictions
+            assert evictions == 2
+            assert (
+                scrape_delta(before, after, "repro_registry_eviction_events_total")
+                == evictions
+            )
+            assert after.value("repro_registry_evictions") == evictions
+        finally:
+            service.close()
+
+
+def session_labels(snapshot, keys):
+    """The ``session`` labels among ``keys`` that any bridged gauge reports."""
+    labels = set()
+    for instrument in snapshot.instruments:
+        if instrument.kind != "gauge" or "session" not in instrument.label_names:
+            continue
+        position = instrument.label_names.index("session")
+        labels.update(entry.labels[position] for entry in instrument.series)
+    return labels & set(keys)
+
+
+class TestScrapeLiveness:
+    def test_scrape_drops_evicted_sessions_and_closed_services(self, splits):
+        """Per-session series follow ``stats().per_session``, then vanish."""
+        keys = ("stale-a", "stale-b")
+        service = CoalescingService(
+            SessionRegistry(max_sessions=1), start_housekeeping=False
+        )
+        try:
+            for seed, key in enumerate(keys):
+                admit(service, key, splits, seed)
+                live = {str(info.key) for info in service.stats().per_session}
+                assert session_labels(service.metrics_snapshot(), keys) == live
+            # Admitting "stale-b" evicted "stale-a".
+            assert live == {"stale-b"}
+        finally:
+            service.close()
+        assert session_labels(get_metrics().snapshot(), keys) == set()
+
+    def test_retract_removes_every_series_despite_racing_scrapes(self, splits):
+        """After ``retract()`` no series survives, even one a racing scrape set."""
+        service = CoalescingService(start_housekeeping=False)
+        try:
+            admit(service, "retract-k", splits, 5)
+            stats, batching = service.stats(), service.batching_stats()
+        finally:
+            service.close()
+        metrics = MetricsRegistry()
+        bridge = FleetBridge(metrics)
+        bridge.publish(stats, batching)
+        published = metrics.snapshot()
+        assert published.value("repro_registry_sessions") == 1
+        assert published.value("repro_session_bytes", session="retract-k") > 0
+
+        started = threading.Barrier(5)
+
+        def scrape() -> None:
+            started.wait(timeout=10)
+            for _ in range(200):
+                bridge.publish(stats, batching)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=scrape) for _ in range(4)]
+            for worker in workers:
+                worker.start()
+            started.wait(timeout=10)
+            bridge.retract()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert not any(
+            instrument.series for instrument in metrics.snapshot().instruments
+        )

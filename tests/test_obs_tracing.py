@@ -1,4 +1,4 @@
-"""Tests for the tracing tier (repro.obs.tracing) and enablement gating.
+"""Tests for the tracing tier (repro.obs.tracing) and pass-scope attribution.
 
 The tracer takes an injectable clock and counter-based ids, so every test
 here asserts exact durations and exact tree shapes — no sleeps, no
@@ -16,12 +16,8 @@ from repro.exceptions import ObservabilityError
 from repro.obs import (
     Tracer,
     current_pass_scope,
-    get_tracer,
-    maybe_span,
-    obs_enabled,
     pass_scope,
     render_span_tree,
-    set_obs_enabled,
 )
 
 
@@ -182,49 +178,8 @@ class TestSpanTree:
 
 
 # ----------------------------------------------------------------------
-# Enablement gating and pass-scope attribution
+# Pass-scope attribution
 # ----------------------------------------------------------------------
-class TestEnablement:
-    @pytest.fixture(autouse=True)
-    def _reset_override(self):
-        yield
-        set_obs_enabled(None)
-
-    def test_override_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_OBS_ENABLED", "1")
-        assert obs_enabled()
-        set_obs_enabled(False)
-        assert not obs_enabled()
-        set_obs_enabled(None)
-        assert obs_enabled()
-
-    def test_env_truthy_values(self, monkeypatch):
-        for raw, expected in [
-            ("1", True),
-            ("true", True),
-            ("YES", True),
-            ("on", True),
-            ("0", False),
-            ("off", False),
-            ("", False),  # blank falls through to the knob default (off)
-        ]:
-            monkeypatch.setenv("REPRO_OBS_ENABLED", raw)
-            assert obs_enabled() is expected, raw
-
-    def test_maybe_span_disabled_yields_none(self):
-        set_obs_enabled(False)
-        before = len(get_tracer().finished_spans())
-        with maybe_span("gated") as span:
-            assert span is None
-        assert len(get_tracer().finished_spans()) == before
-
-    def test_maybe_span_enabled_records(self):
-        set_obs_enabled(True)
-        with maybe_span("gated", k=1) as span:
-            assert span is not None
-        assert get_tracer().finished_spans()[-1].name == "gated"
-
-
 class TestPassScope:
     def test_default_is_unscoped(self):
         assert current_pass_scope() == ("unscoped", "")

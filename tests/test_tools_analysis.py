@@ -742,7 +742,7 @@ class TestRealTree:
             for target in node.targets
             if isinstance(target, ast.Name) and target.id.startswith("DEFAULT_")
         ]
-        assert len(knobs) <= 31, knobs
+        assert len(knobs) <= 29, knobs
 
     def test_cli_check_passes_on_real_tree(self, capsys):
         assert analysis_main(["--check"]) == 0
