@@ -11,8 +11,8 @@ holdout is at least 10× the block size:
 * the materialised diff on the in-memory holdout: the whole holdout
   folded as one ``(k, n_holdout)`` block;
 * the streamed diff on the in-memory holdout;
-* the streamed diff on the sharded holdout, serial and under the process
-  backend.
+* the streamed diff on the sharded holdout, serial and fanned out over
+  two threads.
 
 It always asserts bitwise agreement across every path (classification
 counts are exact), and with ``--check`` additionally gates:
@@ -117,24 +117,23 @@ def run(
     )
     rows.append((f"streaming (sharded, block={block_rows})", sharded_peak, seconds))
 
-    process_config = StreamingConfig(
-        block_rows=block_rows, n_workers=2, backend="processes"
-    )
-    streamed_process, process_peak, seconds = _measure(
+    threaded_config = StreamingConfig(block_rows=block_rows, n_workers=2)
+    streamed_threaded, threaded_peak, seconds = _measure(
         lambda: streaming_prediction_differences(
-            spec, model.theta, Thetas, sharded, process_config
+            spec, model.theta, Thetas, sharded, threaded_config
         )
     )
-    rows.append(("streaming (sharded, 2 procs)", process_peak, seconds))
+    rows.append(("streaming (sharded, 2 threads)", threaded_peak, seconds))
 
-    # Accuracy gate (always on): the storage tier must not change a single
-    # bit of the classification estimates, whatever the backend.
+    # Accuracy gate (always on): neither the storage tier nor fan-out over
+    # its memory maps may change a single bit of the classification
+    # estimates.
     if not np.array_equal(streamed_memory, materialised):
         raise AssertionError("in-memory streamed diff drifted from materialised")
     if not np.array_equal(streamed_sharded, materialised):
         raise AssertionError("sharded streamed diff drifted from materialised")
-    if not np.array_equal(streamed_process, materialised):
-        raise AssertionError("process-backend streamed diff drifted from materialised")
+    if not np.array_equal(streamed_threaded, materialised):
+        raise AssertionError("threaded streamed diff drifted from materialised")
 
     return {
         "rows": rows,

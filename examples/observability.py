@@ -127,7 +127,7 @@ def main() -> None:
         print(
             f"\nJSON snapshot round trip: {path.name} -> "
             f"{restored.total('repro_streaming_passes_total'):.0f} streamed "
-            "passes (snapshots merge across shards with .merge())"
+            "passes"
         )
 
     service.close()

@@ -68,8 +68,8 @@ def _env_float(
 def _env_str(name: str, default: str) -> str:
     """Free-form string default overridable via an environment variable.
 
-    Unlike :func:`_env_choice` the value space is open (filesystem paths,
-    directory names), so the only normalisation is whitespace stripping.
+    The value space is open (filesystem paths, directory names), so the
+    only normalisation is whitespace stripping.
     An empty string is meaningful — it spells "feature disabled" for the
     warm-cache directory knob — and passes through unchanged.
     """
@@ -77,20 +77,6 @@ def _env_str(name: str, default: str) -> str:
     if raw is None:
         return default
     return raw.strip()
-
-
-def _env_choice(name: str, default: str, choices: tuple[str, ...]) -> str:
-    """String default overridable via an environment variable.
-
-    The value must be one of ``choices``; anything else falls back to the
-    built-in default rather than failing import (same philosophy as
-    :func:`_env_int`).
-    """
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    raw = raw.strip().lower()
-    return raw if raw in choices else default
 
 
 # Paper-default statistical knobs.  Like every other DEFAULT_* below they
@@ -132,17 +118,10 @@ DEFAULT_HOLDOUT_BLOCK_ROWS = _env_int("DEFAULT_HOLDOUT_BLOCK_ROWS", 8_192, minim
 # 0 or 1 means serial block processing; larger values fold each unit (a
 # holdout block, or a store shard for statistics) on that many workers and
 # left-fold the partials in source order, so no worker count changes a bit.
-# Overridable via the DEFAULT_STREAMING_WORKERS environment variable (the
-# CI threaded-stress job runs the whole suite at 4 threads and at 2 processes).
+# The workers are threads: NumPy releases the GIL inside the per-block
+# GEMMs.  Overridable via the DEFAULT_STREAMING_WORKERS environment variable
+# (the CI threaded-stress job runs the whole suite at 4 threads).
 DEFAULT_STREAMING_WORKERS = _env_int("DEFAULT_STREAMING_WORKERS", 0)
-# Which executor the streamed block fan-out uses when n_workers > 1:
-# "threads" (default; NumPy releases the GIL inside the per-block GEMMs) or
-# "processes" (a process pool for GIL-bound custom model specs; pairs best
-# with a ShardedDataset holdout, whose workers re-open their own memory
-# maps instead of copying the data).  Env-overridable.
-DEFAULT_STREAMING_BACKEND = _env_choice(
-    "DEFAULT_STREAMING_BACKEND", "threads", ("threads", "processes")
-)
 
 # Out-of-core shard store (repro.data.store).  Rows per .npy shard: the
 # write path buffers at most one shard, the streaming read path memory-maps

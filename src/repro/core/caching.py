@@ -251,10 +251,18 @@ class LRUCache:
             return list(self._entries.keys())
 
     def clear(self) -> None:
-        """Drop every entry (counters are preserved; not counted as evictions)."""
+        """Drop every entry (counters are preserved; not counted as evictions).
+
+        In-flight computations are forgotten too: a caller arriving after
+        the clear computes afresh instead of waiting on a flight that began
+        before it, and such a flight's value reaches only the callers that
+        were already waiting on it — it is cached neither here nor in the
+        warm tier.
+        """
         with self._lock:
             self._entries.clear()
             self._bytes = 0
+            self._inflight.clear()
 
     # ------------------------------------------------------------------
     # Single-flight compute
@@ -277,7 +285,8 @@ class LRUCache:
 
         If ``compute`` raises, the error propagates to the computing thread
         *and* to every thread waiting on the same key; nothing is cached, so
-        a later request retries the computation.
+        a later request retries the computation.  A flight that
+        :meth:`clear` forgot returns its value to its own callers only.
         """
         while True:
             with self._lock:
@@ -311,16 +320,16 @@ class LRUCache:
                 # corruption to a miss; this path is for genuine bugs).
                 flight.error = exc
                 with self._lock:
-                    del self._inflight[key]
+                    self._release(key, flight)
                 flight.event.set()
                 raise
             if warm_value is not None:
                 flight.value = warm_value
                 try:
                     with self._lock:
-                        del self._inflight[key]
                         self._hits += 1
-                        self._store(key, warm_value)
+                        if self._release(key, flight):
+                            self._store(key, warm_value)
                 finally:
                     flight.event.set()
                 return warm_value, True
@@ -329,22 +338,23 @@ class LRUCache:
         except BaseException as exc:
             flight.error = exc
             with self._lock:
-                del self._inflight[key]
+                self._release(key, flight)
             flight.event.set()
             raise
         flight.value = value
         try:
             with self._lock:
-                del self._inflight[key]
                 self._misses += 1
-                self._store(key, value)
+                current = self._release(key, flight)
+                if current:
+                    self._store(key, value)
         finally:
             # Set the event even if the publish fails (e.g. a user-supplied
             # sizeof raising in _store): followers already hold
             # flight.value, and leaving the event unset would block them
             # forever.  The value simply is not cached; the leader re-raises.
             flight.event.set()
-        if self._warm_tier is not None:
+        if current and self._warm_tier is not None:
             # Write-behind publication for other processes; best-effort by
             # contract (the adapter may enqueue, drop under pressure, or
             # write synchronously — never block the answer on durability).
@@ -384,6 +394,13 @@ class LRUCache:
     def _validate_bound(label: str, bound: int | None, *, name: str) -> None:
         if bound is not None and bound < 1:
             raise BlinkMLError(f"{name}: {label} must be at least 1 or None")
+
+    def _release(self, key: Hashable, flight: _InFlight) -> bool:  # repro-lint: holds=_lock
+        """Unregister ``flight``; False when :meth:`clear` already forgot it."""
+        if self._inflight.get(key) is not flight:
+            return False
+        del self._inflight[key]
+        return True
 
     def _store(self, key: Hashable, value: Any) -> None:  # repro-lint: holds=_lock
         """Insert under the lock, then evict LRU-first to make room."""

@@ -31,7 +31,7 @@ Every method is driven through the streaming tier: the source may be an
 in-memory :class:`~repro.data.dataset.Dataset` or any
 :class:`~repro.evaluation.streaming.BlockSource` (e.g. a memory-mapped
 :class:`~repro.data.store.ShardedDataset`), consumed as zero-copy row
-blocks by a picklable accumulator that folds each block into a
+blocks by an accumulator that folds each block into a
 shard-mergeable moment summary (:mod:`repro.linalg.moments`).  Resident
 memory is O(block · d) — the full N×d per-example gradient matrix is never
 materialised.
@@ -50,8 +50,8 @@ each shard's moment summary is persisted as a sidecar file keyed by
 (:mod:`repro.data.store.statistics_index`), written lazily on first
 computation and reused on every later bootstrap.  After an append, only the
 new shards' summaries are computed; the merged result is bitwise identical
-to a cold rebuild over the grown store, under every worker count and
-backend, because every per-shard summary is the same canonical fold and
+to a cold rebuild over the grown store, under every worker count,
+because every per-shard summary is the same canonical fold and
 the summaries merge in shard order.
 """
 
@@ -148,16 +148,16 @@ def _stable_value_bytes(value: object) -> bytes:
 def spec_digest(spec: ModelClassSpec) -> str:
     """Content digest of a model-class specification.
 
-    Hashes the spec's class identity plus its picklable state (the
-    ``__getstate__`` view, which already strips per-instance caches), so
-    two specs that would train identically share a digest and a spec with
-    a different regulariser or hyper-parameter gets a fresh one.
+    Hashes the spec's class identity plus its instance attributes
+    (``vars(spec)``), so two specs that would train identically share a
+    digest and a spec with a different regulariser or hyper-parameter gets
+    a fresh one.
     """
     digest = hashlib.blake2b(digest_size=16)
     digest.update(type(spec).__module__.encode())
     digest.update(b"\x00")
     digest.update(type(spec).__qualname__.encode())
-    state = spec.__getstate__()
+    state = vars(spec)
     for key in sorted(state):
         digest.update(b"\x00")
         digest.update(key.encode())
@@ -192,11 +192,8 @@ class GradientMomentAccumulator:
     """Streaming ObservedFisher: folds per-example gradient blocks into a
     :class:`~repro.linalg.moments.GradientMomentSummary`.
 
-    Picklable (the spec pickles by default; the summary is plain arrays),
-    so process-backend workers can rebuild one from the task and
-    return their partial for the ordinary ``merge`` path.  Memory stays at
-    one ``(block_rows, d)`` gradient block plus an ``(≤d, d)`` triangular
-    factor — the N×d matrix never exists.
+    Memory stays at one ``(block_rows, d)`` gradient block plus an
+    ``(≤d, d)`` triangular factor — the N×d matrix never exists.
     """
 
     needs_holdout_blocks = True
@@ -313,7 +310,7 @@ class BlockHessianAccumulator:
 
 @dataclass(frozen=True)
 class _StatisticsTask:
-    """Picklable recipe for one streamed moment accumulation.
+    """Recipe for one streamed moment accumulation.
 
     The statistics-tier counterpart of the diff `_StreamTask`: what
     :func:`~repro.evaluation.streaming.stream_accumulate` folds for an
@@ -501,7 +498,7 @@ def compute_statistics(
         Block size / executor configuration; ``None`` means the default
         :class:`~repro.evaluation.streaming.StreamingConfig` (blocks of
         :data:`~repro.config.DEFAULT_HOLDOUT_BLOCK_ROWS` rows, the
-        session-wide worker/backend defaults).
+        session-wide worker default).
     persist:
         For store-backed sources: whether newly computed per-shard
         summaries may be written back as sidecars.  Pass ``False`` for

@@ -684,15 +684,11 @@ class ShardedDataset:
     :class:`Dataset` — this is how :class:`repro.data.sampling.UniformSampler`
     draws the paper's small training samples from an arbitrarily large
     store.
-
-    Instances pickle as the store *path* plus the manifest they read, not
-    the data: the process streaming backend ships a handle to each worker
-    and every worker re-opens its own memory maps.
     """
 
     #: most shards whose memory maps one instance keeps open at a time.
-    #: Streaming visits shards sequentially (1 live shard) and the thread
-    #: backend at most n_workers concurrently, so a small LRU serves every
+    #: Streaming visits shards sequentially (1 live shard) and fan-out
+    #: threads at most n_workers concurrently, so a small LRU serves every
     #: access pattern while bounding file descriptors — an unbounded cache
     #: on a many-thousand-shard store would exhaust the process fd limit.
     MAX_CACHED_SHARDS = 16
@@ -935,33 +931,6 @@ class ShardedDataset:
             )
         )
         return Dataset(X, y, name=self._name, metadata=self.metadata)
-
-    # ------------------------------------------------------------------
-    # Pickling: ship the path and the manifest, not the data
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        return {
-            "directory": self._store.directory,
-            "name": self._name,
-            "manifest": self.manifest,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        # The copy reads the pickled manifest, so it serves the original's
-        # rows even after another handle appended shards; any other change
-        # on disk raises.  No per-shard header validation: read_block checks
-        # each shard it touches, and a worker must not pay O(n_shards) opens.
-        manifest: ShardManifest = state["manifest"]
-        if not ShardManifest.load(state["directory"]).extends(manifest):
-            raise DataError(
-                "shard store changed between pickling and unpickling "
-                f"({state['directory']!r}): shards were rewritten"
-            )
-        self._store = ShardStore(state["directory"], manifest)
-        self._name = state["name"]
-        self._adopted = manifest
-        self._memmaps = OrderedDict()
-        self._memmap_lock = threading.Lock()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

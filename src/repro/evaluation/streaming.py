@@ -14,27 +14,13 @@ holdout with one GEMM per block instead of materialising the full
   disagreement counts / squared-error sums;
 * memory therefore stays O(k · block) no matter how large the holdout is —
   and with a sharded source, the *data* is never resident either;
-* optionally, the fold fans out across an executor under one rule: each
+* optionally, the fold fans out over a thread pool under one rule: each
   canonical *unit* (one block for the diff tasks) is folded from zero
-  wherever it runs, and the parent left-folds the partials in source order
+  wherever it runs, and the caller left-folds the partials in source order
   with the ordinary :meth:`DiffAccumulator.merge` path — so the result is
-  bitwise identical to the serial fold whatever the worker count or
-  backend.  Two backends: ``"threads"`` (NumPy releases the GIL inside the
-  per-block GEMMs — right for the built-in families) and ``"processes"``
-  (a process pool for GIL-bound custom model specs; each worker builds its
-  own accumulators from the spec).
-
-Process-backend requirements: the spec, the source and the accumulator's
-partial state must be picklable, and — as with any ``spawn``/``forkserver``
-multiprocessing — the program's entry module must be import-safe (guard
-script entry points with ``if __name__ == "__main__":``; code piped to
-stdin cannot host process workers).  The built-in specs and accumulators are
-(:class:`~repro.models.base.BlockSumDiffAccumulator` pickles its sums and
-row count and drops its closures — a restored partial can be merged, not
-updated); a ``ShardedDataset`` ships as its store path, so workers re-open
-their own memory maps instead of copying rows, while an in-memory
-``Dataset`` is copied once per worker — the process backend pairs best
-with sharded sources.
+  bitwise identical to the serial fold whatever the worker count.  Threads
+  overlap real work because NumPy releases the GIL inside the per-block
+  GEMMs of the built-in families.
 
 Layering (see ``docs/architecture.md``): the estimation session and the
 accuracy / sample-size estimators call the two ``streaming_*`` functions
@@ -46,28 +32,18 @@ where the rows live.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
-import threading
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.config import (
-    DEFAULT_HOLDOUT_BLOCK_ROWS,
-    DEFAULT_STREAMING_BACKEND,
-    DEFAULT_STREAMING_WORKERS,
-)
+from repro.config import DEFAULT_HOLDOUT_BLOCK_ROWS, DEFAULT_STREAMING_WORKERS
 from repro.data.dataset import Dataset
 from repro.exceptions import DataError
 from repro.models.base import DiffAccumulator, ModelClassSpec
 from repro.obs import current_pass_scope, get_metrics, get_tracer
-
-#: executor backends accepted by :class:`StreamingConfig`.
-STREAMING_BACKENDS = ("threads", "processes")
 
 # Streamed-pass accounting: one tick per stream_accumulate() call that
 # actually consumes holdout blocks (parameter-space metrics and the
@@ -81,12 +57,6 @@ STREAMING_BACKENDS = ("threads", "processes")
 # and session label the caller set via repro.obs.pass_scope();
 # streaming_pass_count() stays as a thin label-blind reader so every
 # existing diff-two-readings call site keeps working unchanged.
-#
-# Processes-backend audit: the tick happens here in the *parent*, before
-# any fan-out.  Process workers execute _run_block_range only — they never
-# call stream_accumulate, so no increment can be lost in (or double-counted
-# by) a worker process whose registry dies with it; the same reasoning
-# keeps the per-pass telemetry below parent-side.
 _PASSES_TOTAL = get_metrics().counter(
     "repro_streaming_passes_total",
     "Streamed passes over a block source (one per stream_accumulate() "
@@ -178,7 +148,7 @@ class BlockSource(Protocol):
 
 @dataclass(frozen=True)
 class StreamingConfig:
-    """How the holdout is sharded and which executor fans the blocks out.
+    """How the holdout is sharded and how many threads fold its blocks.
 
     Parameters
     ----------
@@ -188,29 +158,26 @@ class StreamingConfig:
     n_workers:
         0 or 1 folds blocks serially on the calling thread; larger values
         fold the task's units (one block for a diff, one shard for
-        store-backed statistics) on that many executor workers, each unit
-        from zero, and left-fold the partials in source order.  The result
-        is bitwise identical for every worker count and backend.
+        store-backed statistics) on that many threads, each unit from zero,
+        and left-fold the partials in source order.  The result is bitwise
+        identical for every worker count.
     backend:
-        ``"threads"`` (default) or ``"processes"``.  Threads suit the
-        built-in NumPy families (the GIL is released inside the per-block
-        GEMMs); processes suit GIL-bound custom specs — see the module
-        docstring for the picklability requirements.
+        Must be ``"threads"``, the only executor; any other value raises
+        :class:`~repro.exceptions.DataError`.
     """
 
     block_rows: int = DEFAULT_HOLDOUT_BLOCK_ROWS
     n_workers: int = DEFAULT_STREAMING_WORKERS
-    backend: str = DEFAULT_STREAMING_BACKEND
+    backend: str = "threads"
 
     def __post_init__(self) -> None:
         if self.block_rows < 1:
             raise DataError("block_rows must be at least 1")
         if self.n_workers < 0:
             raise DataError("n_workers must be non-negative")
-        if self.backend not in STREAMING_BACKENDS:
+        if self.backend != "threads":
             raise DataError(
-                f"unknown streaming backend {self.backend!r}; "
-                f"expected one of {STREAMING_BACKENDS}"
+                f"unknown streaming backend {self.backend!r}; expected 'threads'"
             )
 
 
@@ -284,7 +251,7 @@ def iter_holdout_blocks(
 
 @runtime_checkable
 class StreamTask(Protocol):
-    """Picklable recipe for one streamed block-fold evaluation.
+    """Recipe for one streamed block-fold evaluation.
 
     Anything :func:`stream_accumulate` can drive: it names the block source,
     knows how to build a fresh accumulator (an object with the
@@ -307,12 +274,10 @@ class StreamTask(Protocol):
 
 @dataclass(frozen=True)
 class _StreamTask:
-    """Picklable recipe for one streamed diff evaluation.
+    """Recipe for one streamed diff evaluation.
 
-    Carries everything a process worker needs to rebuild the accumulator
-    locally: the spec, which factory to call, the parameter batches and the
-    source.  Also used in-process as the single place the accumulator
-    factory is defined.
+    The spec, which accumulator factory to call, the parameter batches and
+    the source: the single place the diff accumulator factory is defined.
     """
 
     spec: ModelClassSpec
@@ -374,11 +339,11 @@ class FanoutDiffAccumulator(DiffAccumulator):
 
 @dataclass(frozen=True)
 class _FanoutStreamTask:
-    """Picklable recipe bundling several diff tasks into one block sweep.
+    """Recipe bundling several diff tasks into one block sweep.
 
     All member tasks must share one block source (the session holdout); the
     fan-out accumulator is simply each member's own accumulator driven in
-    lockstep, with the members' one-block units, so process workers rebuild
+    lockstep, with the members' one-block units, so fan-out workers build
     and merge exactly as they do for a single task.
     """
 
@@ -396,11 +361,7 @@ class _FanoutStreamTask:
 
 
 def _run_block_range(task: StreamTask, bounds: list[tuple[int, int]]) -> DiffAccumulator:
-    """Worker body (both backends): one fresh accumulator over one unit.
-
-    Top-level so the process backend can pickle it; with a sharded source
-    the worker's ``read_block`` calls hit its own re-opened memory maps.
-    """
+    """Worker body: one fresh accumulator over one unit."""
     accumulator = task.make_accumulator()
     blocks = as_block_source(task.source)
     for start, stop in bounds:
@@ -408,58 +369,10 @@ def _run_block_range(task: StreamTask, bounds: list[tuple[int, int]]) -> DiffAcc
     return accumulator
 
 
-def _process_context() -> multiprocessing.context.BaseContext:
-    """Forkserver where the platform offers it, the default elsewhere.
-
-    ``fork`` (still the Linux default until Python 3.14) is unsafe in
-    exactly the deployments this library promotes: a serving process with
-    live threads (thread-backend sessions, registry locks, BLAS internals
-    mid-GEMM) that forks can hand workers inherited locks in the held
-    state.  ``forkserver`` forks from a clean single-threaded server
-    instead, and its per-worker start-up cost is amortised by the shared
-    pools below.  Workers import the worker function, spec classes and
-    sources by reference, which everything in this module supports
-    (top-level function, picklable tasks); platforms without forkserver
-    (Windows) use their default, spawn, with the same pickling contract.
-    """
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "forkserver" if "forkserver" in methods else None
-    )
-
-
-#: shared process pools, keyed by worker count.  Worker start-up (a full
-#: interpreter under spawn/forkserver) is far too expensive to pay on every
-#: streamed evaluation — one train_to() contract alone runs dozens — so
-#: pools are created lazily and reused for the life of the process;
-#: concurrent.futures' own exit hook joins them at interpreter shutdown.
-_PROCESS_POOLS: dict[int, ProcessPoolExecutor] = {}  # guarded-by: _PROCESS_POOLS_LOCK
-_PROCESS_POOLS_LOCK = threading.Lock()
-
-
-def _shared_process_pool(max_workers: int) -> ProcessPoolExecutor:
-    with _PROCESS_POOLS_LOCK:
-        pool = _PROCESS_POOLS.get(max_workers)
-        if pool is None:
-            pool = ProcessPoolExecutor(
-                max_workers=max_workers, mp_context=_process_context()
-            )
-            _PROCESS_POOLS[max_workers] = pool
-        return pool
-
-
-def _discard_process_pool(max_workers: int, pool: ProcessPoolExecutor) -> None:
-    """Drop a broken pool from the cache so the next call builds a fresh one."""
-    with _PROCESS_POOLS_LOCK:
-        if _PROCESS_POOLS.get(max_workers) is pool:
-            del _PROCESS_POOLS[max_workers]
-    pool.shutdown(wait=False, cancel_futures=True)
-
-
 def map_units(
     task: StreamTask, units: list[list[tuple[int, int]]], config: StreamingConfig
 ) -> list[Any]:
-    """Fold each unit from zero on the configured executor; partials in order.
+    """Fold each unit from zero, serially or on threads; partials in order.
 
     The one executor: :func:`stream_accumulate` maps a pass's units here,
     the statistics tier a store's missing shards.  Every unit runs
@@ -468,24 +381,6 @@ def map_units(
     n_workers = min(config.n_workers, len(units))
     if n_workers <= 1:
         return [_run_block_range(task, unit) for unit in units]
-    if config.backend == "processes":
-        # One contiguous chunk of units per worker keeps IPC at one message
-        # each way per worker.  The shared pool is keyed by the *configured*
-        # worker count, not this call's effective one — otherwise sources of
-        # varying sizes would accumulate one persistent pool per distinct
-        # min(n_workers, n_units).  A broken pool is discarded so later
-        # calls recover with a fresh one.
-        pool = _shared_process_pool(config.n_workers)
-        chunksize = -(-len(units) // n_workers)
-        try:
-            return list(
-                pool.map(
-                    _run_block_range, itertools.repeat(task), units, chunksize=chunksize
-                )
-            )
-        except BrokenProcessPool:
-            _discard_process_pool(config.n_workers, pool)
-            raise
     with ThreadPoolExecutor(max_workers=n_workers) as threads:
         return list(threads.map(_run_block_range, itertools.repeat(task), units))
 
@@ -499,8 +394,8 @@ def stream_accumulate(task: StreamTask, config: StreamingConfig) -> Any:
     Serially (``n_workers <= 1``, or a single unit) the blocks fold in
     place; otherwise :func:`map_units` folds each unit from zero and the
     partials are left-folded onto the zero accumulator in source order —
-    the same arithmetic, so the result never depends on the worker count,
-    the backend or executor timing.
+    the same arithmetic, so the result never depends on the worker count
+    or executor timing.
     """
     accumulator = task.make_accumulator()
     if not accumulator.needs_holdout_blocks:
@@ -512,14 +407,10 @@ def stream_accumulate(task: StreamTask, config: StreamingConfig) -> Any:
     blocks = as_block_source(task.source)
     bounds = blocks.block_bounds(config.block_rows)
     # Per-pass telemetry: a span plus block/row/byte/wall-time metrics,
-    # recorded parent-side around the fold, which it never touches.
+    # recorded on the calling thread around the fold, which it never touches.
     scope, _session = current_pass_scope()
     with get_tracer().span(
-        "streaming.pass",
-        scope=scope,
-        backend=config.backend,
-        blocks=len(bounds),
-        rows=blocks.n_rows,
+        "streaming.pass", scope=scope, blocks=len(bounds), rows=blocks.n_rows
     ) as span:
         units = task.units(bounds)
         if config.n_workers <= 1 or len(units) <= 1:

@@ -91,8 +91,8 @@ class BlockSumDiffAccumulator(DiffAccumulator):
     def __init__(
         self,
         n_candidates: int,
-        block_sums: Callable[[Dataset], np.ndarray] | None,
-        reduce: Callable[[np.ndarray, int], np.ndarray] | None,
+        block_sums: Callable[[Dataset], np.ndarray],
+        reduce: Callable[[np.ndarray, int], np.ndarray],
     ):
         if n_candidates < 1:
             raise ModelSpecError("need at least one candidate parameter vector")
@@ -102,12 +102,6 @@ class BlockSumDiffAccumulator(DiffAccumulator):
         self._reduce = reduce
 
     def update(self, block: Dataset) -> None:
-        if self._block_sums is None:
-            raise ModelSpecError(
-                "this accumulator is a deserialized partial (process-backend "
-                "return value): it can be merged into a full accumulator but "
-                "not updated"
-            )
         self._sums += np.asarray(self._block_sums(block), dtype=np.float64)
         self._rows += block.n_rows
 
@@ -118,30 +112,9 @@ class BlockSumDiffAccumulator(DiffAccumulator):
         self._rows += other._rows
 
     def finalize(self) -> np.ndarray:
-        if self._reduce is None:
-            raise ModelSpecError(
-                "this accumulator is a deserialized partial (process-backend "
-                "return value): merge it into a full accumulator and finalize "
-                "that instead"
-            )
         if self._rows == 0:
             raise ModelSpecError("accumulator finalized before seeing any holdout rows")
         return np.asarray(self._reduce(self._sums, self._rows), dtype=np.float64)
-
-    # ------------------------------------------------------------------
-    # Process-backend transport: the grand totals travel, the closures do
-    # not (they capture spec methods and are rebuilt from the spec on the
-    # other side).  A restored instance is a merge *donor* only — exactly
-    # what the streaming driver's merge-in-holdout-order path needs.
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        return {"sums": self._sums, "rows": self._rows}
-
-    def __setstate__(self, state: dict) -> None:
-        self._sums = state["sums"]
-        self._rows = state["rows"]
-        self._block_sums = None
-        self._reduce = None
 
 
 class PrecomputedDiffAccumulator(DiffAccumulator):

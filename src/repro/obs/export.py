@@ -4,8 +4,8 @@ The scrape surface of the observability tier.  Everything here is pure —
 renderers take a frozen :class:`~repro.obs.metrics.MetricsSnapshot` and
 return a string — so exports can run anywhere: on the serving front-end
 (:meth:`~repro.serving.service.CoalescingService.prometheus_metrics`),
-from the ``python -m repro.obs`` dump command, or over a snapshot a
-process-backend worker shipped home.
+from the ``python -m repro.obs`` dump command, or over a snapshot
+restored with :func:`load_json_snapshot`.
 
 Prometheus text exposition (version 0.0.4): one ``# HELP`` / ``# TYPE``
 pair per instrument, label values escaped (backslash, double quote,

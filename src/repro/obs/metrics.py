@@ -11,19 +11,15 @@ serving stack measures:
 * :class:`Histogram` — fixed-bucket latency distributions.  The buckets
   are *fixed at declaration* (default :data:`LATENCY_BUCKETS`, a
   log-spaced 100 µs → 100 s ladder) so independently collected snapshots
-  are always bucket-compatible and merge exactly.
+  are always bucket-compatible.
 
 Every instrument is named, labelled and thread-safe: one lock per
 instrument guards its label-keyed series map, so hot-path increments from
 the streaming executor's worker threads never contend with unrelated
 instruments.  :meth:`MetricsRegistry.snapshot` freezes the whole registry
-into a :class:`MetricsSnapshot` — plain frozen dataclasses of tuples,
-picklable by construction, so a process-backend worker can ship its
-snapshot to the parent and :meth:`MetricsSnapshot.merge` folds the two
-exactly the way the TSQR moment summaries merge: associatively,
-bucket-by-bucket, with incompatible schemas rejected loudly
-(:class:`~repro.exceptions.ObservabilityError`) instead of silently
-misfolded.
+into a :class:`MetricsSnapshot` — plain frozen dataclasses of tuples that
+the renderers in :mod:`repro.obs.export` turn into Prometheus text or
+JSON.
 
 Collectors (:meth:`MetricsRegistry.add_collector`) let pull-time bridges
 publish externally owned counters — the serving tier registers one that
@@ -44,7 +40,8 @@ from repro.exceptions import ObservabilityError
 
 #: fixed log-spaced latency buckets (seconds): a 1-2.5-5 ladder from
 #: 100 µs to 100 s.  Fixed — not per-declaration-tunable at call sites —
-#: so every histogram snapshot in the system merges with every other.
+#: so every histogram in the system shares one bucket layout and series
+#: from different runs or processes aggregate in Prometheus.
 LATENCY_BUCKETS: tuple[float, ...] = (
     0.0001,
     0.00025,
@@ -88,7 +85,7 @@ def _validate_label_names(label_names: Iterable[str]) -> tuple[str, ...]:
 
 
 # ----------------------------------------------------------------------
-# Snapshot dataclasses (immutable, picklable, mergeable)
+# Snapshot dataclasses (immutable)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SeriesValue:
@@ -139,80 +136,13 @@ class InstrumentSnapshot:
         """Sum over every labelled series (counters/gauges)."""
         return sum(entry.value for entry in self.series)
 
-    def merge(self, other: "InstrumentSnapshot") -> "InstrumentSnapshot":
-        """Fold two snapshots of the *same* instrument schema (additive).
-
-        Counters and gauges sum per label set (gauges too: the merge
-        exists for cross-process roll-ups — bytes, entries — where the
-        fleet total is the sum of the workers' gauges).  Histograms add
-        bucket-by-bucket, which is exact because buckets are part of the
-        schema.  Any schema mismatch raises
-        :class:`~repro.exceptions.ObservabilityError`.
-        """
-        if (
-            self.name != other.name
-            or self.kind != other.kind
-            or self.label_names != other.label_names
-            or self.buckets != other.buckets
-        ):
-            raise ObservabilityError(
-                f"cannot merge incompatible instrument snapshots for "
-                f"{self.name!r} / {other.name!r} (kind, labels and buckets "
-                "must match)"
-            )
-        if self.kind == "histogram":
-            merged_hist: dict[tuple[str, ...], HistogramValue] = {
-                entry.labels: entry for entry in self.histogram_series
-            }
-            for entry in other.histogram_series:
-                base = merged_hist.get(entry.labels)
-                if base is None:
-                    merged_hist[entry.labels] = entry
-                    continue
-                merged_hist[entry.labels] = HistogramValue(
-                    labels=entry.labels,
-                    counts=tuple(
-                        a + b for a, b in zip(base.counts, entry.counts)
-                    ),
-                    total=base.total + entry.total,
-                    count=base.count + entry.count,
-                )
-            return InstrumentSnapshot(
-                name=self.name,
-                kind=self.kind,
-                help=self.help or other.help,
-                label_names=self.label_names,
-                buckets=self.buckets,
-                histogram_series=tuple(
-                    merged_hist[labels] for labels in sorted(merged_hist)
-                ),
-            )
-        merged: dict[tuple[str, ...], float] = {
-            entry.labels: entry.value for entry in self.series
-        }
-        for entry in other.series:
-            merged[entry.labels] = merged.get(entry.labels, 0.0) + entry.value
-        return InstrumentSnapshot(
-            name=self.name,
-            kind=self.kind,
-            help=self.help or other.help,
-            label_names=self.label_names,
-            buckets=self.buckets,
-            series=tuple(
-                SeriesValue(labels=labels, value=merged[labels])
-                for labels in sorted(merged)
-            ),
-        )
-
 
 @dataclass(frozen=True)
 class MetricsSnapshot:
     """Frozen view of a whole registry: every instrument, every series.
 
     Plain nested frozen dataclasses of tuples — picklable and hashable by
-    construction — so snapshots cross process boundaries and
-    :meth:`merge` folds any number of them associatively (worker
-    snapshots merge like the statistics tier's shard summaries).
+    construction.
     """
 
     instruments: tuple[InstrumentSnapshot, ...]
@@ -233,20 +163,6 @@ class MetricsSnapshot:
         """Sum of the named instrument over every label set (0.0 if absent)."""
         instrument = self.get(name)
         return 0.0 if instrument is None else instrument.total()
-
-    def merge(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
-        """Union by instrument name; shared names fold via their ``merge``."""
-        merged: dict[str, InstrumentSnapshot] = {
-            instrument.name: instrument for instrument in self.instruments
-        }
-        for instrument in other.instruments:
-            base = merged.get(instrument.name)
-            merged[instrument.name] = (
-                instrument if base is None else base.merge(instrument)
-            )
-        return MetricsSnapshot(
-            instruments=tuple(merged[name] for name in sorted(merged))
-        )
 
 
 # ----------------------------------------------------------------------

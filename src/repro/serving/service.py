@@ -381,7 +381,7 @@ class CoalescingService:
         Runs the registered collectors first — including this service's
         fleet bridge — so the snapshot carries the streamed-pass counters,
         latency histograms *and* the cache/warm/batcher/registry roll-ups
-        in a single mergeable, picklable value.
+        in a single frozen value.
         """
         return get_metrics().snapshot()
 

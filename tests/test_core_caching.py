@@ -1,5 +1,6 @@
 """Tests for the thread-safe bounded LRU cache (repro.core.caching)."""
 
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -266,6 +267,48 @@ class TestSingleFlight:
             except RuntimeError:
                 pass
 
+    def test_clear_forgets_in_flight_compute(self):
+        # A compute that began before clear() belongs to the old contents:
+        # its value reaches the callers already waiting on it, but a caller
+        # arriving after the clear computes afresh, and the old value is
+        # published neither here nor to the warm tier.
+        published = []
+
+        class RecordingWarmTier:
+            def load(self, key):
+                return None
+
+            def store(self, key, value):
+                published.append((key, value))
+
+        cache = LRUCache("t", warm_tier=RecordingWarmTier())
+        started, release = threading.Event(), threading.Event()
+
+        def old_compute():
+            started.set()
+            release.wait(timeout=5)
+            return "old"
+
+        with ThreadPoolExecutor(3) as pool:
+            try:
+                leader = pool.submit(cache.get_or_compute, "k", old_compute)
+                assert started.wait(timeout=5)
+                flight_event = cache._inflight["k"].event
+                follower = pool.submit(cache.get_or_compute, "k", lambda: "unused")
+                deadline = time.monotonic() + 5
+                while not flight_event._cond._waiters:  # follower joined
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+                cache.clear()
+                late = pool.submit(cache.get_or_compute, "k", lambda: "new")
+                assert late.result(timeout=2) == ("new", False)
+            finally:
+                release.set()
+            assert leader.result(timeout=5) == ("old", False)
+            assert follower.result(timeout=5) == ("old", True)
+        assert cache.get("k") == "new"
+        assert published == [("k", "new")]
+
 
 class TestThreadHammer:
     def test_bounded_cache_under_concurrent_mixed_load(self):
@@ -290,6 +333,53 @@ class TestThreadHammer:
         assert stats.bytes <= 8 * 80
         assert stats.hits + stats.misses == n_threads * n_iterations
         assert stats.evictions > 0  # 32 keys through an 8-slot cache
+
+    def test_clear_racing_computes_never_leaves_stale_entries(self):
+        # Each compute returns the generation it started in; clear() bumps
+        # the generation.  Whenever the clearer holds the generation lock,
+        # every cached entry must come from the current generation: a
+        # compute that began before the last clear may not publish.
+        cache = LRUCache("t")
+        generation = [0]
+        generation_lock = threading.Lock()
+        stop = threading.Event()
+        stale = []
+
+        def compute():
+            with generation_lock:
+                started_in = generation[0]
+            time.sleep(0.0005)
+            return started_in
+
+        def worker(seed):
+            rng = np.random.default_rng(seed)
+            while not stop.is_set():
+                cache.get_or_compute(int(rng.integers(4)), compute)
+
+        def clearer():
+            while not stop.is_set():
+                time.sleep(0.002)
+                with generation_lock:
+                    stale.extend(
+                        key for key in cache.keys() if cache.get(key) != generation[0]
+                    )
+                    generation[0] += 1
+                    cache.clear()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(9) as pool:
+                futures = [pool.submit(worker, seed) for seed in range(8)]
+                futures.append(pool.submit(clearer))
+                time.sleep(1.0)
+                stop.set()
+                for future in futures:
+                    future.result(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert generation[0] > 10
+        assert stale == []
 
 
 class TestResizeAndEvictionCallbacks:

@@ -11,8 +11,7 @@ Four contract groups, mirroring the subsystem's load-bearing claims:
   shard files or manifest is detected;
 * **streaming parity** — accuracy/sample-size-relevant streamed diffs over
   a ``ShardedDataset`` match the in-memory path bitwise for classification
-  families and to 1e-12 for regression, under the serial, thread and
-  process backends alike;
+  families and to 1e-12 for regression, folded serially and on threads;
 * **strict failure** — partial or corrupt stores (truncated manifest,
   missing shards, header mismatches) refuse to open rather than serving
   questionable rows.
@@ -518,23 +517,10 @@ class TestBlockSource:
         # and the factory touched only n_features from the manifest.
         assert len(sharded._memmaps) == 0
 
-    def test_pickle_roundtrip_reopens_store(self, cls_data, tmp_path):
-        sharded = write_store(cls_data, tmp_path, shard_rows=300)
-        clone = pickle.loads(pickle.dumps(sharded))
-        assert clone.content_digest() == sharded.content_digest()
-        assert np.array_equal(clone.read_block(0, 10).X, sharded.read_block(0, 10).X)
-
-    def test_pickle_detects_store_swap(self, cls_data, tmp_path):
-        sharded = write_store(cls_data, tmp_path / "a", shard_rows=300)
-        payload = pickle.dumps(sharded)
-        changed = Dataset(np.asarray(cls_data.X) + 1.0, cls_data.y)
-        ShardStore.write(changed, tmp_path / "a", shard_rows=300, overwrite=True)
-        with pytest.raises(DataError, match="changed between"):
-            pickle.loads(payload)
 
 
 # ----------------------------------------------------------------------
-# Streaming parity: in-memory Dataset vs ShardedDataset, all backends
+# Streaming parity: in-memory Dataset vs ShardedDataset, serial and threaded
 # ----------------------------------------------------------------------
 def sampled_parameters(d: int, k: int = 12, seed: int = 0):
     rng = np.random.default_rng(seed)
@@ -543,13 +529,12 @@ def sampled_parameters(d: int, k: int = 12, seed: int = 0):
 
 BACKENDS = [
     StreamingConfig(block_rows=128),
-    StreamingConfig(block_rows=128, n_workers=3, backend="threads"),
-    StreamingConfig(block_rows=128, n_workers=2, backend="processes"),
+    StreamingConfig(block_rows=128, n_workers=3),
 ]
 
 
 class TestStreamingParity:
-    @pytest.mark.parametrize("config", BACKENDS, ids=["serial", "threads", "processes"])
+    @pytest.mark.parametrize("config", BACKENDS, ids=["serial", "threads"])
     def test_classification_bitwise(self, cls_data, tmp_path, config):
         sharded = write_store(cls_data, tmp_path, shard_rows=300)
         spec = LogisticRegressionSpec(regularization=1e-3)
@@ -567,7 +552,7 @@ class TestStreamingParity:
         )[0]
         assert np.array_equal(actual_pair, expected_pair)
 
-    @pytest.mark.parametrize("config", BACKENDS, ids=["serial", "threads", "processes"])
+    @pytest.mark.parametrize("config", BACKENDS, ids=["serial", "threads"])
     def test_regression_within_1e12(self, reg_data, tmp_path, config):
         sharded = write_store(reg_data, tmp_path, shard_rows=300)
         spec = LinearRegressionSpec(regularization=1e-3)
@@ -584,20 +569,6 @@ class TestStreamingParity:
             spec, [(Thetas, Thetas_b)], sharded, config
         )[0]
         np.testing.assert_allclose(actual_pair, expected_pair, atol=1e-12)
-
-    def test_process_backend_equals_thread_backend(self, cls_data, tmp_path):
-        sharded = write_store(cls_data, tmp_path, shard_rows=300)
-        spec = LogisticRegressionSpec(regularization=1e-3)
-        theta, Thetas, _ = sampled_parameters(cls_data.n_features)
-        threaded = streaming_prediction_differences(
-            spec, theta, Thetas, sharded,
-            StreamingConfig(block_rows=128, n_workers=3, backend="threads"),
-        )
-        processed = streaming_prediction_differences(
-            spec, theta, Thetas, sharded,
-            StreamingConfig(block_rows=128, n_workers=3, backend="processes"),
-        )
-        assert np.array_equal(threaded, processed)
 
     def test_generic_fallback_materializes_sharded_source(self, cls_data, tmp_path):
         class NoStreamingSpec(LogisticRegressionSpec):
@@ -627,14 +598,14 @@ def split_rows(data: Dataset, n_train: int) -> tuple[Dataset, Dataset]:
 
 class TestServingFromShards:
     @pytest.mark.parametrize(
-        "backend",
+        "config",
         [
             StreamingConfig(block_rows=100),
-            StreamingConfig(block_rows=100, n_workers=2, backend="processes"),
+            StreamingConfig(block_rows=100, n_workers=2),
         ],
-        ids=["serial", "processes"],
+        ids=["serial", "threads"],
     )
-    def test_session_bitwise_identical_to_in_memory(self, cls_data, tmp_path, backend):
+    def test_session_bitwise_identical_to_in_memory(self, cls_data, tmp_path, config):
         train, holdout = split_rows(cls_data, 1_500)
         spec = LogisticRegressionSpec(regularization=1e-3)
         kwargs = dict(initial_sample_size=200, n_parameter_samples=16, rng=0)
@@ -645,7 +616,7 @@ class TestServingFromShards:
             spec,
             ShardStore.write(train, tmp_path / "train", shard_rows=400).dataset(),
             ShardStore.write(holdout, tmp_path / "holdout", shard_rows=200).dataset(),
-            streaming=backend,
+            streaming=config,
             **kwargs,
         )
         assert np.array_equal(mem.initial_model.theta, ooc.initial_model.theta)
@@ -658,8 +629,8 @@ class TestServingFromShards:
             assert ra.sample_size == rb.sample_size
             assert np.array_equal(ra.model.theta, rb.model.theta)
 
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
-    def test_fanned_out_session_answers_like_serial(self, tmp_path, backend):
+    @pytest.mark.parametrize("n_workers", [3], ids=["threads"])
+    def test_fanned_out_session_answers_like_serial(self, tmp_path, n_workers):
         # A session's answers depend on its data and seed alone: fanning the
         # holdout passes out over 3 workers changes no bit.  (Not comparable
         # with an in-memory session: the Lin label scale comes from manifest
@@ -668,21 +639,19 @@ class TestServingFromShards:
         train, holdout = split_rows(data, 2_000)
         spec = LinearRegressionSpec(regularization=1e-3)
 
-        def open_session(n_workers, directory):
+        def open_session(workers, directory):
             return EstimationSession(
                 spec,
                 ShardStore.write(train, directory / "train", shard_rows=500).dataset(),
                 ShardStore.write(holdout, directory / "holdout", shard_rows=250).dataset(),
-                streaming=StreamingConfig(
-                    block_rows=50, n_workers=n_workers, backend=backend
-                ),
+                streaming=StreamingConfig(block_rows=50, n_workers=workers),
                 initial_sample_size=200,
                 n_parameter_samples=16,
                 rng=0,
             )
 
         serial = open_session(0, tmp_path / "serial")
-        fanned = open_session(3, tmp_path / "fanned")
+        fanned = open_session(n_workers, tmp_path / "fanned")
         assert serial.initial_model.theta.tobytes() == fanned.initial_model.theta.tobytes()
         for epsilon in (0.02, 0.05):
             contract = ApproximationContract(epsilon=epsilon, delta=0.05)
@@ -724,28 +693,9 @@ class TestServingFromShards:
 
 
 # ----------------------------------------------------------------------
-# Accumulator transport (process backend return values)
+# Spec pickling
 # ----------------------------------------------------------------------
 class TestAccumulatorTransport:
-    def test_pickled_partial_merges_but_cannot_update_or_finalize(self, cls_data):
-        spec = LogisticRegressionSpec(regularization=1e-3)
-        theta, Thetas, _ = sampled_parameters(cls_data.n_features)
-        full = spec.diff_accumulator(theta, Thetas, cls_data)
-        donor = spec.diff_accumulator(theta, Thetas, cls_data)
-        blocks = list(iter_holdout_blocks(cls_data, 500))
-        for block in blocks[:2]:
-            full.update(block)
-        for block in blocks[2:]:
-            donor.update(block)
-        restored = pickle.loads(pickle.dumps(donor))
-        with pytest.raises(ModelSpecError, match="deserialized partial"):
-            restored.update(blocks[0])
-        with pytest.raises(ModelSpecError, match="deserialized partial"):
-            restored.finalize()
-        full.merge(restored)
-        expected = scalar_diffs(spec, theta, Thetas, cls_data)
-        assert np.array_equal(full.finalize(), expected)
-
     def test_specs_pickle_round_trip(self):
         spec = LogisticRegressionSpec(regularization=1e-3)
         clone = pickle.loads(pickle.dumps(spec))

@@ -241,7 +241,7 @@ class TestDiffPathSkipsSigmoid:
 
     CONFIGS = [
         StreamingConfig(block_rows=1_000),
-        StreamingConfig(block_rows=64, n_workers=2, backend="threads"),
+        StreamingConfig(block_rows=64, n_workers=2),
     ]
 
     def diffs(self, data: Dataset) -> list[np.ndarray]:

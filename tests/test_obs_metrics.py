@@ -105,7 +105,7 @@ class TestHistogram:
 
 
 # ----------------------------------------------------------------------
-# Snapshots: merge algebra and pickling
+# Snapshots: pickling
 # ----------------------------------------------------------------------
 def build_registry(scale: int) -> MetricsRegistry:
     registry = MetricsRegistry()
@@ -115,7 +115,6 @@ def build_registry(scale: int) -> MetricsRegistry:
     gauge = registry.gauge("bytes", "Bytes.")
     gauge.set(10 * scale)
     histogram = registry.histogram("secs", "Secs.", buckets=(0.1, 1.0))
-    # Binary-exact values so merge totals are exactly associative.
     for _ in range(scale):
         histogram.observe(0.0625)
         histogram.observe(4.0)
@@ -123,41 +122,6 @@ def build_registry(scale: int) -> MetricsRegistry:
 
 
 class TestSnapshotMerge:
-    def test_merge_sums_counters_and_buckets(self):
-        merged = build_registry(1).snapshot().merge(build_registry(2).snapshot())
-        assert merged.value("passes_total", scope="accuracy") == 6
-        assert merged.total("passes_total") == 15
-        # Gauges sum too (the caller decides whether summing makes sense;
-        # shard roll-ups of additive gauges do).
-        assert merged.value("bytes") == 30
-        hist = merged.get("secs").histogram_series[0]
-        assert hist.counts == (3, 0, 3)
-        assert hist.count == 6
-
-    def test_merge_is_associative(self):
-        a, b, c = (build_registry(k).snapshot() for k in (1, 2, 3))
-        left = a.merge(b).merge(c)
-        right = a.merge(b.merge(c))
-        assert left == right
-        assert render_prometheus(left) == render_prometheus(right)
-
-    def test_merge_disjoint_instruments_unions(self):
-        registry_a = MetricsRegistry()
-        registry_a.counter("only_a_total", "A.").inc(1)
-        registry_b = MetricsRegistry()
-        registry_b.counter("only_b_total", "B.").inc(2)
-        merged = registry_a.snapshot().merge(registry_b.snapshot())
-        assert merged.value("only_a_total") == 1
-        assert merged.value("only_b_total") == 2
-
-    def test_incompatible_schemas_rejected(self):
-        registry_a = MetricsRegistry()
-        registry_a.counter("x_total", "X.", ("scope",))
-        registry_b = MetricsRegistry()
-        registry_b.counter("x_total", "X.", ("session",))
-        with pytest.raises(ObservabilityError):
-            registry_a.snapshot().merge(registry_b.snapshot())
-
     def test_snapshot_pickles(self):
         snapshot = build_registry(2).snapshot()
         clone = pickle.loads(pickle.dumps(snapshot))

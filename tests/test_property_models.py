@@ -224,7 +224,7 @@ def _streaming_configs(data):
     """One block, and several blocks fanned out over 2 threads."""
     return (
         StreamingConfig(block_rows=data.n_rows),
-        StreamingConfig(block_rows=7, n_workers=2, backend="threads"),
+        StreamingConfig(block_rows=7, n_workers=2),
     )
 
 

@@ -339,60 +339,6 @@ class TestRep003:
 
 
 # ----------------------------------------------------------------------
-# REP004 — process-backend picklability
-# ----------------------------------------------------------------------
-class TestRep004:
-    def test_lambda_bound_without_pickle_pair_is_flagged(self, tmp_path):
-        root = make_repo(
-            tmp_path,
-            {
-                "src/repro/accum.py": """\
-                    class FancyAccumulator:
-                        def configure(self, scale: float) -> None:
-                            self._fn = lambda x: x * scale
-                    """
-            },
-        )
-        found = findings_for(root, "REP004")
-        assert len(found) == 1
-        assert "__getstate__" in found[0].message
-
-    def test_pickle_pair_silences_the_rule(self, tmp_path):
-        root = make_repo(
-            tmp_path,
-            {
-                "src/repro/accum_ok.py": """\
-                    class FancyAccumulator:
-                        def configure(self, scale: float) -> None:
-                            self._fn = lambda x: x * scale
-
-                        def __getstate__(self) -> dict:
-                            state = dict(self.__dict__)
-                            state["_fn"] = None
-                            return state
-
-                        def __setstate__(self, state: dict) -> None:
-                            self.__dict__.update(state)
-                    """
-            },
-        )
-        assert findings_for(root, "REP004") == []
-
-    def test_non_target_classes_are_ignored(self, tmp_path):
-        root = make_repo(
-            tmp_path,
-            {
-                "src/repro/plain.py": """\
-                    class Plain:
-                        def configure(self, scale: float) -> None:
-                            self._fn = lambda x: x * scale
-                    """
-            },
-        )
-        assert findings_for(root, "REP004") == []
-
-
-# ----------------------------------------------------------------------
 # REP005 — config-knob parity
 # ----------------------------------------------------------------------
 _KNOB_DOC = """\
@@ -742,7 +688,7 @@ class TestRealTree:
             for target in node.targets
             if isinstance(target, ast.Name) and target.id.startswith("DEFAULT_")
         ]
-        assert len(knobs) <= 29, knobs
+        assert len(knobs) <= 28, knobs
 
     def test_cli_check_passes_on_real_tree(self, capsys):
         assert analysis_main(["--check"]) == 0
@@ -753,7 +699,7 @@ class TestRealTree:
         out = capsys.readouterr().out
         for rule in ALL_RULES:
             assert rule.RULE_ID in out
-        assert len(ALL_RULES) == 7
+        assert len(ALL_RULES) == 6
 
     def test_cli_exits_nonzero_on_findings(self, capsys, monkeypatch, tmp_path):
         # Point the CLI at a fixture tree by analysing one bad file in

@@ -2,8 +2,8 @@
 
 The serving stack runs on a handful of contracts that ordinary linters and
 type checkers cannot see — determinism (no global RNG), frozen shared
-arrays, lock discipline, process-backend picklability, config-knob parity,
-public-API parity and typed-def coverage.  This package machine-checks
+arrays, lock discipline, config-knob parity, public-API parity and
+typed-def coverage.  This package machine-checks
 them: each rule module under :mod:`tools.analysis.rules` encodes exactly
 one contract, reads the same annotation comments the source carries
 (``# guarded-by: _lock``, ``# repro-lint: frozen-attr`` …) and reports

@@ -11,7 +11,6 @@ from tools.analysis.rules import (
     rep001_rng,
     rep002_frozen,
     rep003_locks,
-    rep004_pickle,
     rep005_config,
     rep006_api,
     rep007_typed,
@@ -21,7 +20,6 @@ ALL_RULES = [
     rep001_rng,
     rep002_frozen,
     rep003_locks,
-    rep004_pickle,
     rep005_config,
     rep006_api,
     rep007_typed,

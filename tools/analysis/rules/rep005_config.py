@@ -6,8 +6,7 @@ same-named environment variable.  This rule machine-checks the three-way
 parity:
 
 * every module-level ``DEFAULT_*`` assignment in config.py must call one
-  of the ``_env_int`` / ``_env_float`` / ``_env_choice`` / ``_env_str``
-  helpers;
+  of the ``_env_int`` / ``_env_float`` / ``_env_str`` helpers;
 * the helper's first argument must be the knob's own name (the env var
   *is* the constant name);
 * every knob must have a row in the docs/serving.md knob table whose
@@ -26,7 +25,7 @@ from tools.analysis.context import Finding, RepoContext
 RULE_ID = "REP005"
 SUMMARY = "every DEFAULT_* config knob is env-overridable and documented"
 
-_ENV_HELPERS = {"_env_int", "_env_float", "_env_choice", "_env_str"}
+_ENV_HELPERS = {"_env_int", "_env_float", "_env_str"}
 _CONFIG_RELPATH = "src/repro/config.py"
 _DOC_RELPATH = "docs/serving.md"
 _ROW_RE = re.compile(r"^\|\s*`(DEFAULT_[A-Z0-9_]+)`\s*\|[^|]*\|\s*([^|]+?)\s*\|")
@@ -60,7 +59,7 @@ def check_repo(repo: RepoContext) -> Iterable[Finding]:
                     stmt.lineno,
                     RULE_ID,
                     f"`{name}` is a bare constant: wrap it in _env_int / "
-                    "_env_float / _env_choice so deployments can override it",
+                    "_env_float / _env_str so deployments can override it",
                 )
                 continue
             first = value.args[0] if value.args else None
