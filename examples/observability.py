@@ -1,7 +1,7 @@
 """Observability: scrape a serving fleet and reconstruct request causality.
 
 The observability tier (`repro.obs`) instruments the whole serving stack
-with zero dependencies: a metrics registry (counters, gauges, latency
+with zero dependencies: a metrics registry (counters and latency
 histograms) that every layer ticks into, and a tracer whose spans record
 how an `answer()` decomposes into size-search rounds and streamed passes.
 Telemetry is always on and never changes results — it only records what
@@ -11,12 +11,13 @@ The example runs a small fleet (two model families behind a
 `CoalescingService`), serves a burst of contracts, then:
 
 * prints the Prometheus text scrape the service exports — streamed-pass
-  counters by scope, train/answer latency histograms, cache and registry
-  and coalescing gauges bridged from the existing stats surfaces;
+  counters by scope, train/answer latency histograms, and the cache,
+  registry and coalescing gauges the scrape renders from the service's
+  own ``stats()`` and ``batching_stats()``;
 * prints the span tree of the last request — the causal chain
   ``train_to → answer → size search → streaming passes``;
 * writes a JSON snapshot and re-loads it via ``python -m repro.obs``'s
-  machinery, the shard-mergeable form fleet roll-ups use.
+  machinery, a loss-free round trip for archiving a run's metrics.
 
 Run with::
 

@@ -25,15 +25,11 @@ import math
 
 import numpy as np
 
-from repro.config import DEFAULT_CONFIDENCE_SLACK
+from repro.config import CONFIDENCE_SLACK
 from repro.exceptions import ContractError
 
 
-def conservative_quantile_level(
-    delta: float,
-    n_samples: int,
-    slack: float = DEFAULT_CONFIDENCE_SLACK,
-) -> float:
+def conservative_quantile_level(delta: float, n_samples: int) -> float:
     """The empirical-quantile level required by Lemma 2, capped at 1.
 
     Parameters
@@ -43,25 +39,19 @@ def conservative_quantile_level(
     n_samples:
         Number k of i.i.d. parameter samples used in the Monte-Carlo
         estimate.
-    slack:
-        The 0.95 constant from Lemma 2 (how the overall confidence is split
-        between the quantile statement and the Hoeffding bound).
     """
     if not 0.0 < delta < 1.0:
         raise ContractError(f"delta must lie in (0, 1), got {delta}")
     if n_samples < 1:
         raise ContractError("at least one parameter sample is required")
-    if not 0.0 < slack < 1.0:
-        raise ContractError("slack must lie in (0, 1)")
-    hoeffding = math.sqrt(math.log(slack) / (-2.0 * n_samples))
-    level = (1.0 - delta) / slack + hoeffding
+    hoeffding = math.sqrt(math.log(CONFIDENCE_SLACK) / (-2.0 * n_samples))
+    level = (1.0 - delta) / CONFIDENCE_SLACK + hoeffding
     return min(level, 1.0)
 
 
 def conservative_upper_bound(
     values: np.ndarray,
     delta: float,
-    slack: float = DEFAULT_CONFIDENCE_SLACK,
     assume_sorted: bool = False,
 ) -> float:
     """Return the conservative ε for observed model differences ``values``.
@@ -78,7 +68,7 @@ def conservative_upper_bound(
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1 or values.size == 0:
         raise ContractError("values must be a non-empty 1-D array")
-    level = conservative_quantile_level(delta, values.size, slack)
+    level = conservative_quantile_level(delta, values.size)
     if level >= 1.0:
         return float(values[-1] if assume_sorted else values.max())
     sorted_values = values if assume_sorted else np.sort(values)
@@ -93,7 +83,6 @@ def satisfies_probability_threshold(
     values: np.ndarray,
     epsilon: float,
     delta: float,
-    slack: float = DEFAULT_CONFIDENCE_SLACK,
 ) -> bool:
     """Check whether the sampled differences certify ``Pr[v ≤ ε] ≥ 1 − δ``.
 
@@ -104,7 +93,7 @@ def satisfies_probability_threshold(
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ContractError("values must be non-empty")
-    level = conservative_quantile_level(delta, values.size, slack)
+    level = conservative_quantile_level(delta, values.size)
     fraction = float(np.mean(values <= epsilon))
     return fraction >= level
 

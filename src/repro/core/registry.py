@@ -84,8 +84,8 @@ from repro.models.base import ModelClassSpec
 from repro.obs import get_metrics
 
 # Fleet lifecycle *events* (repro.obs): the cumulative totals in
-# RegistryStats are bridged to gauges at scrape time; these counters
-# attribute each event to a reason as it happens.
+# RegistryStats are rendered as gauges in the owning service's scrape;
+# these counters attribute each event to a reason as it happens.
 _REBALANCE_EVENTS = get_metrics().counter(
     "repro_registry_rebalance_total",
     "Byte-pool re-splits applied on fleet membership changes.",
@@ -511,6 +511,9 @@ class SessionRegistry:
 
     def stats(self) -> RegistryStats:
         """A snapshot of fleet occupancy, byte usage and counters."""
+        # The warm snapshot scans a directory (one stat per entry): taken
+        # outside the lock, so a scrape never stalls a request's get().
+        warm = None if self._warm_cache is None else self._warm_cache.stats()
         with self._lock:
             rows = []
             for key, member in self._members.items():
@@ -538,11 +541,7 @@ class SessionRegistry:
                 fingerprint_invalidations=self._fingerprint_invalidations,
                 per_session=per_session,
                 refreshes=self._refreshes,
-                warm=(
-                    None
-                    if self._warm_cache is None
-                    else self._warm_cache.stats()
-                ),
+                warm=warm,
             )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -4,9 +4,12 @@ One process-global :class:`~repro.obs.metrics.MetricsRegistry`
 (:func:`get_metrics`) and one process-global
 :class:`~repro.obs.tracing.Tracer` (:func:`get_tracer`) serve every
 instrumented layer — streaming block fan-out, session serving, the
-sample-size search, the coalescing tier — so a single scrape
-(:func:`~repro.obs.export.render_prometheus`, or
-``python -m repro.obs``) covers the fleet.
+sample-size search, the coalescing tier.  The registry holds what the
+stack records at the source: counters and histograms.  A fleet's gauges
+(cache, warm-tier, coalescing and registry counters) are owned by its
+stats snapshots and rendered into the scrape of the
+:class:`~repro.serving.service.CoalescingService` that owns the fleet
+(:meth:`~repro.serving.service.CoalescingService.metrics_snapshot`).
 
 **Always live.**  Every instrumented layer records on every call: the
 streamed-pass counter behind
@@ -45,7 +48,6 @@ from repro.obs.export import (
 from repro.obs.metrics import (
     LATENCY_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     InstrumentSnapshot,
     MetricsRegistry,
@@ -56,7 +58,6 @@ from repro.obs.tracing import Span, Tracer
 __all__ = [
     "LATENCY_BUCKETS",
     "Counter",
-    "Gauge",
     "Histogram",
     "InstrumentSnapshot",
     "MetricsRegistry",

@@ -1,10 +1,12 @@
 """``python -m repro.obs`` — dump metrics as Prometheus text or JSON.
 
 Without arguments, scrapes this process's global registry (useful from a
-REPL or an embedded runner); given a path to a JSON snapshot previously
-saved with :func:`repro.obs.write_json_snapshot`, re-renders that
-snapshot instead — so archived per-run snapshots stay inspectable with
-the same tool that produced them.
+REPL or an embedded runner): the counters and histograms the stack
+records at the source.  A fleet's gauges are in the scrape of the
+service that owns it.  Given a path to a JSON snapshot previously saved
+with :func:`repro.obs.write_json_snapshot`, re-renders that snapshot
+instead — so archived per-run snapshots stay inspectable with the same
+tool that produced them.
 
     python -m repro.obs                       # live registry, Prometheus text
     python -m repro.obs --format json         # live registry, JSON

@@ -1,26 +1,15 @@
-"""Bridge the pre-existing stats snapshots into the metrics registry.
+"""Render a service's stats snapshots as gauge families for its scrape.
 
-PRs 1–9 grew five ad-hoc observability surfaces — per-cache
+Four stats surfaces own the fleet's counters: per-cache
 :class:`~repro.core.caching.CacheStats`, the coalescing tier's
 ``BatcherStats``, the warm tier's
-:class:`~repro.data.store.warm_cache.WarmCacheStats`, the fleet's
-:class:`~repro.core.registry.RegistryStats` and the global streamed-pass
-counter.  The pass counter now *is* a registry counter
-(:mod:`repro.evaluation.streaming`); this module folds the other four in
-at scrape time, so one Prometheus/JSON export covers the whole stack.
-
-Everything is published as gauges mirroring the snapshots' cumulative
-counters: the snapshots own the truth (and their own locking), the
-bridge just copies the latest values on each scrape —
-each :class:`~repro.serving.service.CoalescingService` owns a
-:class:`FleetBridge` and registers a metrics collector that publishes
-its registry's and its batchers' snapshots through it, so the cost is
-per scrape, never per request.  The bridge also takes back what went
-stale: a series it published earlier that the current snapshot no
-longer carries (an evicted or invalidated session) is removed, and
-:meth:`FleetBridge.retract` removes every series when the service
-closes.  A scrape's per-session series are therefore exactly the live
-services' ``per_session`` rows.
+:class:`~repro.data.store.warm_cache.WarmCacheStats` and the fleet's
+:class:`~repro.core.registry.RegistryStats`.  Those snapshots are the
+only copy; nothing mirrors them into the process registry.
+:func:`fleet_instruments` renders one service's pair as gauge-kind
+instrument snapshots at scrape time
+(:meth:`~repro.serving.service.CoalescingService.metrics_snapshot`), so a
+scrape's fleet families are exactly that service's own ``stats()``.
 
 :class:`~repro.serving.batcher.BatcherStats` is imported for type
 checking only: the serving package imports :mod:`repro.obs` for its own
@@ -29,11 +18,10 @@ instrumentation, so a runtime import here would close an import cycle.
 
 from __future__ import annotations
 
-import threading
 from typing import TYPE_CHECKING
 
 from repro.core.registry import RegistryStats
-from repro.obs.metrics import Gauge, MetricsRegistry
+from repro.obs.metrics import InstrumentSnapshot, SeriesValue
 
 if TYPE_CHECKING:
     from repro.serving.batcher import BatcherStats
@@ -99,77 +87,64 @@ _REGISTRY_GAUGES = (
 _POOL_GAUGE = (("max_total_bytes", "Global cache-byte pool shared by the fleet."),)
 _SESSION_GAUGE = (("bytes", "Cache bytes held by one fleet session."),)
 
-#: one published series: its gauge and its (label, value) pairs.
-_Series = tuple[Gauge, tuple[tuple[str, str], ...]]
+#: one gauge family being rendered: help, label names, and its series
+#: keyed by label values (a later series with equal labels replaces the
+#: earlier one).
+_Family = tuple[str, tuple[str, ...], dict[tuple[str, ...], float]]
 
 
-class FleetBridge:
-    """Publishes one service's stats snapshots as gauges, and retracts them.
+def fleet_instruments(
+    registry: RegistryStats, batching: BatcherStats
+) -> tuple[InstrumentSnapshot, ...]:
+    """One service's fleet as gauge families, sorted by name.
 
-    :meth:`publish` sets every gauge one :meth:`SessionRegistry.stats`
-    plus merged ``BatcherStats`` snapshot covers — occupancy and byte
-    budget, lifetime hit/miss/eviction/invalidation/refresh counters, the
-    fleet-wide per-cache roll-up
+    Covers occupancy and byte budget, the lifetime hit/miss/eviction/
+    invalidation/refresh counters, the fleet-wide per-cache roll-up
     (:meth:`~repro.core.registry.RegistryStats.cache_totals`, under the
     empty session label), each live session's caches and bytes, the warm
-    tier and the coalescing counters — then removes the series its
-    previous call published that this one did not.  Each session's byte
-    share is ``repro_registry_max_total_bytes / repro_registry_sessions``.
+    tier and the coalescing counters.  A family appears only when it has
+    at least one series, so an empty fleet renders no cache families.
+    Each session's byte share is
+    ``repro_registry_max_total_bytes / repro_registry_sessions``.
     """
+    families: dict[str, _Family] = {}
 
-    def __init__(self, metrics: MetricsRegistry) -> None:
-        self._metrics = metrics
-        self._lock = threading.Lock()
-        # Series the last publish() set; None once retracted for good.
-        self._published: set[_Series] | None = set()  # guarded-by: _lock
+    def put(
+        prefix: str,
+        fields: tuple[tuple[str, str], ...],
+        stats: object,
+        **labels: str,
+    ) -> None:
+        for field, help_text in fields:
+            _, _, series = families.setdefault(
+                f"{prefix}_{field}", (help_text, tuple(labels), {})
+            )
+            series[tuple(labels.values())] = float(getattr(stats, field))
 
-    def publish(self, registry: RegistryStats, batching: BatcherStats) -> None:
-        """Mirror the two snapshots into gauges; drop series gone stale."""
-        current: set[_Series] = set()
-
-        def put(
-            prefix: str,
-            fields: tuple[tuple[str, str], ...],
-            stats: object,
-            **labels: str,
-        ) -> None:
-            for field, help_text in fields:
-                gauge = self._metrics.gauge(
-                    f"{prefix}_{field}", help_text, tuple(labels)
-                )
-                gauge.set(getattr(stats, field), **labels)
-                current.add((gauge, tuple(labels.items())))
-
-        with self._lock:
-            if self._published is None:
-                return
-            put("repro_registry", _REGISTRY_GAUGES, registry)
-            if registry.max_total_bytes is not None:
-                put("repro_registry", _POOL_GAUGE, registry)
-            for totals in registry.cache_totals().values():
-                put("repro_cache", _CACHE_GAUGES, totals, cache=totals.name, session="")
-            for info in registry.per_session:
-                session = str(info.key)
-                for cache in info.cache_stats.values():
-                    put(
-                        "repro_cache", _CACHE_GAUGES, cache,
-                        cache=cache.name, session=session,
-                    )
-                put("repro_session", _SESSION_GAUGE, info, session=session)
-            if registry.warm is not None:
-                put("repro_warm", _WARM_GAUGES, registry.warm)
-            put("repro_coalescing", _BATCHER_GAUGES, batching)
-            self._remove(self._published - current)
-            self._published = current
-
-    def retract(self) -> None:
-        """Remove every series this bridge published; later publishes no-op."""
-        with self._lock:
-            if self._published is not None:
-                self._remove(self._published)
-            self._published = None
-
-    @staticmethod
-    def _remove(series: set[_Series]) -> None:
-        for gauge, labels in series:
-            gauge.remove(**dict(labels))
+    put("repro_registry", _REGISTRY_GAUGES, registry)
+    if registry.max_total_bytes is not None:
+        put("repro_registry", _POOL_GAUGE, registry)
+    for totals in registry.cache_totals().values():
+        put("repro_cache", _CACHE_GAUGES, totals, cache=totals.name, session="")
+    for info in registry.per_session:
+        session = str(info.key)
+        for cache in info.cache_stats.values():
+            put("repro_cache", _CACHE_GAUGES, cache, cache=cache.name, session=session)
+        put("repro_session", _SESSION_GAUGE, info, session=session)
+    if registry.warm is not None:
+        put("repro_warm", _WARM_GAUGES, registry.warm)
+    put("repro_coalescing", _BATCHER_GAUGES, batching)
+    return tuple(
+        InstrumentSnapshot(
+            name=name,
+            kind="gauge",
+            help=help_text,
+            label_names=label_names,
+            buckets=(),
+            series=tuple(
+                SeriesValue(labels=labels, value=series[labels])
+                for labels in sorted(series)
+            ),
+        )
+        for name, (help_text, label_names, series) in sorted(families.items())
+    )

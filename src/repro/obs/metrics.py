@@ -1,13 +1,11 @@
-"""Thread-safe metrics registry: counters, gauges, log-bucketed histograms.
+"""Thread-safe metrics registry: counters and log-bucketed histograms.
 
 The accounting substrate of the observability tier (see
-``docs/observability.md``).  Three instrument kinds cover everything the
-serving stack measures:
+``docs/observability.md``).  Two live instrument kinds cover everything
+the stack records at the source:
 
-* :class:`Counter` — monotone sums (streamed passes, coalesced requests,
-  size-search rounds);
-* :class:`Gauge` — set-to-current values (cache bytes, fleet occupancy;
-  also the bridge targets for the pre-existing stats snapshots);
+* :class:`Counter` — monotone sums (streamed passes, size-search rounds,
+  eviction events);
 * :class:`Histogram` — fixed-bucket latency distributions.  The buckets
   are *fixed at declaration* (default :data:`LATENCY_BUCKETS`, a
   log-spaced 100 µs → 100 s ladder) so independently collected snapshots
@@ -21,11 +19,11 @@ into a :class:`MetricsSnapshot` — plain frozen dataclasses of tuples that
 the renderers in :mod:`repro.obs.export` turn into Prometheus text or
 JSON.
 
-Collectors (:meth:`MetricsRegistry.add_collector`) let pull-time bridges
-publish externally owned counters — the serving tier registers one that
-copies its :class:`~repro.core.registry.RegistryStats` roll-up into
-gauges on every scrape, so one snapshot covers the fleet without the
-fleet pushing on its request path.
+A snapshot also carries ``"gauge"`` instruments that no registry holds:
+values rendered at scrape time from a stats snapshot that owns them.
+:meth:`MetricsSnapshot.including` adds them — a serving front-end's
+scrape is the process snapshot including its fleet's gauges
+(:func:`repro.obs.bridge.fleet_instruments`).
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from __future__ import annotations
 import re
 import threading
 from bisect import bisect_left
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 from repro.exceptions import ObservabilityError
@@ -164,6 +162,24 @@ class MetricsSnapshot:
         instrument = self.get(name)
         return 0.0 if instrument is None else instrument.total()
 
+    def including(
+        self, instruments: Iterable[InstrumentSnapshot]
+    ) -> MetricsSnapshot:
+        """This snapshot plus ``instruments``, sorted by name.
+
+        Raises :class:`~repro.exceptions.ObservabilityError` when a name
+        appears twice, so an added family can never shadow a recorded one.
+        """
+        combined = sorted(
+            (*self.instruments, *instruments), key=lambda entry: entry.name
+        )
+        duplicates = {a.name for a, b in zip(combined, combined[1:]) if a.name == b.name}
+        if duplicates:
+            raise ObservabilityError(
+                f"duplicate instrument names in one snapshot: {sorted(duplicates)!r}"
+            )
+        return MetricsSnapshot(instruments=tuple(combined))
+
 
 # ----------------------------------------------------------------------
 # Live instruments
@@ -210,58 +226,6 @@ class Counter(_Instrument):
         key = self._key(labels)
         with self._lock:
             self._series[key] = self._series.get(key, 0.0) + amount
-
-    def value(self, **labels: object) -> float:
-        key = self._key(labels)
-        with self._lock:
-            return self._series.get(key, 0.0)
-
-    def total(self) -> float:
-        with self._lock:
-            return sum(self._series.values())
-
-    def snapshot(self) -> InstrumentSnapshot:
-        with self._lock:
-            series = tuple(
-                SeriesValue(labels=labels, value=self._series[labels])
-                for labels in sorted(self._series)
-            )
-        return InstrumentSnapshot(
-            name=self.name,
-            kind=self.kind,
-            help=self.help,
-            label_names=self.label_names,
-            buckets=(),
-            series=series,
-        )
-
-
-class Gauge(_Instrument):
-    """Set-to-current labelled value (may move in either direction)."""
-
-    kind = "gauge"
-
-    def __init__(
-        self, name: str, help_text: str = "", label_names: Iterable[str] = ()
-    ):
-        super().__init__(name, help_text, label_names)
-        self._series: dict[tuple[str, ...], float] = {}  # guarded-by: _lock
-
-    def set(self, value: float, **labels: object) -> None:
-        key = self._key(labels)
-        with self._lock:
-            self._series[key] = float(value)
-
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
-        key = self._key(labels)
-        with self._lock:
-            self._series[key] = self._series.get(key, 0.0) + amount
-
-    def remove(self, **labels: object) -> None:
-        """Drop one series, so scrapes stop reporting it (no-op if absent)."""
-        key = self._key(labels)
-        with self._lock:
-            self._series.pop(key, None)
 
     def value(self, **labels: object) -> float:
         key = self._key(labels)
@@ -362,24 +326,19 @@ class Histogram(_Instrument):
 # Registry
 # ----------------------------------------------------------------------
 class MetricsRegistry:
-    """Named instruments plus pull-time collectors, one scrape surface.
+    """Named instruments, one scrape surface.
 
-    ``counter`` / ``gauge`` / ``histogram`` are get-or-create: a repeat
-    declaration with the same schema returns the existing instrument
-    (instrumented modules simply declare at import time); a conflicting
-    redeclaration — different kind, labels or buckets — raises
+    ``counter`` / ``histogram`` are get-or-create: a repeat declaration
+    with the same schema returns the existing instrument (instrumented
+    modules simply declare at import time); a conflicting redeclaration —
+    different kind, labels or buckets — raises
     :class:`~repro.exceptions.ObservabilityError` instead of silently
     aliasing two meanings under one name.
-
-    Collectors run at :meth:`snapshot` time, *outside* the registry lock,
-    so a collector may freely read stats surfaces that take their own
-    locks (the serving bridge walks the whole registry fleet).
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._instruments: dict[str, _Instrument] = {}  # guarded-by: _lock
-        self._collectors: list[Callable[[], None]] = []  # guarded-by: _lock
 
     def _get_or_create(self, instrument: _Instrument) -> _Instrument:
         with self._lock:
@@ -405,13 +364,6 @@ class MetricsRegistry:
         assert isinstance(instrument, Counter)
         return instrument
 
-    def gauge(
-        self, name: str, help_text: str = "", label_names: Iterable[str] = ()
-    ) -> Gauge:
-        instrument = self._get_or_create(Gauge(name, help_text, label_names))
-        assert isinstance(instrument, Gauge)
-        return instrument
-
     def histogram(
         self,
         name: str,
@@ -425,34 +377,8 @@ class MetricsRegistry:
         assert isinstance(instrument, Histogram)
         return instrument
 
-    def add_collector(self, collector: Callable[[], None]) -> None:
-        """Register a zero-argument callable run before every snapshot.
-
-        Bridges push externally owned stats into gauges here, so the
-        cost of walking a stats surface is paid per scrape, never per
-        request.  Idempotent for the same callable.
-        """
-        with self._lock:
-            if collector not in self._collectors:
-                self._collectors.append(collector)
-
-    def remove_collector(self, collector: Callable[[], None]) -> None:
-        """Deregister a collector (no-op when it is not registered)."""
-        with self._lock:
-            if collector in self._collectors:
-                self._collectors.remove(collector)
-
-    def collect(self) -> None:
-        """Run every registered collector (outside the registry lock)."""
-        with self._lock:
-            collectors = list(self._collectors)
-        for collector in collectors:
-            collector()
-
-    def snapshot(self, run_collectors: bool = True) -> MetricsSnapshot:
-        """Freeze the registry (after running collectors, by default)."""
-        if run_collectors:
-            self.collect()
+    def snapshot(self) -> MetricsSnapshot:
+        """Freeze the registry: every instrument, sorted by name."""
         with self._lock:
             instruments = [
                 self._instruments[name] for name in sorted(self._instruments)

@@ -59,8 +59,8 @@ from repro.exceptions import BlinkMLError, ServingError, ServingOverloadError
 from repro.obs import get_metrics, get_tracer
 
 # Queue-wait *distribution* (repro.obs): the cumulative totals live in
-# BatcherStats (bridged to gauges at scrape time); the histogram adds
-# per-request latency quantiles the totals cannot recover.
+# BatcherStats (rendered as gauges in the owning service's scrape); the
+# histogram adds per-request latency quantiles the totals cannot recover.
 _QUEUE_WAIT_SECONDS = get_metrics().histogram(
     "repro_coalescing_queue_wait_latency_seconds",
     "Per-request time spent queued in the coalescing window before its "

@@ -25,8 +25,11 @@ fresh pair.
 
 **Observability.**  :meth:`stats` is the registry's fleet snapshot
 (occupancy, byte usage, counters) and :meth:`batching_stats` merges every
-batcher's :class:`~repro.serving.batcher.BatcherStats`; the service's
-scrape collector bridges both into the metrics registry.
+batcher's :class:`~repro.serving.batcher.BatcherStats`.  Those two
+snapshots are the only copy of the fleet's counters: the service's scrape
+(:meth:`metrics_snapshot`) is the process registry's snapshot including
+gauge families rendered from them at that moment
+(:func:`~repro.obs.bridge.fleet_instruments`).
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from repro.obs import (
     render_json,
     render_prometheus,
 )
-from repro.obs.bridge import FleetBridge
+from repro.obs.bridge import fleet_instruments
 from repro.serving.batcher import BatcherStats, ContractBatcher
 
 
@@ -138,13 +141,6 @@ class CoalescingService:
             max_workers=max(32, 4 * self._max_batch),
             thread_name_prefix="repro-serving-wait",
         )
-        # Scrape-time bridge: every metrics snapshot (Prometheus text, JSON,
-        # ``python -m repro.obs``) folds the fleet's RegistryStats (cache
-        # roll-ups, warm tier) and the coalescing counters into the global
-        # registry.  Cost is per scrape, never per request; deregistered
-        # and retracted in close().
-        self._bridge = FleetBridge(get_metrics())
-        get_metrics().add_collector(self._bridge_metrics)
         self._stop = threading.Event()
         self._housekeeper: threading.Thread | None = None
         if start_housekeeping:
@@ -372,18 +368,20 @@ class CoalescingService:
         """The registry's fleet snapshot (see :meth:`batching_stats` for coalescing)."""
         return self.registry.stats()
 
-    def _bridge_metrics(self) -> None:
-        self._bridge.publish(self.registry.stats(), self.batching_stats())
-
     def metrics_snapshot(self) -> MetricsSnapshot:
-        """One frozen scrape of the global metrics registry.
+        """One frozen scrape: the process registry plus this service's fleet.
 
-        Runs the registered collectors first — including this service's
-        fleet bridge — so the snapshot carries the streamed-pass counters,
-        latency histograms *and* the cache/warm/batcher/registry roll-ups
-        in a single frozen value.
+        Counters and histograms come from the process registry; the
+        cache/warm/batcher/registry gauges are rendered now from
+        :meth:`stats` and :meth:`batching_stats`, so the scrape reports
+        this service's fleet and no other (none once it is closed).
         """
-        return get_metrics().snapshot()
+        snapshot = get_metrics().snapshot()
+        if self._closed:
+            return snapshot
+        return snapshot.including(
+            fleet_instruments(self.registry.stats(), self.batching_stats())
+        )
 
     def prometheus_metrics(self) -> str:
         """The scrape in Prometheus text-exposition format."""
@@ -405,8 +403,8 @@ class CoalescingService:
 
         The registry (and its sessions) stays usable — the service owns
         only the coalescing tier on top of it — and keeps no reference to
-        the closed service; the service's metrics collector is removed and
-        every series it published drops out of later scrapes.
+        the closed service; the service's later scrapes carry no fleet
+        families.
         """
         with self._lock:
             if self._closed:
@@ -416,8 +414,6 @@ class CoalescingService:
             self._batchers.clear()
             for _, batcher in batchers:
                 self._retired_stats = self._retired_stats.merge(batcher.stats())
-        get_metrics().remove_collector(self._bridge_metrics)
-        self._bridge.retract()
         self._stop.set()
         if self._housekeeper is not None:
             self._housekeeper.join()

@@ -1,10 +1,16 @@
 """Tests for the approximation contract and the Lemma 1 / Lemma 2 helpers."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core.contract import ApproximationContract
 from repro.core.guarantees import (
     conservative_quantile_level,
@@ -65,8 +71,34 @@ class TestQuantileLevel:
             conservative_quantile_level(0.0, 10)
         with pytest.raises(ContractError):
             conservative_quantile_level(0.1, 0)
-        with pytest.raises(ContractError):
-            conservative_quantile_level(0.1, 10, slack=1.5)
+
+    def test_environment_cannot_weaken_the_level(self):
+        """The 0.95 of Lemma 2 is a paper constant, not a knob.
+
+        A fresh interpreter with a larger slack in the environment, under
+        the constant's own name or a knob-style ``DEFAULT_`` name, must
+        still cap the δ = 0.05, k = 128 level at 1 (ε is the max of the k
+        diffs); a slack of 0.999 would lower it to about 0.953.
+        """
+        constant = "CONFIDENCE_SLACK"
+        env = dict(os.environ, **{constant: "0.999", f"DEFAULT_{constant}": "0.999"})
+        source_root = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            [source_root, *filter(None, [os.environ.get("PYTHONPATH")])]
+        )
+        probe = (
+            "from repro.core.guarantees import conservative_quantile_level\n"
+            "print(repr(conservative_quantile_level(0.05, 128)))\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert float(completed.stdout) == 1.0
 
     @given(delta=st.floats(0.01, 0.5), k=st.integers(2, 5000))
     @settings(max_examples=80, deadline=None)

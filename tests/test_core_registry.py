@@ -22,6 +22,7 @@ from repro.core.contract import ApproximationContract
 from repro.core.registry import SessionRegistry
 from repro.data.dataset import Dataset
 from repro.data.splits import SplitSpec, train_holdout_test_split
+from repro.data.store.warm_cache import WarmCacheTier
 from repro.data.synthetic import higgs_like
 from repro.exceptions import BlinkMLError
 from repro.models.logistic_regression import LogisticRegressionSpec
@@ -177,6 +178,41 @@ def test_clear_counts_invalidations(fake_registry, tiny_splits):
     assert len(registry) == 0
     assert stats.invalidations == 2
     assert stats.evictions == 0
+
+
+def test_warm_scan_never_holds_the_registry_lock(fake_registry, tiny_splits, tmp_path):
+    """A scrape's warm-directory scan never stalls the request path.
+
+    ``WarmCacheTier.stats()`` scans its directory (one ``stat`` per
+    entry); while it runs inside ``registry.stats()``, a request's
+    ``registry.get`` must still return promptly.
+    """
+    scanning = threading.Event()
+    release = threading.Event()
+
+    class BlockingWarmTier(WarmCacheTier):
+        def stats(self):
+            scanning.set()
+            release.wait(timeout=30)
+            return super().stats()
+
+    registry = fake_registry(warm_cache=BlockingWarmTier(tmp_path / "warm"))
+    session = registry.get_or_create("k", SPEC, tiny_splits.train, tiny_splits.holdout)
+    scraper = threading.Thread(target=registry.stats)
+    scraper.start()
+    try:
+        assert scanning.wait(timeout=10)
+        served = []
+        getter = threading.Thread(target=lambda: served.append(registry.get("k")))
+        getter.start()
+        getter.join(timeout=2.0)
+        assert not getter.is_alive(), "registry.get blocked behind the warm scan"
+        assert served == [session]
+    finally:
+        release.set()
+        scraper.join(timeout=30)
+        registry.warm_cache.close()
+    assert not scraper.is_alive()
 
 
 def test_constructor_validation():

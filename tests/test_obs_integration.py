@@ -7,25 +7,27 @@ The two guarantees the tier ships with:
   the stack already proves elsewhere: the pass counter with
   ``streaming_pass_count()`` serially and fanned out over threads, the
   size-search counters with ``CoalescedTrainOutcome``, the eviction-event
-  counter with ``RegistryStats``, the bridged roll-ups with the
-  pre-existing ``RegistryStats.cache_totals`` fold;
-* **liveness** — a scrape's per-session series are exactly the live
-  fleet's sessions: evicted sessions and closed services drop out.
+  counter with ``RegistryStats``, the cache roll-ups with the
+  pre-existing ``RegistryStats.cache_totals`` fold, and the fleet gauges
+  byte for byte with a pinned rendering of hand-built stats snapshots;
+* **liveness** — a service's scrape renders its own ``stats()`` and
+  nothing else: another service's fleet, evicted or invalidated sessions
+  and closed services never appear, not even as empty families.
 """
 
 from __future__ import annotations
 
-import sys
-import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.caching import CacheStats
 from repro.core.contract import ApproximationContract
-from repro.core.registry import SessionRegistry
+from repro.core.registry import RegistryStats, SessionInfo, SessionRegistry
 from repro.core.session import EstimationSession
 from repro.data.splits import SplitSpec, train_holdout_test_split
+from repro.data.store.warm_cache import WarmCacheStats
 from repro.data.synthetic import gas_like, higgs_like
 from repro.evaluation.streaming import (
     StreamingConfig,
@@ -36,15 +38,15 @@ from repro.exceptions import BlinkMLError
 from repro.models.linear_regression import LinearRegressionSpec
 from repro.models.logistic_regression import LogisticRegressionSpec
 from repro.obs import (
-    MetricsRegistry,
+    MetricsSnapshot,
     current_pass_scope,
     get_metrics,
     get_tracer,
     pass_scope,
     render_prometheus,
 )
-from repro.obs.bridge import FleetBridge
-from repro.serving import CoalescingService
+from repro.obs.bridge import fleet_instruments
+from repro.serving import BatcherStats, CoalescingService
 
 SPEC = LogisticRegressionSpec(regularization=1e-3)
 
@@ -326,7 +328,7 @@ class TestExportFidelity:
 
 
 def session_labels(snapshot, keys):
-    """The ``session`` labels among ``keys`` that any bridged gauge reports."""
+    """The ``session`` labels among ``keys`` that any gauge reports."""
     labels = set()
     for instrument in snapshot.instruments:
         if instrument.kind != "gauge" or "session" not in instrument.label_names:
@@ -354,41 +356,143 @@ class TestScrapeLiveness:
             service.close()
         assert session_labels(get_metrics().snapshot(), keys) == set()
 
-    def test_retract_removes_every_series_despite_racing_scrapes(self, splits):
-        """After ``retract()`` no series survives, even one a racing scrape set."""
+    def test_each_service_scrapes_only_its_own_fleet(self, splits):
+        """Two live services in one process never report each other."""
+        with (
+            CoalescingService(start_housekeeping=False) as first,
+            CoalescingService(start_housekeeping=False) as second,
+        ):
+            admit(first, "a", splits, 1)
+            admit(second, "b", splits, 2)
+            for contract in CONTRACTS[1:3]:
+                second.answer_sync("b", contract)
+            assert [
+                first.batching_stats().requests,
+                second.batching_stats().requests,
+            ] == [1, 3]
+            for service, key in ((first, "a"), (second, "b")):
+                snapshot = service.metrics_snapshot()
+                assert (
+                    snapshot.value("repro_coalescing_requests")
+                    == service.batching_stats().requests
+                )
+                assert session_labels(snapshot, ("a", "b")) == {key}
+                assert snapshot.value("repro_registry_sessions") == 1
+
+    def test_no_empty_families_after_invalidation_or_close(self, splits):
+        """A family with no series is never exported."""
         service = CoalescingService(start_housekeeping=False)
         try:
-            admit(service, "retract-k", splits, 5)
-            stats, batching = service.stats(), service.batching_stats()
+            admit(service, "empty-k", splits, 3)
+            assert fleet_families(service.metrics_snapshot()) >= {
+                "repro_cache_hits",
+                "repro_session_bytes",
+            }
+            service.registry.invalidate("empty-k")
+            scraped = service.metrics_snapshot()
+            assert scraped.value("repro_registry_sessions") == 0
+            assert not {
+                name
+                for name in fleet_families(scraped)
+                if name.startswith("repro_cache_") or name == "repro_session_bytes"
+            }
         finally:
             service.close()
-        metrics = MetricsRegistry()
-        bridge = FleetBridge(metrics)
-        bridge.publish(stats, batching)
-        published = metrics.snapshot()
-        assert published.value("repro_registry_sessions") == 1
-        assert published.value("repro_session_bytes", session="retract-k") > 0
+        assert fleet_families(service.metrics_snapshot()) == set()
+        assert fleet_families(get_metrics().snapshot()) == set()
 
-        started = threading.Barrier(5)
 
-        def scrape() -> None:
-            started.wait(timeout=10)
-            for _ in range(200):
-                bridge.publish(stats, batching)
+def fleet_families(snapshot):
+    """Names of the gauge-kind instruments in a snapshot."""
+    return {
+        instrument.name
+        for instrument in snapshot.instruments
+        if instrument.kind == "gauge"
+    }
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            workers = [threading.Thread(target=scrape) for _ in range(4)]
-            for worker in workers:
-                worker.start()
-            started.wait(timeout=10)
-            bridge.retract()
-            for worker in workers:
-                worker.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(worker.is_alive() for worker in workers)
-        assert not any(
-            instrument.series for instrument in metrics.snapshot().instruments
+
+# ----------------------------------------------------------------------
+# Golden rendering: hand-built stats snapshots, pinned bytes
+# ----------------------------------------------------------------------
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def cache_rows(base):
+    return {
+        name: CacheStats(
+            name,
+            base + 1 + i,
+            base + 2 + i,
+            base + 3 + i,
+            base + 4 + i,
+            100 * base + 10 * i + 5,
+            64,
+            None,
         )
+        for i, name in enumerate(("diff", "model", "size"))
+    }
+
+
+FULL_FLEET = RegistryStats(
+    sessions=2,
+    max_sessions=16,
+    bytes=4000,
+    max_total_bytes=8192,
+    session_budget_bytes=4096,
+    hits=11,
+    misses=2,
+    evictions=3,
+    invalidations=4,
+    fingerprint_invalidations=5,
+    per_session=(
+        SessionInfo("a", "fp-a", 1500, 0.5, cache_rows(10)),
+        SessionInfo(7, "fp-7", 2500, 1.25, cache_rows(20)),
+    ),
+    refreshes=6,
+    warm=WarmCacheStats("warm-dir", 7, 8, 9, 10, 11, 12, 13, 14_000, 1 << 20),
+)
+EMPTY_FLEET = RegistryStats(
+    sessions=0,
+    max_sessions=None,
+    bytes=0,
+    max_total_bytes=None,
+    session_budget_bytes=None,
+    hits=0,
+    misses=0,
+    evictions=0,
+    invalidations=0,
+    fingerprint_invalidations=0,
+    per_session=(),
+)
+BATCHING = BatcherStats(
+    batches=3,
+    requests=17,
+    coalesced_requests=4,
+    answer_requests=12,
+    train_requests=5,
+    fused_passes=6,
+    serial_passes=15,
+    load_shed=2,
+    max_queue_depth=9,
+    window_slots=48,
+    queue_wait_seconds=0.375,
+    max_queue_wait_seconds=0.0625,
+)
+
+
+@pytest.mark.parametrize(
+    "fleet,golden",
+    [(FULL_FLEET, "fleet_full.prom"), (EMPTY_FLEET, "fleet_empty.prom")],
+    ids=["full", "empty"],
+)
+def test_fleet_instruments_render_the_pinned_bytes(fleet, golden):
+    """Names, help, labels, values and order match the pinned scrape text.
+
+    The golden files pin what dashboards read for these hand-built
+    snapshots; any change to a family's name, help, label or value
+    formatting shows up here byte for byte.
+    """
+    rendered = render_prometheus(
+        MetricsSnapshot(instruments=fleet_instruments(fleet, BATCHING))
+    )
+    assert rendered == (GOLDEN / golden).read_text(encoding="utf-8")

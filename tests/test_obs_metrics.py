@@ -1,9 +1,9 @@
 """Tests for the metrics registry, snapshots and exporters (repro.obs).
 
 Everything here is deterministic: histograms are fed exact values against
-the fixed log-spaced bucket ladder, snapshot merges are checked for
-associativity on hand-built operands, and the Prometheus renderer is
-asserted byte-for-byte (escaping, label ordering, cumulative buckets).
+the fixed log-spaced bucket ladder, snapshots are combined with hand-built
+gauge instruments, and the Prometheus renderer is asserted byte-for-byte
+(escaping, label ordering, cumulative buckets).
 """
 
 from __future__ import annotations
@@ -15,17 +15,20 @@ import pytest
 from repro.exceptions import ObservabilityError
 from repro.obs import (
     LATENCY_BUCKETS,
+    InstrumentSnapshot,
     MetricsRegistry,
+    MetricsSnapshot,
     load_json_snapshot,
     render_json,
     render_prometheus,
     write_json_snapshot,
 )
 from repro.obs.export import snapshot_from_dict, snapshot_to_dict
+from repro.obs.metrics import SeriesValue
 
 
 # ----------------------------------------------------------------------
-# Counters and gauges
+# Counters
 # ----------------------------------------------------------------------
 class TestCounter:
     def test_inc_and_total(self):
@@ -56,7 +59,7 @@ class TestCounter:
         registry = MetricsRegistry()
         registry.counter("thing_total", "Thing.")
         with pytest.raises(ObservabilityError):
-            registry.gauge("thing_total", "Thing.")
+            registry.histogram("thing_total", "Thing.")
         with pytest.raises(ObservabilityError):
             registry.counter("thing_total", "Thing.", ("extra",))
 
@@ -64,13 +67,6 @@ class TestCounter:
         registry = MetricsRegistry()
         with pytest.raises(ObservabilityError):
             registry.counter("bad-name", "Dashes are not prometheus names.")
-
-    def test_gauge_set_and_inc(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("depth", "Queue depth.")
-        gauge.set(7)
-        gauge.inc(-2)
-        assert gauge.value() == 5
 
 
 # ----------------------------------------------------------------------
@@ -105,28 +101,60 @@ class TestHistogram:
 
 
 # ----------------------------------------------------------------------
-# Snapshots: pickling
+# Snapshots: combining and pickling
 # ----------------------------------------------------------------------
-def build_registry(scale: int) -> MetricsRegistry:
+def gauge(name: str, value: float, help_text: str = "") -> InstrumentSnapshot:
+    """A hand-built unlabelled gauge-kind instrument."""
+    return InstrumentSnapshot(
+        name=name,
+        kind="gauge",
+        help=help_text,
+        label_names=(),
+        buckets=(),
+        series=(SeriesValue(labels=(), value=value),),
+    )
+
+
+def build_snapshot(scale: int) -> MetricsSnapshot:
+    """A registry's counter and histogram plus a gauge added by ``including``."""
     registry = MetricsRegistry()
     counter = registry.counter("passes_total", "Passes.", ("scope",))
     counter.inc(2 * scale, scope="accuracy")
     counter.inc(3 * scale, scope="size-search")
-    gauge = registry.gauge("bytes", "Bytes.")
-    gauge.set(10 * scale)
     histogram = registry.histogram("secs", "Secs.", buckets=(0.1, 1.0))
     for _ in range(scale):
         histogram.observe(0.0625)
         histogram.observe(4.0)
-    return registry
+    return registry.snapshot().including([gauge("bytes", 10.0 * scale, "Bytes.")])
 
 
 class TestSnapshotMerge:
     def test_snapshot_pickles(self):
-        snapshot = build_registry(2).snapshot()
+        snapshot = build_snapshot(2)
+        assert [i.kind for i in snapshot.instruments] == [
+            "gauge",
+            "counter",
+            "histogram",
+        ]
         clone = pickle.loads(pickle.dumps(snapshot))
         assert clone == snapshot
         assert render_prometheus(clone) == render_prometheus(snapshot)
+
+    def test_including_sorts_by_name(self):
+        snapshot = MetricsSnapshot(instruments=(gauge("b", 2.0),)).including(
+            [gauge("c", 3.0), gauge("a", 1.0)]
+        )
+        assert [i.name for i in snapshot.instruments] == ["a", "b", "c"]
+        assert snapshot.value("a") == 1.0
+        assert snapshot.total("c") == 3.0
+
+    def test_including_rejects_duplicate_names(self):
+        registry = MetricsRegistry()
+        registry.counter("taken_total", "Taken.").inc(1)
+        with pytest.raises(ObservabilityError):
+            registry.snapshot().including([gauge("taken_total", 1.0)])
+        with pytest.raises(ObservabilityError):
+            MetricsSnapshot(instruments=()).including([gauge("x", 1.0), gauge("x", 2.0)])
 
 
 # ----------------------------------------------------------------------
@@ -147,8 +175,8 @@ class TestPrometheusRendering:
 
     def test_label_value_escaping(self):
         registry = MetricsRegistry()
-        gauge = registry.gauge("g", "G.", ("path",))
-        gauge.set(1, path='a\\b"c\nd')
+        counter = registry.counter("g", "G.", ("path",))
+        counter.inc(1, path='a\\b"c\nd')
         rendered = render_prometheus(registry.snapshot())
         assert 'path="a\\\\b\\"c\\nd"' in rendered
 
@@ -184,7 +212,7 @@ class TestPrometheusRendering:
 # ----------------------------------------------------------------------
 class TestJsonRoundTrip:
     def test_round_trip_is_lossless(self, tmp_path):
-        snapshot = build_registry(3).snapshot()
+        snapshot = build_snapshot(3)
         path = tmp_path / "metrics.json"
         write_json_snapshot(snapshot, path)
         restored = load_json_snapshot(path)
@@ -192,7 +220,7 @@ class TestJsonRoundTrip:
         assert render_json(restored) == render_json(snapshot)
 
     def test_unknown_version_rejected(self):
-        payload = snapshot_to_dict(build_registry(1).snapshot())
+        payload = snapshot_to_dict(build_snapshot(1))
         payload["version"] = 99
         with pytest.raises(ObservabilityError):
             snapshot_from_dict(payload)
@@ -200,7 +228,7 @@ class TestJsonRoundTrip:
     def test_dump_command_rerenders_snapshot(self, tmp_path, capsys):
         from repro.obs.__main__ import main
 
-        snapshot = build_registry(1).snapshot()
+        snapshot = build_snapshot(1)
         path = tmp_path / "run.json"
         write_json_snapshot(snapshot, path)
         assert main([str(path)]) == 0
@@ -213,15 +241,6 @@ class TestJsonRoundTrip:
         path = tmp_path / "junk.json"
         path.write_text("[]")
         assert main_exit_code(str(path)) == 1
-
-    def test_collectors_run_on_snapshot(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("collected", "Set by a collector.")
-        registry.add_collector(lambda: gauge.set(42))
-        assert registry.snapshot().value("collected") == 42
-        # run_collectors=False skips them (gauge keeps its last value).
-        gauge.set(0)
-        assert registry.snapshot(run_collectors=False).value("collected") == 0
 
 
 def main_exit_code(*argv: str) -> int:

@@ -688,7 +688,7 @@ class TestRealTree:
             for target in node.targets
             if isinstance(target, ast.Name) and target.id.startswith("DEFAULT_")
         ]
-        assert len(knobs) <= 28, knobs
+        assert len(knobs) <= 27, knobs
 
     def test_cli_check_passes_on_real_tree(self, capsys):
         assert analysis_main(["--check"]) == 0
