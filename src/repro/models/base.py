@@ -391,6 +391,18 @@ class ModelClassSpec(ABC):
         Thetas = self._as_parameter_batch(Thetas)
         return np.stack([self.predict(theta, X) for theta in Thetas])
 
+    def _decisions(self, Thetas: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """The labels the disagreement accumulators compare, one row per θ.
+
+        Contract: ``_decisions(Thetas, X).astype(np.int64)`` equals
+        ``predict_many(Thetas, X)`` for every input.  This default returns
+        ``predict_many``; the classifiers override it to skip the int64
+        widening and take their labels in the narrowest dtype that holds
+        them.  A subclass that overrides ``predict_many`` must override this
+        too, or the diff path keeps the parent's labels.
+        """
+        return self.predict_many(Thetas, X)
+
     # ------------------------------------------------------------------
     # The batched ``diff``, streamed over holdout blocks
     #
@@ -398,11 +410,11 @@ class ModelClassSpec(ABC):
     # each hands back a DiffAccumulator that the streaming engine
     # (repro.evaluation.streaming) drives block by block, keeping memory at
     # O(k · block).  The built-in families override them with
-    # disagreement-count / squared-error-sum accumulators over
-    # ``predict_many`` GEMMs; the generic fallbacks evaluate the scalar
-    # ``prediction_difference`` pair by pair, so a custom spec that only
-    # implements ``predict`` and ``prediction_difference`` keeps working
-    # (correct, but without the memory bound).
+    # disagreement counts over ``_decisions`` and squared-error sums over
+    # ``predict_many``, one GEMM per block; the generic fallbacks evaluate
+    # the scalar ``prediction_difference`` pair by pair, so a custom spec
+    # that only implements ``predict`` and ``prediction_difference`` keeps
+    # working (correct, but without the memory bound).
     # ------------------------------------------------------------------
     def diff_accumulator(
         self, theta_ref: np.ndarray, Thetas: np.ndarray, dataset: Dataset
@@ -465,10 +477,12 @@ class ModelClassSpec(ABC):
         theta_ref = np.asarray(theta_ref, dtype=np.float64)
 
         def block_sums(block: Dataset) -> np.ndarray:
-            reference = self.predict(theta_ref, block.X)
-            return np.count_nonzero(
-                self.predict_many(Thetas, block.X) != reference[None, :], axis=1
-            )
+            decisions = self._decisions(Thetas, block.X)
+            # The reference row keeps the scalar predict, the product the
+            # scalar prediction_difference takes; its labels fit the hook's
+            # dtype, so the compare runs on narrow labels.
+            reference = self.predict(theta_ref, block.X).astype(decisions.dtype, copy=False)
+            return np.count_nonzero(decisions != reference[None, :], axis=1)
 
         return BlockSumDiffAccumulator(
             Thetas.shape[0], block_sums, lambda sums, rows: sums / rows
@@ -483,7 +497,7 @@ class ModelClassSpec(ABC):
         k = Thetas_a.shape[0]
 
         def block_sums(block: Dataset) -> np.ndarray:
-            labels = self.predict_many(stacked, block.X)
+            labels = self._decisions(stacked, block.X)
             return np.count_nonzero(labels[:k] != labels[k:], axis=1)
 
         return BlockSumDiffAccumulator(k, block_sums, lambda sums, rows: sums / rows)

@@ -97,13 +97,21 @@ class LogisticRegressionSpec(GeneralizedLinearSpec):
         X = np.asarray(X, dtype=np.float64)
         return (X @ np.asarray(theta, dtype=np.float64) >= 0).astype(np.int64)
 
-    def predict_many(self, Thetas: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """:meth:`predict` for a ``(k, d)`` batch: one ``Thetas @ Xᵀ`` GEMM."""
+    def _batch_logits(self, Thetas: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """The ``(k, n)`` logits of a ``(k, d)`` batch: one ``Thetas @ Xᵀ`` GEMM."""
         Thetas = self._as_parameter_batch(Thetas)
+        return Thetas @ np.asarray(X, dtype=np.float64).T
+
+    def predict_many(self, Thetas: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """:meth:`predict` for a ``(k, d)`` batch."""
         # The (k, n) logits stay a temporary, so their buffer is freed before
         # the int64 labels are allocated and is reused for them instead of
         # page-faulting in a fresh one.
-        return (Thetas @ np.asarray(X, dtype=np.float64).T >= 0).astype(np.int64)
+        return (self._batch_logits(Thetas, X) >= 0).astype(np.int64)
+
+    def _decisions(self, Thetas: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """:meth:`predict_many`'s labels as the ``≥ 0`` booleans, never widened."""
+        return self._batch_logits(Thetas, X) >= 0
 
     def prediction_difference(
         self, theta_a: np.ndarray, theta_b: np.ndarray, dataset: Dataset

@@ -62,6 +62,7 @@ class MaxEntropySpec(ModelClassSpec):
             return self.n_classes
         if dataset.y is None:
             raise ModelSpecError("cannot infer class count from an unlabelled dataset")
+        self.validate_dataset(dataset)
         inferred = int(dataset.y.max()) + 1
         self.n_classes = max(inferred, 2)
         return self.n_classes
@@ -83,13 +84,17 @@ class MaxEntropySpec(ModelClassSpec):
 
     def validate_dataset(self, dataset: Dataset) -> None:
         super().validate_dataset(dataset)
-        if dataset.y is None:
+        y = dataset.y
+        if y is None:
             return
-        if np.any(dataset.y < 0):
+        # Integer labels skip the integrality pass: the fit path validates on
+        # every forward pass.
+        integral = y.dtype.kind in "biu" or np.all(np.isfinite(y) & (np.trunc(y) == y))
+        if not integral or np.any(y < 0):
             raise ModelSpecError("class labels must be non-negative integers")
-        if self.n_classes is not None and dataset.y.max() >= self.n_classes:
+        if self.n_classes is not None and y.max() >= self.n_classes:
             raise ModelSpecError(
-                f"label {int(dataset.y.max())} is outside the configured {self.n_classes} classes"
+                f"label {int(y.max())} is outside the configured {self.n_classes} classes"
             )
 
     # ------------------------------------------------------------------
@@ -192,7 +197,8 @@ class MaxEntropySpec(ModelClassSpec):
         Theta = self.reshape(theta, X.shape[1])
         return np.argmax(X @ Theta.T, axis=1).astype(np.int64)
 
-    def predict_many(self, Thetas: np.ndarray, X: np.ndarray) -> np.ndarray:
+    def _batch_logits(self, Thetas: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """The ``(k, K, n)`` class scores of a ``(k, K·d)`` parameter batch."""
         X = np.asarray(X, dtype=np.float64)
         Thetas = self._as_parameter_batch(Thetas)
         if self.n_classes is None:
@@ -205,8 +211,42 @@ class MaxEntropySpec(ModelClassSpec):
                 f"parameter vectors have length {Thetas.shape[1]}, expected {K * d}"
             )
         # All k·K class scores come from a single (k·K, d) × (d, n) GEMM.
-        logits = (Thetas.reshape(k * K, d) @ X.T).reshape(k, K, -1)
-        return np.argmax(logits, axis=1).astype(np.int64)
+        return (Thetas.reshape(k * K, d) @ X.T).reshape(k, K, -1)
+
+    def predict_many(self, Thetas: np.ndarray, X: np.ndarray) -> np.ndarray:
+        return np.argmax(self._batch_logits(Thetas, X), axis=1).astype(np.int64)
+
+    def _decisions(self, Thetas: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """:meth:`predict_many`'s labels from a running max over the classes.
+
+        ``argmax`` over the strided class axis copies the logits transposed
+        and costs several times the GEMM.  Here each class's ``(k, n)`` slice
+        is compared with the running max of the slices before it: a strict
+        ``>`` keeps the first maximal class, as ``argmax`` does.  The classes
+        come in rising order, so a row's label is the largest ``c`` whose
+        slice beat the running max, one narrow ``maximum`` per class.  Labels
+        take the narrowest unsigned dtype that holds K − 1.
+
+        ``np.maximum`` carries a NaN logit into the running max.  ``argmax``
+        labels a row by its first NaN, which no ``>`` can see, so a block
+        with one falls back to ``argmax``.
+        """
+        logits = self._batch_logits(Thetas, X)
+        n_classes = logits.shape[1]
+        dtype = np.min_scalar_type(n_classes - 1)
+        top = logits[:, 0].copy()
+        labels = np.zeros(top.shape, dtype=dtype)
+        beats = np.empty(top.shape, dtype=bool)
+        claims = np.empty(top.shape, dtype=dtype)
+        for c in range(1, n_classes):
+            scores = logits[:, c]
+            np.greater(scores, top, out=beats)
+            np.multiply(beats.view(np.uint8), dtype.type(c), out=claims)
+            np.maximum(labels, claims, out=labels)
+            np.maximum(top, scores, out=top)
+        if np.isnan(top).any():
+            return np.argmax(logits, axis=1).astype(dtype)
+        return labels
 
     def prediction_difference(
         self, theta_a: np.ndarray, theta_b: np.ndarray, dataset: Dataset

@@ -274,3 +274,50 @@ class TestDiffPathSkipsSigmoid:
         monkeypatch.setattr(lr_module, "sigmoid", no_sigmoid)
         for actual, reference in zip(self.diffs(data), expected, strict=True):
             assert actual.tobytes() == reference.tobytes()
+
+
+def assert_decisions_match(spec, Thetas, X):
+    """The diff path's booleans equal ``predict_many``."""
+    decisions = spec._decisions(Thetas, X)
+    expected = spec.predict_many(Thetas, X)
+    assert decisions.dtype == np.bool_
+    assert np.array_equal(decisions.astype(np.int64), expected)
+    return expected
+
+
+class TestDecisionHook:
+    """``_decisions`` is ``predict_many``, never widened to int64."""
+
+    def test_integer_ties_at_zero(self):
+        rng = np.random.default_rng(4)
+        X = rng.integers(-2, 3, size=(400, 3)).astype(np.float64)
+        Thetas = rng.integers(-1, 2, size=(16, 3)).astype(np.float64)
+        labels = assert_decisions_match(LogisticRegressionSpec(), Thetas, X)
+        assert np.mean(Thetas @ X.T == 0) > 0.1  # many logits sit exactly on 0
+        assert 0 < labels.mean() < 1
+
+    def test_signed_zero_infinite_and_nan_logits(self):
+        # ±10·1e308 overflows to ±inf; a NaN feature makes a NaN logit,
+        # which is not ≥ 0.
+        X = np.array(
+            [[0.0, -0.0], [-0.0, -0.0], [1e308, 0.0], [-1e308, 0.0], [np.nan, 1.0]]
+        )
+        Thetas = np.array([[10.0, 0.0], [-0.0, 1.0], [-10.0, 1.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            labels = assert_decisions_match(LogisticRegressionSpec(), Thetas, X)
+        assert labels.tolist() == [[1, 1, 1, 0, 0], [1, 1, 1, 1, 0], [1, 1, 0, 1, 0]]
+
+    def test_one_row_block(self, separable_data):
+        data, _ = separable_data
+        spec = LogisticRegressionSpec()
+        Thetas = np.random.default_rng(13).normal(size=(8, 5))
+        labels = assert_decisions_match(spec, Thetas, data.X[:1])
+        assert labels.shape == (8, 1)
+        for theta, row in zip(Thetas, labels, strict=True):
+            np.testing.assert_array_equal(row, spec.predict(theta, data.X[:1]))
+
+    def test_validation_errors_match_predict_many(self):
+        spec = LogisticRegressionSpec()
+        for call in (spec.predict_many, spec._decisions):
+            with pytest.raises(ModelSpecError, match=r"\(k, p\) batch"):
+                call(np.zeros(3), np.zeros((4, 3)))

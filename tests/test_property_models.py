@@ -12,7 +12,8 @@ well-formed dataset, not just the hand-picked cases of the unit tests:
   accumulators behind ``streaming_prediction_differences`` /
   ``streaming_fanout_pairwise_prediction_differences`` — agrees with the
   scalar ``prediction_difference`` loop to 1e-12 (bitwise for the
-  classification families) for every model family and random θ batch.
+  classification families) for every model family and random θ batch, and
+  the classifiers' ``_decisions`` labels equal ``predict_many``.
 """
 
 import numpy as np
@@ -253,6 +254,9 @@ def _assert_batched_matches_loop(spec, data, theta_ref, batch_a, batch_b):
     many = spec.predict_many(batch_a, data.X)
     stacked = np.stack([spec.predict(theta, data.X) for theta in batch_a])
     np.testing.assert_allclose(many, stacked, atol=1e-12)
+    if spec.name in ("lr", "me"):
+        # The disagreement accumulators' narrow labels are predict_many's.
+        assert np.array_equal(spec._decisions(batch_a, data.X).astype(np.int64), many)
 
 
 class TestBatchedDifferenceConsistency:
