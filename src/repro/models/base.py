@@ -191,41 +191,34 @@ def materialize_if_sharded(dataset: Any) -> Dataset:
     return dataset
 
 
-#: Bytes of per-example rows :func:`fold_row_mean` builds at a time.  128 to
-#: 256 KiB ran fastest on every built-in family; 32 KiB, and 1 MiB or more,
-#: ran 20–80 % slower.
-_FOLD_CHUNK_BYTES = 256 * 1024
+#: Rows one BLAS call in the fit path spans at most.  BLAS splits a longer
+#: call across its threads, and OpenBLAS's bits then depended on the thread
+#: count: the partial sums of ``Xᵀr`` meet in another order, and ``X @ θ``
+#: changed at some row counts too.  Calls of 4,096 rows gave the same bits
+#: at one and two threads.
+_BLAS_ROWS = 4096
 
 
-def fold_chunk_rows(n_columns: int) -> int:
-    """Rows per chunk when :func:`fold_row_mean` folds ``n_columns``-wide rows."""
-    return max(1, _FOLD_CHUNK_BYTES // (8 * n_columns))
+def row_blocked_product(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``X @ M``, one product per block of :data:`_BLAS_ROWS` rows of X."""
+    out = np.empty((X.shape[0],) + M.shape[1:])
+    for lo in range(0, X.shape[0], _BLAS_ROWS):
+        hi = lo + _BLAS_ROWS
+        np.matmul(X[lo:hi], M, out=out[lo:hi])
+    return out
 
 
-def fold_row_mean(
-    n_rows: int, n_columns: int, fill_rows: Callable[[int, int, np.ndarray], object]
-) -> np.ndarray:
-    """``rows.mean(axis=0)`` of a C-ordered matrix that is never built whole.
+def transposed_row_sum(X: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """``Xᵀ R``: one product per block of :data:`_BLAS_ROWS` rows of X and R.
 
-    ``fill_rows(lo, hi, out)`` writes rows ``lo:hi`` into ``out``, a
-    C-ordered ``(hi − lo, n_columns)`` buffer.  NumPy sums a C-ordered
-    matrix over axis 0 one row at a time, top to bottom.  Each chunk is
-    summed with the running total as its row 0, which keeps that order, so
-    the result is bitwise equal to the mean of the whole matrix while only
-    O(chunk · n_columns) of it exists.  A single column is one contiguous
-    run that NumPy sums pairwise instead, so it is built in one piece.
+    The block partials are added in row order, so the sum does not depend
+    on how many threads BLAS runs.
     """
-    chunk = n_rows if n_columns == 1 else fold_chunk_rows(n_columns)
-    first = min(chunk, n_rows)
-    buffer = np.empty((first + 1, n_columns))
-    fill_rows(0, first, buffer[1 : first + 1])
-    total = buffer[1 : first + 1].sum(axis=0)
-    for lo in range(first, n_rows, chunk):
-        hi = min(lo + chunk, n_rows)
-        buffer[0] = total
-        fill_rows(lo, hi, buffer[1 : hi - lo + 1])
-        total = buffer[: hi - lo + 1].sum(axis=0)
-    return total / n_rows
+    total = X[:_BLAS_ROWS].T @ R[:_BLAS_ROWS]
+    for lo in range(_BLAS_ROWS, X.shape[0], _BLAS_ROWS):
+        hi = lo + _BLAS_ROWS
+        total += X[lo:hi].T @ R[lo:hi]
+    return total
 
 
 class ModelClassSpec(ABC):
@@ -288,8 +281,11 @@ class ModelClassSpec(ABC):
     def gradient(self, theta: np.ndarray, dataset: Dataset) -> np.ndarray:
         """The full gradient ``g_n(θ)`` = mean per-example gradient + r(θ).
 
-        This is the reference: every :meth:`value_and_gradient` override
-        must return these bytes.
+        This default averages :meth:`per_example_gradients`.  The built-in
+        families override it with a row-blocked GEMM that never builds the
+        per-example rows; it equals this mean to rounding, not bitwise.
+        Every :meth:`value_and_gradient` override must return the bytes of
+        its own family's ``gradient``.
         """
         per_example = self.per_example_gradients(theta, dataset)
         return per_example.mean(axis=0) + self.regularizer_gradient(theta)
@@ -301,9 +297,8 @@ class ModelClassSpec(ABC):
 
         The default calls :meth:`loss` and :meth:`gradient`, so a custom
         spec inherits it unchanged.  The built-in families override it to
-        run their forward pass once and to fold the per-example rows chunk
-        by chunk (:func:`fold_row_mean`), with the same bytes as the
-        default.
+        run their forward pass once, with the bytes of :meth:`loss` and
+        :meth:`gradient`.
         """
         return self.loss(theta, dataset), self.gradient(theta, dataset)
 
@@ -586,11 +581,6 @@ class ModelClassSpec(ABC):
         return {"model": self.name, "task": self.task, "regularization": self.regularization}
 
 
-def _scaled_rows(slopes: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Per-example gradients ``slope_i · x_i`` of a generalized linear model."""
-    return np.multiply(slopes[:, None], X, out=out)
-
-
 class GeneralizedLinearSpec(ModelClassSpec):
     """A family whose likelihood sees row i only through ``z_i = θᵀx_i``.
 
@@ -610,7 +600,11 @@ class GeneralizedLinearSpec(ModelClassSpec):
 
     def _linear_predictor(self, theta: np.ndarray, dataset: Dataset) -> np.ndarray:
         self.validate_dataset(dataset)
-        return dataset.X @ theta
+        return row_blocked_product(dataset.X, theta)
+
+    def _data_gradient(self, z: np.ndarray, dataset: Dataset) -> np.ndarray:
+        """The mean of the rows ``ℓ'(z_i, y_i) · x_i``, as ``Xᵀ slopes / n``."""
+        return transposed_row_sum(dataset.X, self._slopes(z, dataset.y)) / dataset.n_rows
 
     def loss(self, theta: np.ndarray, dataset: Dataset) -> float:
         z = self._linear_predictor(theta, dataset)
@@ -618,27 +612,19 @@ class GeneralizedLinearSpec(ModelClassSpec):
 
     def per_example_gradients(self, theta: np.ndarray, dataset: Dataset) -> np.ndarray:
         z = self._linear_predictor(theta, dataset)
-        return _scaled_rows(self._slopes(z, dataset.y), dataset.X)
+        return self._slopes(z, dataset.y)[:, None] * dataset.X
+
+    def gradient(self, theta: np.ndarray, dataset: Dataset) -> np.ndarray:
+        z = self._linear_predictor(theta, dataset)
+        return self._data_gradient(z, dataset) + self.regularizer_gradient(theta)
 
     def value_and_gradient(
         self, theta: np.ndarray, dataset: Dataset
     ) -> tuple[float, np.ndarray]:
-        X = dataset.X
-        if not X.flags.c_contiguous:
-            # The reference rows take X's layout.  NumPy sums column-major
-            # rows (``Dataset.select_features``) pairwise down each column,
-            # an order no row fold reproduces, so only C-ordered X folds.
-            return super().value_and_gradient(theta, dataset)
         z = self._linear_predictor(theta, dataset)
-        slopes = self._slopes(z, dataset.y)
-        data_gradient = fold_row_mean(
-            X.shape[0],
-            X.shape[1],
-            lambda lo, hi, out: _scaled_rows(slopes[lo:hi], X[lo:hi], out),
-        )
         return (
             self._data_term(z, dataset.y) + self.regularizer(theta),
-            data_gradient + self.regularizer_gradient(theta),
+            self._data_gradient(z, dataset) + self.regularizer_gradient(theta),
         )
 
 

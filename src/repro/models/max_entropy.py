@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.exceptions import ModelSpecError
-from repro.models.base import DiffAccumulator, ModelClassSpec, fold_row_mean
+from repro.models.base import DiffAccumulator, ModelClassSpec, transposed_row_sum
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -129,16 +129,9 @@ class MaxEntropySpec(ModelClassSpec):
         return residual
 
     @staticmethod
-    def _rows(residual: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Per-example gradients: row i is ``residual_i ⊗ x_i`` flattened to K·d."""
-        n, K = residual.shape
-        d = X.shape[1]
-        outer = np.multiply(
-            residual[:, :, None],
-            X[:, None, :],
-            out=None if out is None else out.reshape(n, K, d),
-        )
-        return outer.reshape(n, K * d)
+    def _data_gradient(residual: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """The mean of the rows ``residual_i ⊗ x_i``, as ``residualᵀ X / n``."""
+        return (transposed_row_sum(residual, X) / X.shape[0]).ravel()
 
     def loss(self, theta: np.ndarray, dataset: Dataset) -> float:
         shifted, _, sums = self._forward(theta, dataset)
@@ -146,22 +139,24 @@ class MaxEntropySpec(ModelClassSpec):
 
     def per_example_gradients(self, theta: np.ndarray, dataset: Dataset) -> np.ndarray:
         _, exp, sums = self._forward(theta, dataset)
-        return self._rows(self._residuals(exp, sums, dataset.y), dataset.X)
+        residual = self._residuals(exp, sums, dataset.y)
+        n, K = residual.shape
+        # Row i is residual_i ⊗ x_i, flattened to K·d.
+        return (residual[:, :, None] * dataset.X[:, None, :]).reshape(n, K * dataset.n_features)
+
+    def gradient(self, theta: np.ndarray, dataset: Dataset) -> np.ndarray:
+        _, exp, sums = self._forward(theta, dataset)
+        residual = self._residuals(exp, sums, dataset.y)
+        return self._data_gradient(residual, dataset.X) + self.regularizer_gradient(theta)
 
     def value_and_gradient(
         self, theta: np.ndarray, dataset: Dataset
     ) -> tuple[float, np.ndarray]:
         shifted, exp, sums = self._forward(theta, dataset)
         residual = self._residuals(exp, sums, dataset.y)
-        X = dataset.X
-        data_gradient = fold_row_mean(
-            X.shape[0],
-            residual.shape[1] * X.shape[1],
-            lambda lo, hi, out: self._rows(residual[lo:hi], X[lo:hi], out),
-        )
         return (
             self._data_term(shifted, sums, dataset.y) + self.regularizer(theta),
-            data_gradient + self.regularizer_gradient(theta),
+            self._data_gradient(residual, dataset.X) + self.regularizer_gradient(theta),
         )
 
     def hessian(self, theta: np.ndarray, dataset: Dataset) -> np.ndarray:

@@ -29,7 +29,7 @@ from repro.models.base import (
     DiffAccumulator,
     ModelClassSpec,
     PrecomputedDiffAccumulator,
-    fold_row_mean,
+    transposed_row_sum,
 )
 
 
@@ -165,30 +165,14 @@ class PPCASpec(ModelClassSpec):
         )
         return 0.5 * (d * np.log(2.0 * np.pi) + logdet_C + trace_term)
 
-    def _gradient_factors(
-        self, Theta: np.ndarray, M_inv: np.ndarray, X: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``A = C⁻¹Θ`` and the rows ``C⁻¹ x_i`` and ``x_iᵀ A`` of every example.
+    def _data_gradient(self, Theta: np.ndarray, M_inv: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """The mean of the rows ``A − (C⁻¹ x_i)(x_iᵀ A)``, ``A = C⁻¹Θ``.
 
-        A is shared by every example; the data-dependent part of
-        ``q(Θ; x_i)`` is the rank-one correction ``C⁻¹ x_i x_iᵀ A``.
+        Their mean is ``A − C⁻¹(Xᵀ(XA)) / n``, flattened to d·q.
         """
-        A = self._apply_C_inverse(Theta, M_inv, Theta)  # (d, q)
-        B = self._apply_C_inverse(Theta, M_inv, X.T).T  # rows are C⁻¹ x_i, (n, d)
-        P = X @ A  # rows are x_iᵀ A, (n, q)
-        return A, B, P
-
-    @staticmethod
-    def _rows(
-        A: np.ndarray, B: np.ndarray, P: np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Per-example gradients ``A − (C⁻¹ x_i)(x_iᵀ A)``, flattened to d·q."""
-        n, d = B.shape
-        q = A.shape[1]
-        correction = np.multiply(
-            B[:, :, None], P[:, None, :], out=None if out is None else out.reshape(n, d, q)
-        )
-        return np.subtract(A, correction, out=correction).reshape(n, d * q)
+        A = self._apply_C_inverse(Theta, M_inv, Theta)
+        XtXA = transposed_row_sum(X, X @ A)
+        return (A - self._apply_C_inverse(Theta, M_inv, XtXA) / X.shape[0]).ravel()
 
     def loss(self, theta: np.ndarray, dataset: Dataset) -> float:
         Theta, M_inv, logdet_C = self._forward(theta, dataset)
@@ -196,20 +180,26 @@ class PPCASpec(ModelClassSpec):
 
     def per_example_gradients(self, theta: np.ndarray, dataset: Dataset) -> np.ndarray:
         Theta, M_inv, _ = self._forward(theta, dataset)
-        return self._rows(*self._gradient_factors(Theta, M_inv, dataset.X))
+        X = dataset.X
+        A = self._apply_C_inverse(Theta, M_inv, Theta)  # (d, q), shared by every row
+        # Row i is A − (C⁻¹ x_i)(x_iᵀ A): only the rank-one correction
+        # depends on the example.
+        inverse_rows = self._apply_C_inverse(Theta, M_inv, X.T).T  # (n, d)
+        correction = inverse_rows[:, :, None] * (X @ A)[:, None, :]
+        return np.subtract(A, correction, out=correction).reshape(X.shape[0], A.size)
+
+    def gradient(self, theta: np.ndarray, dataset: Dataset) -> np.ndarray:
+        Theta, M_inv, _ = self._forward(theta, dataset)
+        return self._data_gradient(Theta, M_inv, dataset.X) + self.regularizer_gradient(theta)
 
     def value_and_gradient(
         self, theta: np.ndarray, dataset: Dataset
     ) -> tuple[float, np.ndarray]:
         Theta, M_inv, logdet_C = self._forward(theta, dataset)
         X = dataset.X
-        A, B, P = self._gradient_factors(Theta, M_inv, X)
-        data_gradient = fold_row_mean(
-            X.shape[0], A.size, lambda lo, hi, out: self._rows(A, B[lo:hi], P[lo:hi], out)
-        )
         return (
             self._data_term(Theta, M_inv, logdet_C, X) + self.regularizer(theta),
-            data_gradient + self.regularizer_gradient(theta),
+            self._data_gradient(Theta, M_inv, X) + self.regularizer_gradient(theta),
         )
 
     # ------------------------------------------------------------------

@@ -25,7 +25,8 @@ class Objective:
     :meth:`value_and_gradient`.  A model's objective delegates it to
     ``ModelClassSpec.value_and_gradient``, where every built-in family runs
     its forward pass once and returns the bytes of ``value`` and
-    ``gradient``.
+    ``gradient``; the gradient is a row-blocked GEMM, not a mean over
+    per-example rows.
     """
 
     def value(self, theta: np.ndarray) -> float:

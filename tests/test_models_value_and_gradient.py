@@ -1,22 +1,25 @@
-"""The fused ``value_and_gradient`` returns the reference bytes.
+"""The built-in gradient equals the row mean to rounding, and the fused call returns its bytes.
 
-Every built-in family overrides :meth:`ModelClassSpec.value_and_gradient`
-to run its forward pass once and to fold the per-example rows chunk by
-chunk (:func:`repro.models.base.fold_row_mean`).  These tests pin the
-override to the references :meth:`~ModelClassSpec.loss` and
-:meth:`~ModelClassSpec.gradient`, byte for byte:
+Every built-in family computes the data gradient of Eq. (3) as one GEMM
+over 4,096-row blocks (``Xᵀr / n`` and its ME and PPCA forms) instead of
+averaging the per-example rows.  That sums in another order, so it equals
+the mean of :meth:`~ModelClassSpec.per_example_gradients` to rounding, not
+bitwise.  The fused :meth:`ModelClassSpec.value_and_gradient` must still
+return the bytes of :meth:`~ModelClassSpec.loss` and
+:meth:`~ModelClassSpec.gradient`.  These tests pin both:
 
 * over four layouts of X: C-ordered, ``select_features`` (column-major),
   a row-strided view and a column-strided view;
-* over sizes on and around the chunk boundaries, up to 20,000 rows, and a
-  single parameter (which NumPy sums pairwise, not row by row);
+* over sizes on and around the 4,096-row block boundaries, up to 20,000
+  rows, and a single parameter;
 * at the initial θ, the fitted θ, and the fitted θ perturbed by 1e-3, 0.1
   and 1;
 * on a zero feature column whose rows are all ``-0.0``.
 
 A fit through the fused objective must then take exactly the steps of a
-fit through ``loss`` and ``gradient``, and the fused call must never hold
-the ``(n, p)`` per-example matrix.
+fit through ``loss`` and ``gradient``, and land within 1e-8 of a fit
+through the per-example mean.  The fused call must never hold the
+``(n, p)`` per-example matrix.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 import pytest
 
 from repro.data.dataset import Dataset
-from repro.models.base import ModelClassSpec, fold_chunk_rows
+from repro.models.base import _BLAS_ROWS, ModelClassSpec
 from repro.models.linear_regression import LinearRegressionSpec
 from repro.models.logistic_regression import LogisticRegressionSpec
 from repro.models.max_entropy import MaxEntropySpec
@@ -40,6 +43,7 @@ from repro.optim.driver import minimize
 FAMILIES = ["lr", "lin", "poisson", "me", "ppca"]
 LAYOUTS = ["c", "select_features", "row_strided", "column_strided"]
 PERTURBATIONS = [1e-3, 0.1, 1.0]
+SIZES = [1, _BLAS_ROWS, _BLAS_ROWS + 1, 3 * _BLAS_ROWS + 7, 20_000]
 
 
 def make_spec(family: str, n_features: int) -> ModelClassSpec:
@@ -93,12 +97,6 @@ def n_features_for(family: str, single_parameter: bool) -> int:
     return 4 if family in ("me", "ppca") else 6
 
 
-def sizes_for(family: str, d: int) -> list[int]:
-    p = make_spec(family, d).n_parameters(Dataset(np.zeros((1, d)), np.zeros(1)))
-    chunk = fold_chunk_rows(p)
-    return [1, chunk, chunk + 1, 3 * chunk + 7, 20_000]
-
-
 @lru_cache(maxsize=None)
 def fitted_theta(family: str, n: int, d: int) -> bytes:
     spec = make_spec(family, d)
@@ -130,20 +128,34 @@ def assert_fused_matches_reference(spec: ModelClassSpec, theta: np.ndarray, data
 def test_fused_objective_is_bitwise_the_reference(family, layout):
     d = n_features_for(family, single_parameter=False)
     spec = make_spec(family, d)
-    for n in sizes_for(family, d):
+    for n in SIZES:
         dataset = with_layout(*make_values(family, n, d, seed=n), layout)
         for theta in parameter_points(family, dataset, d):
             assert_fused_matches_reference(spec, theta, dataset)
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_gradient_is_the_row_mean_to_rounding(family, layout):
+    d = n_features_for(family, single_parameter=False)
+    spec = make_spec(family, d)
+    for n in SIZES:
+        dataset = with_layout(*make_values(family, n, d, seed=n), layout)
+        for theta in parameter_points(family, dataset, d):
+            rows = spec.per_example_gradients(theta, dataset)
+            data_gradient = spec.gradient(theta, dataset) - spec.regularizer_gradient(theta)
+            gap = np.max(np.abs(data_gradient - rows.mean(axis=0)))
+            assert gap <= 1e-11 * np.max(np.abs(rows))
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("family", ["lr", "lin", "poisson", "ppca"])
 def test_single_parameter_is_bitwise_the_reference(family, layout):
-    # With p = 1 the per-example matrix is one contiguous column, which
-    # NumPy sums pairwise; max-entropy always has p = K·d ≥ 2.
+    # With p = 1, X is a single column and every product in the gradient
+    # is a matrix-vector or dot product; max-entropy always has p = K·d ≥ 2.
     spec = make_spec(family, 1)
     assert spec.n_parameters(Dataset(np.zeros((1, 1)), np.zeros(1))) == 1
-    for n in sizes_for(family, 1):
+    for n in SIZES:
         dataset = with_layout(*make_values(family, n, 1, seed=n), layout)
         for theta in parameter_points(family, dataset, 1):
             assert_fused_matches_reference(spec, theta, dataset)
@@ -153,10 +165,11 @@ def test_single_parameter_is_bitwise_the_reference(family, layout):
 @pytest.mark.parametrize("family", ["lr", "lin", "poisson", "me"])
 def test_negative_zero_rows_fold_like_the_reference(family, layout):
     # A zero feature column times an all-negative residual makes every row
-    # -0.0 there; the reference mean's sign of zero must survive the fold.
+    # -0.0 there.  The row mean keeps that sign and a GEMM sum need not; the
+    # fused call must carry the gradient's sign of zero either way.
     d = n_features_for(family, single_parameter=False)
     spec = make_spec(family, d)
-    n = sizes_for(family, d)[3]
+    n = SIZES[3]
     X, _ = make_values(family, n, d, seed=3)
     X[:, 1] = 0.0
     y = {
@@ -178,7 +191,7 @@ def test_negative_zero_rows_fold_like_the_reference(family, layout):
 def test_fit_takes_the_reference_steps(family, layout):
     d = n_features_for(family, single_parameter=False)
     spec = make_spec(family, d)
-    dataset = with_layout(*make_values(family, sizes_for(family, d)[3], d, seed=5), layout)
+    dataset = with_layout(*make_values(family, SIZES[3], d, seed=5), layout)
     fused = spec.fit(dataset)
     reference = minimize(
         FunctionObjective(
@@ -191,6 +204,22 @@ def test_fit_takes_the_reference_steps(family, layout):
     assert fused.theta.tobytes() == reference.theta.tobytes()
     assert fused.optimization.n_iterations == reference.n_iterations
     assert fused.optimization.n_function_evaluations == reference.n_function_evaluations
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fit_lands_where_the_row_mean_fit_does(family):
+    d = n_features_for(family, single_parameter=False)
+    spec = make_spec(family, d)
+    dataset = with_layout(*make_values(family, SIZES[3], d, seed=5), "c")
+    fitted = spec.fit(dataset).theta
+    row_mean = minimize(
+        FunctionObjective(
+            lambda theta: spec.loss(theta, dataset),
+            lambda theta: ModelClassSpec.gradient(spec, theta, dataset),
+        ),
+        spec.initial_parameters(dataset),
+    )
+    assert np.max(np.abs(fitted - row_mean.theta)) <= 1e-8 * np.max(np.abs(row_mean.theta))
 
 
 @pytest.mark.parametrize(
