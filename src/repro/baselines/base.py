@@ -46,9 +46,8 @@ class SampleSizeBaseline(ABC):
 
     policy_name = "baseline"
 
-    def __init__(self, spec: ModelClassSpec, seed: int | None = None, optimizer: str | None = None):
+    def __init__(self, spec: ModelClassSpec, seed: int | None = None):
         self.spec = spec
-        self.optimizer = optimizer
         self._rng = np.random.default_rng(seed)
 
     @abstractmethod
@@ -68,6 +67,6 @@ class SampleSizeBaseline(ABC):
         sampler = UniformSampler(train, rng=self._rng)
         sample = sampler.sample(sample_size)
         start = time.perf_counter()
-        model = self.spec.fit(sample, method=self.optimizer)
+        model = self.spec.fit(sample)
         elapsed = time.perf_counter() - start
         return model, elapsed

@@ -26,9 +26,8 @@ class FixedRatioBaseline(SampleSizeBaseline):
         spec: ModelClassSpec,
         ratio: float = 0.01,
         seed: int | None = None,
-        optimizer: str | None = None,
     ):
-        super().__init__(spec, seed=seed, optimizer=optimizer)
+        super().__init__(spec, seed=seed)
         if not 0.0 < ratio <= 1.0:
             raise SampleSizeError("ratio must lie in (0, 1]")
         self.ratio = ratio

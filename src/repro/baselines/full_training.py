@@ -27,7 +27,7 @@ class FullTrainingBaseline(SampleSizeBaseline):
     ) -> BaselineRunResult:
         del holdout, contract
         start = time.perf_counter()
-        model = self.spec.fit(train, method=self.optimizer)
+        model = self.spec.fit(train)
         elapsed = time.perf_counter() - start
         return BaselineRunResult(
             model=model,

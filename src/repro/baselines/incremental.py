@@ -35,13 +35,13 @@ class IncrementalEstimatorBaseline(SampleSizeBaseline):
     def __init__(
         self,
         spec: ModelClassSpec,
+        *,
         step_scale: int = 1000,
         n_parameter_samples: int = 64,
         seed: int | None = None,
-        optimizer: str | None = None,
         statistics_method: StatisticsMethod | str = StatisticsMethod.OBSERVED_FISHER,
     ):
-        super().__init__(spec, seed=seed, optimizer=optimizer)
+        super().__init__(spec, seed=seed)
         self.step_scale = int(step_scale)
         self.n_parameter_samples = int(n_parameter_samples)
         self.statistics_method = StatisticsMethod(statistics_method)
@@ -66,7 +66,7 @@ class IncrementalEstimatorBaseline(SampleSizeBaseline):
             step += 1
             sample_size = min(self.step_scale * step * step, N)
             sample = sampler.nested_sample(sample_size)
-            model = self.spec.fit(sample, method=self.optimizer)
+            model = self.spec.fit(sample)
             n_models += 1
             if sample_size >= N:
                 break

@@ -25,9 +25,8 @@ class RelativeRatioBaseline(SampleSizeBaseline):
         spec: ModelClassSpec,
         scale: float = 0.10,
         seed: int | None = None,
-        optimizer: str | None = None,
     ):
-        super().__init__(spec, seed=seed, optimizer=optimizer)
+        super().__init__(spec, seed=seed)
         if not 0.0 < scale <= 1.0:
             raise SampleSizeError("scale must lie in (0, 1]")
         self.scale = scale

@@ -60,9 +60,6 @@ class BlinkML:
         and sample-size estimators.
     statistics_method:
         Which of the Section 3.4 strategies to use (ObservedFisher default).
-    optimizer:
-        Optional optimisation method name forwarded to the trainer
-        (``None`` applies the paper's BFGS / L-BFGS dimension rule).
     seed:
         Seed for the sampling of D0/Dn and of the parameter draws.
     streaming:
@@ -71,17 +68,20 @@ class BlinkML:
     probe_batch:
         Candidate sample sizes evaluated per stacked sample-size-search
         pass (1 restores the paper's plain bisection).
+
+    Every parameter after ``spec`` is keyword-only.  Every model is fitted
+    with the paper's optimizer rule: BFGS below 100 parameters, L-BFGS
+    above (Section 5.1).
     """
 
     def __init__(
         self,
         spec: ModelClassSpec,
+        *,
         initial_sample_size: int = DEFAULT_INITIAL_SAMPLE_SIZE,
         n_parameter_samples: int = DEFAULT_NUM_PARAMETER_SAMPLES,
         statistics_method: StatisticsMethod | str = StatisticsMethod.OBSERVED_FISHER,
-        optimizer: str | None = None,
         seed: int | None = None,
-        optimizer_kwargs: dict | None = None,
         streaming: StreamingConfig | None = None,
         probe_batch: int = DEFAULT_SIZE_SEARCH_PROBE_BATCH,
     ):
@@ -89,8 +89,6 @@ class BlinkML:
         self.initial_sample_size = int(initial_sample_size)
         self.n_parameter_samples = int(n_parameter_samples)
         self.statistics_method = StatisticsMethod(statistics_method)
-        self.optimizer = optimizer
-        self.optimizer_kwargs = dict(optimizer_kwargs or {})
         self.streaming = streaming
         self.probe_batch = int(probe_batch)
         if self.probe_batch < 1:
@@ -120,8 +118,6 @@ class BlinkML:
             initial_sample_size=self.initial_sample_size,
             n_parameter_samples=self.n_parameter_samples,
             statistics_method=self.statistics_method,
-            optimizer=self.optimizer,
-            optimizer_kwargs=self.optimizer_kwargs,
             streaming=self.streaming,
             probe_batch=self.probe_batch,
             rng=self._rng,
@@ -171,4 +167,4 @@ class BlinkML:
     # ------------------------------------------------------------------
     def train_full(self, train: Dataset) -> TrainedModel:
         """Train the exact full model m_N (what a traditional ML library does)."""
-        return self.spec.fit(train, method=self.optimizer, **self.optimizer_kwargs)
+        return self.spec.fit(train)

@@ -232,9 +232,9 @@ class EstimationSession:
         permutation (8 bytes per train row — see
         :class:`~repro.data.sampling.UniformSampler`), so train-set scale
         is bounded by index memory, holdout scale by disk alone.
-    initial_sample_size / n_parameter_samples / statistics_method /
-    optimizer / optimizer_kwargs:
-        As on :class:`repro.core.coordinator.BlinkML`.
+    initial_sample_size / n_parameter_samples / statistics_method:
+        As on :class:`repro.core.coordinator.BlinkML`.  m_0 and every m_n
+        are fitted with the paper's optimizer rule (Section 5.1).
     streaming:
         Sharding configuration forwarded to both estimators (``None`` uses
         the module default).
@@ -276,8 +276,6 @@ class EstimationSession:
         n_parameter_samples: int = DEFAULT_NUM_PARAMETER_SAMPLES,
         statistics_method: StatisticsMethod | str = StatisticsMethod.OBSERVED_FISHER,
         statistics_scope: str = "sample",
-        optimizer: str | None = None,
-        optimizer_kwargs: dict | None = None,
         streaming: StreamingConfig | None = None,
         probe_batch: int = DEFAULT_SIZE_SEARCH_PROBE_BATCH,
         rng: np.random.Generator | int | None = None,
@@ -303,8 +301,6 @@ class EstimationSession:
         self.holdout = holdout
         self.statistics_method = StatisticsMethod(statistics_method)
         self.statistics_scope = statistics_scope
-        self._optimizer = optimizer
-        self._optimizer_kwargs = dict(optimizer_kwargs or {})
         probe_batch = int(probe_batch)
         if probe_batch < 1:
             raise SampleSizeError(
@@ -324,9 +320,7 @@ class EstimationSession:
         # Step 1: initial model m_0 on D0 (once per session).
         start = time.perf_counter()
         initial_data = self._data_sampler.nested_sample(self._n0)
-        initial_model = spec.fit(
-            initial_data, method=optimizer, **self._optimizer_kwargs
-        )
+        initial_model = spec.fit(initial_data)
         self._initial_training_seconds = time.perf_counter() - start
 
         # Step 2: H/J statistics at θ_0 and the shared parameter sampler.
@@ -410,10 +404,18 @@ class EstimationSession:
         self._refresh_lock = threading.Lock()
 
     def _compute_scope_statistics(
-        self, theta: np.ndarray, initial_data: Dataset, persist: bool = True
+        self, theta: np.ndarray, initial_data: Dataset | None
     ) -> ModelStatistics:
-        """H/J statistics at ``theta`` on the session's configured scope."""
-        source = self.train_data if self.statistics_scope == "train" else initial_data
+        """H/J statistics at ``theta`` on the session's configured scope.
+
+        Scope "train" streams the full train source and ignores
+        ``initial_data``, so ``refresh()`` passes ``None``.
+        """
+        source = (
+            self.train_data
+            if self.statistics_scope == "train" or initial_data is None
+            else initial_data
+        )
         with pass_scope("statistics", session=self._session_label):
             return compute_statistics(
                 self.spec,
@@ -421,7 +423,6 @@ class EstimationSession:
                 source,
                 method=self.statistics_method,
                 streaming=self._streaming,
-                persist=persist,
             )
 
     # ------------------------------------------------------------------
@@ -787,9 +788,7 @@ class EstimationSession:
         def train() -> TrainedModel:
             start = time.perf_counter()
             data = self._data_sampler.nested_sample(n)
-            model = self.spec.fit(
-                data, method=self._optimizer, theta0=theta0, **self._optimizer_kwargs
-            )
+            model = self.spec.fit(data, theta0=theta0)
             elapsed_holder.append(time.perf_counter() - start)
             return model
 

@@ -554,18 +554,19 @@ class ModelClassSpec(ABC):
     def fit(
         self,
         dataset: Dataset,
-        method: str | None = None,
         theta0: np.ndarray | None = None,
-        **optimizer_kwargs: Any,
+        **kwargs: Any,
     ) -> TrainedModel:
         """Train on ``dataset`` and return a :class:`TrainedModel`.
 
-        ``method`` follows :func:`repro.optim.minimize`; when ``None`` the
-        paper's dimension-based BFGS / L-BFGS rule is applied.
+        The fit runs :func:`repro.optim.minimize`, so it follows the
+        paper's dimension rule (BFGS below 100 parameters, L-BFGS above);
+        ``kwargs`` (``max_iterations``, ``gradient_tolerance``, ...) go to
+        the optimizer.
         """
         if theta0 is None:
             theta0 = self.initial_parameters(dataset)
-        result = minimize(self.objective(dataset), theta0, method=method, **optimizer_kwargs)
+        result = minimize(self.objective(dataset), theta0, **kwargs)
         return TrainedModel(spec=self, theta=result.theta, n_train=dataset.n_rows, optimization=result)
 
     # ------------------------------------------------------------------
@@ -635,17 +636,8 @@ class _ModelObjective(Objective):
         self._spec = spec
         self._dataset = dataset
 
-    def value(self, theta: np.ndarray) -> float:
-        return self._spec.loss(theta, self._dataset)
-
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
-        return self._spec.gradient(theta, self._dataset)
-
     def value_and_gradient(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         return self._spec.value_and_gradient(theta, self._dataset)
-
-    def hessian(self, theta: np.ndarray) -> np.ndarray:
-        return self._spec.hessian(theta, self._dataset)
 
 
 @dataclass

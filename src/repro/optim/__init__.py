@@ -2,36 +2,28 @@
 
 The paper trains its convex MLE objectives with BFGS for low-dimensional
 data and L-BFGS for high-dimensional data (Section 5.1).  This subpackage
-implements both, plus gradient descent and (damped) Newton for completeness
-and for testing, all from scratch on NumPy:
+implements both from scratch on NumPy, as one quasi-Newton loop with two
+curvature memories:
 
-* :mod:`repro.optim.line_search` — backtracking / strong-Wolfe line search;
-* :mod:`repro.optim.gradient_descent` — steepest descent;
-* :mod:`repro.optim.newton` — damped Newton's method (requires a Hessian);
-* :mod:`repro.optim.bfgs` — dense BFGS with inverse-Hessian updates;
-* :mod:`repro.optim.lbfgs` — limited-memory BFGS (two-loop recursion);
-* :func:`repro.optim.minimize` — the dispatcher the coordinator calls, which
-  applies the paper's d < 100 → BFGS, otherwise → L-BFGS rule when the
-  method is left unspecified.
+* :mod:`repro.optim.line_search` — the strong-Wolfe line search;
+* :mod:`repro.optim.quasi_newton` — the loop, :class:`BFGS` (dense
+  inverse Hessian) and :class:`LBFGS` (two-loop recursion over the last
+  ``memory`` pairs);
+* :func:`repro.optim.minimize` — the entry point every fit calls, which
+  applies the paper's d < 100 → BFGS, otherwise → L-BFGS rule.
 """
 
 from repro.optim.base import Objective, FunctionObjective
 from repro.optim.result import OptimizationResult
-from repro.optim.line_search import backtracking_line_search, wolfe_line_search
-from repro.optim.gradient_descent import GradientDescent
-from repro.optim.newton import NewtonMethod
-from repro.optim.bfgs import BFGS
-from repro.optim.lbfgs import LBFGS
+from repro.optim.line_search import wolfe_line_search
+from repro.optim.quasi_newton import BFGS, LBFGS
 from repro.optim.driver import minimize, optimizer_for_dimension
 
 __all__ = [
     "Objective",
     "FunctionObjective",
     "OptimizationResult",
-    "backtracking_line_search",
     "wolfe_line_search",
-    "GradientDescent",
-    "NewtonMethod",
     "BFGS",
     "LBFGS",
     "minimize",

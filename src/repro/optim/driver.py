@@ -1,11 +1,11 @@
-"""Dispatcher that picks an optimizer the way the paper's trainer does.
+"""The paper's optimizer rule and the one entry point every fit goes through.
 
 Section 5.1: "BlinkML is configured to use the BFGS optimization algorithm
 for low-dimensional datasets (d < 100) and to use a memory-efficient
 alternative, called L-BFGS, for high-dimensional datasets (d >= 100)."
 :func:`optimizer_for_dimension` encodes exactly that rule, and
-:func:`minimize` is the single entry point the Model Trainer (and the rest
-of the library) goes through.
+:func:`minimize` applies it; the Model Trainer (``ModelClassSpec.fit``)
+and the rest of the library call :func:`minimize`.
 """
 
 from __future__ import annotations
@@ -15,20 +15,9 @@ from typing import Any
 import numpy as np
 
 from repro.config import BFGS_DIMENSION_THRESHOLD
-from repro.exceptions import OptimizationError
 from repro.optim.base import Objective
-from repro.optim.bfgs import BFGS
-from repro.optim.gradient_descent import GradientDescent
-from repro.optim.lbfgs import LBFGS
-from repro.optim.newton import NewtonMethod
+from repro.optim.quasi_newton import BFGS, LBFGS
 from repro.optim.result import OptimizationResult
-
-_METHODS = {
-    "gd": GradientDescent,
-    "newton": NewtonMethod,
-    "bfgs": BFGS,
-    "lbfgs": LBFGS,
-}
 
 
 def optimizer_for_dimension(dimension: int, **kwargs: Any) -> BFGS | LBFGS:
@@ -38,35 +27,11 @@ def optimizer_for_dimension(dimension: int, **kwargs: Any) -> BFGS | LBFGS:
     return LBFGS(**kwargs)
 
 
-def minimize(
-    objective: Objective,
-    theta0: np.ndarray,
-    method: str | None = None,
-    **kwargs: Any,
-) -> OptimizationResult:
-    """Minimise ``objective`` starting from ``theta0``.
+def minimize(objective: Objective, theta0: np.ndarray, **kwargs: Any) -> OptimizationResult:
+    """Minimise ``objective`` from ``theta0`` with the paper's optimizer for its d.
 
-    Parameters
-    ----------
-    objective:
-        Any :class:`repro.optim.base.Objective`.
-    theta0:
-        Initial parameter vector.
-    method:
-        One of ``"gd"``, ``"newton"``, ``"bfgs"``, ``"lbfgs"`` or ``None``
-        to apply the paper's dimension-based rule.
-    kwargs:
-        Forwarded to the optimizer constructor (``max_iterations``,
-        ``gradient_tolerance``, ...).
+    ``kwargs`` go to the optimizer's constructor: ``max_iterations``,
+    ``gradient_tolerance`` and, for L-BFGS (d >= 100), ``memory``.
     """
     theta0 = np.asarray(theta0, dtype=np.float64)
-    if method is None:
-        optimizer = optimizer_for_dimension(theta0.shape[0], **kwargs)
-    else:
-        key = method.lower().replace("-", "")
-        if key not in _METHODS:
-            raise OptimizationError(
-                f"unknown optimisation method {method!r}; choose from {sorted(_METHODS)}"
-            )
-        optimizer = _METHODS[key](**kwargs)
-    return optimizer.minimize(objective, theta0)
+    return optimizer_for_dimension(theta0.shape[0], **kwargs).minimize(objective, theta0)

@@ -1,12 +1,9 @@
-"""Line searches used by the descent methods.
+"""The strong-Wolfe line search of the quasi-Newton loop.
 
-Two strategies are provided:
-
-* :func:`backtracking_line_search` — Armijo backtracking, cheap and robust,
-  used by plain gradient descent and as a fallback;
-* :func:`wolfe_line_search` — a bracketing strong-Wolfe search (Nocedal &
-  Wright, Algorithm 3.5/3.6).  BFGS and L-BFGS require the curvature
-  condition so that their quasi-Newton updates stay positive definite.
+:func:`wolfe_line_search` is a bracketing search (Nocedal & Wright,
+Algorithm 3.5/3.6).  BFGS and L-BFGS need its curvature condition so that
+their updates keep the inverse-Hessian estimate positive definite.  Each
+probe is one ``objective.value_and_gradient`` call.
 """
 
 from __future__ import annotations
@@ -27,31 +24,6 @@ class LineSearchResult:
     gradient: np.ndarray | None
     n_evaluations: int
     success: bool
-
-
-def backtracking_line_search(
-    objective: Objective,
-    theta: np.ndarray,
-    direction: np.ndarray,
-    value: float,
-    gradient: np.ndarray,
-    initial_step: float = 1.0,
-    shrink: float = 0.5,
-    armijo_c: float = 1e-4,
-    max_steps: int = 40,
-) -> LineSearchResult:
-    """Armijo backtracking: shrink the step until sufficient decrease holds."""
-    directional_derivative = float(gradient @ direction)
-    step = initial_step
-    evaluations = 0
-    for _ in range(max_steps):
-        candidate = theta + step * direction
-        candidate_value = objective.value(candidate)
-        evaluations += 1
-        if np.isfinite(candidate_value) and candidate_value <= value + armijo_c * step * directional_derivative:
-            return LineSearchResult(step, candidate_value, None, evaluations, True)
-        step *= shrink
-    return LineSearchResult(step, value, None, evaluations, False)
 
 
 def wolfe_line_search(

@@ -32,15 +32,9 @@ class TestBaseBehaviour:
         theta = np.array([0.3, -0.2, 0.1])
         loss = spec.loss(theta, tiny_regression)
         gradient = spec.gradient(theta, tiny_regression)
-        assert objective.value(theta) == loss
-        assert objective.gradient(theta).tobytes() == gradient.tobytes()
         fused_value, fused_gradient = objective.value_and_gradient(theta)
         assert fused_value == loss
         assert fused_gradient.tobytes() == gradient.tobytes()
-        assert (
-            objective.hessian(theta).tobytes()
-            == spec.hessian(theta, tiny_regression).tobytes()
-        )
 
     def test_custom_spec_inherits_loss_and_gradient(self, tiny_regression):
         class SquaredError(ModelClassSpec):

@@ -1,10 +1,11 @@
-"""Tests for the Armijo and strong-Wolfe line searches."""
+"""Tests for the strong-Wolfe line search."""
 
 import numpy as np
 
 from repro.optim.base import FunctionObjective
 from repro.optim.driver import minimize
-from repro.optim.line_search import backtracking_line_search, wolfe_line_search
+from repro.optim.line_search import wolfe_line_search
+from repro.optim.quasi_newton import LBFGS
 
 
 def quadratic_objective(center=None, scale=1.0):
@@ -18,33 +19,6 @@ def quadratic_objective(center=None, scale=1.0):
         return scale * (theta - center)
 
     return FunctionObjective(value, gradient)
-
-
-class TestBacktracking:
-    def test_sufficient_decrease(self):
-        objective = quadratic_objective()
-        theta = np.array([4.0, -2.0])
-        value, gradient = objective.value_and_gradient(theta)
-        result = backtracking_line_search(objective, theta, -gradient, value, gradient)
-        assert result.success
-        assert result.value < value
-
-    def test_tiny_initial_step_still_succeeds(self):
-        objective = quadratic_objective()
-        theta = np.array([1.0, 1.0])
-        value, gradient = objective.value_and_gradient(theta)
-        result = backtracking_line_search(
-            objective, theta, -gradient, value, gradient, initial_step=1e-4
-        )
-        assert result.success
-
-    def test_non_descent_direction_fails(self):
-        objective = quadratic_objective()
-        theta = np.array([1.0, 0.0])
-        value, gradient = objective.value_and_gradient(theta)
-        # Ascent direction: sufficient decrease can never hold.
-        result = backtracking_line_search(objective, theta, gradient, value, gradient, max_steps=5)
-        assert not result.success
 
 
 class TestWolfe:
@@ -116,6 +90,11 @@ class TestWolfe:
         assert result.success
         assert result.n_evaluations == len(calls) == 26
 
+        # d = 1, so minimize runs BFGS; L-BFGS shares its loop and count.
         calls.clear()
         optimum = minimize(objective, theta)
+        assert optimum.n_function_evaluations == len(calls)
+
+        calls.clear()
+        optimum = LBFGS().minimize(objective, theta)
         assert optimum.n_function_evaluations == len(calls)

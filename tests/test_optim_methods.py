@@ -1,7 +1,8 @@
-"""Tests for the four optimizers and the dispatching driver.
+"""Tests for BFGS, L-BFGS and the driver that applies the paper's rule.
 
-Every optimizer is exercised on the same battery of convex problems (with
-known solutions) plus the Rosenbrock function for the quasi-Newton methods.
+Both curvature memories of the one quasi-Newton loop are exercised on the
+same battery of convex problems (with known solutions) plus the Rosenbrock
+function.
 """
 
 import numpy as np
@@ -11,8 +12,6 @@ from repro.exceptions import OptimizationError
 from repro.optim import (
     BFGS,
     LBFGS,
-    GradientDescent,
-    NewtonMethod,
     FunctionObjective,
     minimize,
     optimizer_for_dimension,
@@ -35,10 +34,7 @@ def make_quadratic(d=5, seed=0, condition=10.0):
     def gradient(theta):
         return A @ (theta - target)
 
-    def hessian(theta):
-        return A
-
-    return FunctionObjective(value, gradient, hessian), target
+    return FunctionObjective(value, gradient), target
 
 
 def rosenbrock_objective():
@@ -54,8 +50,6 @@ def rosenbrock_objective():
 
 
 OPTIMIZERS = {
-    "gd": GradientDescent(max_iterations=3000, gradient_tolerance=1e-7),
-    "newton": NewtonMethod(gradient_tolerance=1e-10),
     "bfgs": BFGS(gradient_tolerance=1e-8),
     "lbfgs": LBFGS(gradient_tolerance=1e-8),
 }
@@ -113,10 +107,18 @@ class TestIllConditionedAndEdgeCases:
         result = LBFGS(memory=3).minimize(objective, np.zeros(20))
         np.testing.assert_allclose(result.theta, target, atol=1e-3)
 
-    def test_non_finite_objective_raises(self):
+    @pytest.mark.parametrize("memory", [0, -1])
+    def test_lbfgs_rejects_memory_below_one(self, memory):
+        # Memory 0 would silently run steepest descent, and a negative one
+        # would fail inside minimize with deque's bare ValueError.
+        with pytest.raises(OptimizationError):
+            LBFGS(memory=memory)
+
+    @pytest.mark.parametrize("optimizer", [BFGS, LBFGS])
+    def test_non_finite_objective_raises(self, optimizer):
         objective = FunctionObjective(lambda t: float("nan"), lambda t: t)
         with pytest.raises(OptimizationError):
-            GradientDescent().minimize(objective, np.zeros(2))
+            optimizer().minimize(objective, np.zeros(2))
 
     def test_check_finite_helper(self):
         with pytest.raises(OptimizationError):
@@ -136,23 +138,7 @@ class TestDriver:
         assert isinstance(optimizer_for_dimension(100), LBFGS)
         assert isinstance(optimizer_for_dimension(5000), LBFGS)
 
-    def test_minimize_dispatch_by_name(self):
-        objective, target = make_quadratic(d=4, seed=8)
-        for method in ["gd", "newton", "bfgs", "lbfgs", "L-BFGS"]:
-            result = minimize(objective, np.zeros(4), method=method, max_iterations=2000)
-            np.testing.assert_allclose(result.theta, target, atol=1e-3)
-
     def test_minimize_default_follows_dimension_rule(self):
         objective, target = make_quadratic(d=4, seed=9)
         result = minimize(objective, np.zeros(4))
         np.testing.assert_allclose(result.theta, target, atol=1e-4)
-
-    def test_unknown_method_raises(self):
-        objective, _ = make_quadratic(d=2, seed=10)
-        with pytest.raises(OptimizationError):
-            minimize(objective, np.zeros(2), method="adamw")
-
-    def test_function_objective_without_hessian_raises(self):
-        objective = FunctionObjective(lambda t: float(t @ t), lambda t: 2 * t)
-        with pytest.raises(OptimizationError):
-            objective.hessian(np.zeros(2))

@@ -1,7 +1,7 @@
 """Hypothesis property tests for the optimisation substrate.
 
 For randomly generated strictly convex quadratics the minimiser is known in
-closed form, so every optimizer can be checked against it; additional
+closed form, so BFGS and L-BFGS can be checked against it; additional
 invariants cover scale equivariance and the L-BFGS memory parameter.
 """
 
@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.optim import BFGS, LBFGS, NewtonMethod, FunctionObjective, minimize
+from repro.optim import BFGS, LBFGS, FunctionObjective
 
 
 def random_quadratic(seed: int, dimension: int, condition: float):
@@ -27,10 +27,7 @@ def random_quadratic(seed: int, dimension: int, condition: float):
     def gradient(theta):
         return A @ (theta - target)
 
-    def hessian(theta):
-        return A
-
-    return FunctionObjective(value, gradient, hessian), target
+    return FunctionObjective(value, gradient), target
 
 
 class TestQuadraticRecovery:
@@ -60,14 +57,6 @@ class TestQuadraticRecovery:
         )
         np.testing.assert_allclose(result.theta, target, atol=1e-4)
 
-    @given(seed=st.integers(0, 10_000), dimension=st.integers(2, 6))
-    @settings(max_examples=25, deadline=None)
-    def test_newton_and_bfgs_agree(self, seed, dimension):
-        objective, _ = random_quadratic(seed, dimension, 50.0)
-        newton = NewtonMethod(gradient_tolerance=1e-10).minimize(objective, np.zeros(dimension))
-        bfgs = BFGS(gradient_tolerance=1e-10).minimize(objective, np.zeros(dimension))
-        np.testing.assert_allclose(newton.theta, bfgs.theta, atol=1e-5)
-
     @given(seed=st.integers(0, 10_000), scale=st.floats(0.1, 50.0))
     @settings(max_examples=25, deadline=None)
     def test_minimiser_invariant_to_objective_scaling(self, seed, scale):
@@ -76,7 +65,7 @@ class TestQuadraticRecovery:
             lambda t: scale * objective.value(t),
             lambda t: scale * objective.gradient(t),
         )
-        result = minimize(scaled, np.zeros(4), method="lbfgs", gradient_tolerance=1e-9)
+        result = LBFGS(gradient_tolerance=1e-9).minimize(scaled, np.zeros(4))
         np.testing.assert_allclose(result.theta, target, atol=1e-4)
 
     @given(seed=st.integers(0, 10_000))
@@ -84,5 +73,5 @@ class TestQuadraticRecovery:
     def test_final_value_not_worse_than_start(self, seed):
         objective, _ = random_quadratic(seed, 5, 30.0)
         start = np.full(5, 2.0)
-        result = minimize(objective, start, method="bfgs")
+        result = BFGS().minimize(objective, start)
         assert result.final_value <= objective.value(start) + 1e-12
