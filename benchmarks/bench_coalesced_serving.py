@@ -19,9 +19,11 @@ responsible for:
   serial baseline (same sample size, same θ, same ε estimate): coalescing
   buys passes, never answers.
 
-The workload uses the Lin model class (closed-form-cheap training) so the
-streamed size-search evaluations dominate, as they do for the large
-holdouts the streaming engine exists for.
+The workload uses logistic regression on ``higgs_like`` rows.  Each of its
+size-search rounds streams the holdout once, so the streamed evaluations
+dominate, as they do for the large holdouts the streaming engine exists
+for.  (A Lin search streams the holdout once per call and rescales that
+one vector for every round, so Lin would leave coalescing little to save.)
 
 Run standalone::
 
@@ -40,14 +42,14 @@ import numpy as np
 from repro.core.contract import ApproximationContract
 from repro.core.session import EstimationSession
 from repro.data.splits import SplitSpec, train_holdout_test_split
-from repro.data.synthetic import gas_like
+from repro.data.synthetic import higgs_like
 from repro.evaluation.streaming import streaming_pass_count
-from repro.models.linear_regression import LinearRegressionSpec
+from repro.models.logistic_regression import LogisticRegressionSpec
 from repro.serving import ContractBatcher
 
 
 def build_splits(n_rows: int, n_features: int):
-    data = gas_like(n_rows=n_rows, n_features=n_features, seed=301)
+    data = higgs_like(n_rows=n_rows, n_features=n_features, seed=301)
     return train_holdout_test_split(
         data,
         SplitSpec(holdout_fraction=0.45, test_fraction=0.05),
@@ -171,9 +173,7 @@ def main(argv: list[str] | None = None) -> int:
         args.rows = 120_000
 
     splits = build_splits(args.rows, args.features)
-    spec = LinearRegressionSpec.with_estimated_noise(
-        splits.train, regularization=1e-3
-    )
+    spec = LogisticRegressionSpec(regularization=1e-3)
 
     # Probe session: what ε does the initial model already achieve?  The
     # workload contracts are placed relative to it so the tight group needs

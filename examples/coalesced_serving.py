@@ -6,9 +6,11 @@ The coalescing tier (`repro.serving`) sits in front of the registry.  A
 collected into one batch, identical (ε, δ) contracts are deduplicated into
 single-flight followers, and the distinct survivors are dispatched as ONE
 fused size search — every round of the bracketing search evaluates the
-union of all active searches' candidate sizes in a single streamed pass
-over the holdout.  Results are demultiplexed per caller and are
-bitwise-identical to serial execution: coalescing changes how many passes
+union of all active searches' candidate sizes at once.  For this linear
+regression workload the whole fused search streams the holdout once and
+rescales that one vector for every round; for LR, ME and Poisson each
+round is one streamed pass.  Results are demultiplexed per caller and are
+bitwise-identical to serial execution: coalescing changes how many rounds
 run, never what any caller gets back.
 
 The example fires 8 concurrent ``train_to`` requests (duplicates + distinct
@@ -122,7 +124,7 @@ def main() -> None:
         f"{stats.coalesced_requests} deduplicated in-window"
     )
     print(
-        f"size-search passes: {stats.fused_passes} fused vs "
+        f"size-search rounds: {stats.fused_passes} fused vs "
         f"{stats.serial_passes} serial-equivalent "
         f"({stats.passes_saved} saved, window occupancy "
         f"{stats.window_occupancy:.1f} req/window)"

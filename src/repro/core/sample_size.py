@@ -27,9 +27,19 @@ Implementation-level optimisations on top of the paper's search:
   the *same* number of passes, so tiny brackets stop paying for
   Monte-Carlo evaluations that cannot narrow them further;
 * several contracts search in **lockstep**
-  (:meth:`SampleSizeEstimator.estimate_many`), sharing each round's pass;
+  (:meth:`SampleSizeEstimator.estimate_many`), sharing each round;
   a single contract's search (:meth:`SampleSizeEstimator.estimate`) is
-  the one-member case of the same loop.
+  the one-member case of the same loop;
+* where the spec's diff is a seminorm of the parameter gap
+  (:attr:`~repro.models.base.ModelClassSpec._diff_scales_with_gap`, stock
+  Lin only), stage two puts ``θ_N − θ_n = √(1/n − 1/N) · B`` for the
+  cached base draws B, so candidate n's k diffs are ``√(1/n − 1/N) · c``
+  with ``c = diff(B, 0)``.  One ``estimate_many`` call then streams the
+  holdout once, for c (:meth:`SampleSizeEstimator.unit_gap_differences`,
+  on the first round that needs it), and every round rescales it.  The
+  bracket, the union and Lemma 2's check are unchanged; the rescaled
+  vectors equal the streamed ones to rounding, not bitwise.  A subclass
+  that redefines the diff, and every other family, streams each round.
 """
 
 from __future__ import annotations
@@ -54,13 +64,15 @@ from repro.exceptions import SampleSizeError
 from repro.models.base import ModelClassSpec
 from repro.obs import get_metrics, get_tracer
 
-# Size-search round economics (repro.obs): every round is one streamed
-# candidate pass, so rounds plus the passes-saved counter reproduce the
-# coalescing tier's exact pass accounting at scrape time.
+# Size-search round economics (repro.obs): rounds plus the passes-saved
+# counter reproduce the coalescing tier's round accounting at scrape time.
+# A round streams the holdout once for LR, ME and Poisson; PPCA's diff
+# never streams, and a Lin search streams once in all.
 _SEARCH_ROUNDS = get_metrics().counter(
     "repro_size_search_rounds_total",
-    "Size-search evaluation rounds executed (one streamed candidate pass "
-    "each).",
+    "Size-search evaluation rounds executed (one streamed holdout pass per "
+    "round for LR, ME and Poisson; none for PPCA; one per search call for "
+    "Lin).",
 )
 _SEARCHES_TOTAL = get_metrics().counter(
     "repro_size_search_searches_total",
@@ -68,7 +80,7 @@ _SEARCHES_TOTAL = get_metrics().counter(
 )
 _PASSES_SAVED_TOTAL = get_metrics().counter(
     "repro_size_search_passes_saved_total",
-    "Streamed passes fused lockstep searches avoided versus running the "
+    "Size-search rounds fused lockstep searches avoided versus running the "
     "same contracts serially (exact accounting).",
 )
 
@@ -114,9 +126,12 @@ class FusedSizeSearch:
         returns for that contract alone, except ``estimation_seconds``,
         which reports the *shared* fused wall-clock for every member.
     fused_passes:
-        Evaluation rounds the fused search actually executed — each is one
-        streamed holdout pass (for block-streaming model families) carrying
+        Evaluation rounds the fused search actually executed, each carrying
         the union of that round's candidates across all active searches.
+        The field counts rounds, not holdout passes: a round streams the
+        holdout once for LR, ME and Poisson, PPCA's diff never streams,
+        and a Lin search streams once for all its rounds
+        (:meth:`SampleSizeEstimator.unit_gap_differences`).
     serial_passes:
         Evaluation rounds the same contracts would have cost searched one
         at a time (each search's own round count, summed).  Exact, not
@@ -131,7 +146,7 @@ class FusedSizeSearch:
 
     @property
     def passes_saved(self) -> int:
-        """Streamed passes the fusion avoided versus serial execution."""
+        """Rounds the fusion avoided versus serial execution."""
         return self.serial_passes - self.fused_passes
 
 
@@ -239,6 +254,28 @@ class SampleSizeEstimator:
             self._spec, segments, self._holdout, config=self._streaming
         )
 
+    def unit_gap_differences(self, sampler: ParameterSampler) -> np.ndarray:
+        """The k diffs between the stage-two base draws and zero, one streamed pass.
+
+        Stage two puts ``θ_N − θ_n = √(1/n − 1/N) · B`` for the cached
+        base draws B, so for a spec whose diff scales with the gap
+        (:attr:`~repro.models.base.ModelClassSpec._diff_scales_with_gap`)
+        candidate n's diffs are ``√(1/n − 1/N)`` times this vector.  It
+        draws ``"stage-one"`` before ``"stage-two"``, as
+        :meth:`~repro.core.parameter_sampler.ParameterSampler.two_stage_samples`
+        does, so the shared generator is left where the streamed search
+        would leave it.
+        """
+        count = self._n_parameter_samples
+        sampler.base_samples(count, tag="stage-one")
+        stage_two = sampler.base_samples(count, tag="stage-two")
+        return streaming_fanout_pairwise_prediction_differences(
+            self._spec,
+            [(stage_two, np.zeros_like(stage_two))],
+            self._holdout,
+            config=self._streaming,
+        )[0]
+
     # ------------------------------------------------------------------
     # Bracketing search (Section 4.2, batched probes, fused contracts)
     # ------------------------------------------------------------------
@@ -314,7 +351,7 @@ class SampleSizeEstimator:
         skip_lower_probe: bool = False,
         probe_batch: int = 1,
     ) -> FusedSizeSearch:
-        """Run several contracts' searches in lockstep, sharing each round's pass.
+        """Run several contracts' searches in lockstep, sharing each round.
 
         The cross-caller generalisation of ``probe_batch``: where one
         search stacks its own candidates into a round, this stacks one
@@ -324,19 +361,21 @@ class SampleSizeEstimator:
         same narrowing decisions — but all searches still active at a given
         round contribute their candidates to one deduplicated union, which
         is evaluated as a single fan-out streamed pass
-        (:meth:`candidate_differences_batch`).  Per-candidate segmentation
-        makes the demultiplexed outcomes bitwise identical to lone runs,
-        so the member estimates (sample size, feasibility, probe schedule)
-        are exactly what ``estimate()`` returns for each contract, while
-        the pass count drops from the sum of the members' round counts to
-        the maximum of them.
+        (:meth:`candidate_differences_batch`), or, for a spec whose diff
+        scales with the gap, rescaled from the one vector this call streams
+        (:meth:`unit_gap_differences`).  Per-candidate segmentation (or the
+        per-candidate rescale) makes the demultiplexed outcomes bitwise
+        identical to lone runs, so the member estimates (sample size,
+        feasibility, probe schedule) are exactly what ``estimate()``
+        returns for each contract, while the round count drops from the sum
+        of the members' round counts to the maximum of them.
 
         Duplicated (ε, δ) contracts in the input are legal and cost nothing
         extra (their candidates always coincide, so the union absorbs
         them); callers that want duplicate *results* shared should dedupe a
         level up (the session's size cache does).  Returns a
         :class:`FusedSizeSearch` with the per-contract estimates in input
-        order plus the exact fused/serial pass accounting.  Parameters are
+        order plus the exact fused/serial round accounting.  Parameters are
         as on :meth:`estimate`.
         """
         if n0 <= 0 or N <= 0:
@@ -355,20 +394,29 @@ class SampleSizeEstimator:
         searches = [_LockstepSearch(contract) for contract in contracts]
         fused_passes = 0
         serial_passes = 0
+        # Rescaling needs every candidate to share one block of base draws.
+        scaled = self._spec._diff_scales_with_gap and sampler.caches_base_samples
+        unit: np.ndarray | None = None  # streamed by the first round that needs it
+
+        def differences_of(union: list[int]) -> list[np.ndarray]:
+            nonlocal unit
+            if not scaled:
+                return self.candidate_differences_batch(theta0, n0, union, N, sampler)
+            if unit is None:
+                unit = self.unit_gap_differences(sampler)
+            return [np.sqrt(sampler.alpha(n, N)) * unit for n in union]
 
         def evaluate(
             active: list[tuple["_LockstepSearch", list[int]]],
         ) -> list[list[bool]]:
-            """One fused round: union pass, per-search demultiplexed outcomes."""
+            """One fused round: the union's diffs, per-search demultiplexed outcomes."""
             nonlocal fused_passes, serial_passes
             fused_passes += 1
             serial_passes += len(active)
             for search, candidates in active:
                 search.probed.extend(candidates)
             union = sorted({c for _, candidates in active for c in candidates})
-            differences = self.candidate_differences_batch(
-                theta0, n0, union, N, sampler
-            )
+            differences = differences_of(union)
             index = {candidate: i for i, candidate in enumerate(union)}
             return [
                 [

@@ -165,7 +165,7 @@ class CoalescedTrainOutcome:
 
     @property
     def passes_saved(self) -> int:
-        """Streamed search passes the coalesced dispatch avoided."""
+        """Search rounds the coalesced dispatch avoided."""
         return self.serial_search_passes - self.fused_search_passes
 
 

@@ -327,6 +327,19 @@ class ModelClassSpec(ABC):
         """Whether :meth:`hessian` is implemented for this model family."""
         return type(self).hessian is not ModelClassSpec.hessian
 
+    @property
+    def _diff_scales_with_gap(self) -> bool:
+        """Whether the pairwise ``diff`` is a seminorm of the parameter gap.
+
+        True promises, for every holdout: ``pairwise_diff(θ_a, θ_b)`` equals
+        ``pairwise_diff(θ_a − θ_b, 0)``, and ``pairwise_diff(s·Δ, 0)`` equals
+        ``|s| · pairwise_diff(Δ, 0)``.  The size search then evaluates every
+        candidate from one streamed pass
+        (:meth:`~repro.core.sample_size.SampleSizeEstimator.estimate_many`).
+        False by default: each search round streams its own candidates.
+        """
+        return False
+
     # ------------------------------------------------------------------
     # Prediction and the `diff` metric (Section 2.1, Appendix C)
     # ------------------------------------------------------------------
@@ -380,8 +393,12 @@ class ModelClassSpec(ABC):
         """Predictions for each parameter vector in the ``(k, p)`` batch.
 
         Returns an array whose leading axis indexes the k parameter vectors;
-        entry i equals ``predict(Thetas[i], X)``.  Vectorised overrides
-        compute all k prediction sets in one BLAS-level matrix product.
+        entry i equals ``predict(Thetas[i], X)`` wherever the products
+        ``Xθ`` are finite.  Vectorised overrides compute all k prediction
+        sets in one BLAS-level matrix product, and on overflowing products
+        that GEMM and ``predict``'s GEMV may disagree: for LR with
+        x = [1e308, 1e308] and θ = [10, −10] the GEMV sees inf − inf (NaN,
+        class 0) where the GEMM sees +inf (class 1).
         """
         Thetas = self._as_parameter_batch(Thetas)
         return np.stack([self.predict(theta, X) for theta in Thetas])
@@ -390,7 +407,9 @@ class ModelClassSpec(ABC):
         """The labels the disagreement accumulators compare, one row per θ.
 
         Contract: ``_decisions(Thetas, X).astype(np.int64)`` equals
-        ``predict_many(Thetas, X)`` for every input.  This default returns
+        ``predict_many(Thetas, X)`` for every input, and so equals the
+        scalar ``predict`` row by row only where the products ``Xθ`` are
+        finite (see :meth:`predict_many`).  This default returns
         ``predict_many``; the classifiers override it to skip the int64
         widening and take their labels in the narrowest dtype that holds
         them.  A subclass that overrides ``predict_many`` must override this

@@ -161,6 +161,17 @@ class LinearRegressionSpec(GeneralizedLinearSpec):
             Thetas_a, Thetas_b, self._difference_scale(dataset), linear_predictions=True
         )
 
+    @property
+    def _diff_scales_with_gap(self) -> bool:
+        # The RMS of X(θ_a − θ_b) is a seminorm of the gap.  A subclass that
+        # redefines the diff, or the predictions it is built from, keeps the
+        # streamed search.
+        cls = type(self)
+        return (
+            cls.pairwise_diff_accumulator is LinearRegressionSpec.pairwise_diff_accumulator
+            and cls.predict_many is LinearRegressionSpec.predict_many
+        )
+
     def describe(self) -> dict:
         description = super().describe()
         description["normalize_difference"] = self.normalize_difference

@@ -57,14 +57,14 @@ _BATCHER_GAUGES = (
     ),
     ("answer_requests", "answer() requests served by the coalescing tier."),
     ("train_requests", "train_to() requests served by the coalescing tier."),
-    ("fused_passes", "Size-search passes actually executed by fused dispatches."),
+    ("fused_passes", "Size-search rounds actually executed by fused dispatches."),
     (
         "serial_passes",
-        "Size-search passes the same contracts would have cost serially.",
+        "Size-search rounds the same contracts would have cost serially.",
     ),
     (
         "passes_saved",
-        "Streamed passes coalescing avoided (serial minus fused; exact).",
+        "Size-search rounds coalescing avoided (serial minus fused; exact).",
     ),
     ("load_shed", "Submissions shed because the key's queue was at max_queue."),
     ("max_queue_depth", "High-water mark of queued requests across batchers."),

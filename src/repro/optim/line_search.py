@@ -17,13 +17,22 @@ from repro.optim.base import Objective
 
 @dataclass
 class LineSearchResult:
-    """Step size chosen by a line search along a fixed descent direction."""
+    """Step size chosen by a line search along a fixed descent direction.
+
+    ``gradient`` is the gradient at the accepted point.  ``None`` marks a
+    failed search, and then ``step_size`` and ``value`` describe the last
+    point it kept.
+    """
 
     step_size: float
     value: float
     gradient: np.ndarray | None
     n_evaluations: int
-    success: bool
+
+    @property
+    def success(self) -> bool:
+        """Whether the search accepted a point (and so returned its gradient)."""
+        return self.gradient is not None
 
 
 def wolfe_line_search(
@@ -41,7 +50,8 @@ def wolfe_line_search(
     """Strong-Wolfe line search (bracket + zoom).
 
     Returns the gradient at the accepted point so callers can reuse it for
-    the next quasi-Newton update without an extra evaluation.
+    the next quasi-Newton update without an extra evaluation.  A failed
+    search returns no gradient.
     """
     phi0 = value
     dphi0 = float(gradient @ direction)
@@ -55,11 +65,11 @@ def wolfe_line_search(
 
     if dphi0 >= 0:
         # Not a descent direction; signal failure so the caller can reset.
-        return LineSearchResult(0.0, value, gradient, evaluations, False)
+        return LineSearchResult(0.0, value, None, evaluations)
 
     def zoom(alpha_lo: float, alpha_hi: float, value_lo: float) -> LineSearchResult:
         nonlocal evaluations
-        best = LineSearchResult(alpha_lo, value_lo, None, evaluations, False)
+        best = LineSearchResult(alpha_lo, value_lo, None, evaluations)
         for _ in range(max_steps):
             alpha = 0.5 * (alpha_lo + alpha_hi)
             candidate_value, candidate_gradient = phi(alpha)
@@ -68,12 +78,12 @@ def wolfe_line_search(
                 alpha_hi = alpha
             else:
                 if abs(dphi) <= -c2 * dphi0:
-                    return LineSearchResult(alpha, candidate_value, candidate_gradient, evaluations, True)
+                    return LineSearchResult(alpha, candidate_value, candidate_gradient, evaluations)
                 if dphi * (alpha_hi - alpha_lo) >= 0:
                     alpha_hi = alpha_lo
                 alpha_lo = alpha
                 value_lo = candidate_value
-                best = LineSearchResult(alpha, candidate_value, candidate_gradient, evaluations, True)
+                best = LineSearchResult(alpha, candidate_value, candidate_gradient, evaluations)
             if abs(alpha_hi - alpha_lo) < 1e-14:
                 break
         # ``best`` may predate the last evaluations; report all of them.
@@ -90,13 +100,12 @@ def wolfe_line_search(
             return zoom(previous_alpha, alpha, previous_value)
         dphi = float(candidate_gradient @ direction)
         if abs(dphi) <= -c2 * dphi0:
-            return LineSearchResult(alpha, candidate_value, candidate_gradient, evaluations, True)
+            return LineSearchResult(alpha, candidate_value, candidate_gradient, evaluations)
         if dphi >= 0:
             return zoom(alpha, previous_alpha, candidate_value)
         previous_alpha = alpha
         previous_value = candidate_value
         alpha = min(2.0 * alpha, max_step_size)
 
-    # Fall back to the last evaluated point; mark as unsuccessful so the
-    # caller can decide whether to accept the step anyway.
-    return LineSearchResult(previous_alpha, previous_value, None, evaluations, False)
+    # Out of steps: report the last evaluated point as a failure.
+    return LineSearchResult(previous_alpha, previous_value, None, evaluations)

@@ -127,15 +127,11 @@ class _QuasiNewton:
 
             search = wolfe_line_search(objective, theta, direction, value, gradient)
             evaluations += search.n_evaluations
-            if not search.success or search.step_size <= 0:
+            if search.gradient is None or search.step_size <= 0:
                 break
 
             new_theta = theta + search.step_size * direction
-            if search.gradient is not None:
-                new_value, new_gradient = search.value, search.gradient
-            else:
-                new_value, new_gradient = objective.value_and_gradient(new_theta)
-                evaluations += 1
+            new_value, new_gradient = search.value, search.gradient
 
             s = new_theta - theta
             y = new_gradient - gradient

@@ -85,13 +85,15 @@ class BatcherStats:
     answer_requests / train_requests:
         The per-kind split of ``requests``.
     fused_passes / serial_passes:
-        Exact size-search pass accounting summed over every fused
+        Exact size-search round accounting summed over every fused
         ``train_to_many`` dispatch (see
         :class:`~repro.core.session.CoalescedTrainOutcome`): rounds
         actually executed versus what the same contracts would have cost
         serially.  ``passes_saved`` is their difference — exact, because
         each member search follows the identical bracket trajectory fused
-        or serial.
+        or serial.  They count rounds, not holdout passes: a round streams
+        the holdout once for LR, ME and Poisson, PPCA's diff never
+        streams, and a Lin search streams once for all its rounds.
     load_shed:
         Submissions rejected by backpressure (queue full) with :class:`~repro.exceptions.ServingOverloadError`.
     max_queue_depth:
@@ -118,7 +120,7 @@ class BatcherStats:
 
     @property
     def passes_saved(self) -> int:
-        """Streamed size-search passes coalescing avoided (exact)."""
+        """Size-search rounds coalescing avoided (exact)."""
         return self.serial_passes - self.fused_passes
 
     @property
