@@ -16,6 +16,7 @@ system agrees on the same defaults without hidden magic numbers.
 
 from __future__ import annotations
 
+import math
 import os
 
 from repro.exceptions import ContractError
@@ -98,11 +99,16 @@ DEFAULT_TEST_FRACTION = _env_float(
 
 # The contract's default violation probability δ (the paper's experiments
 # use 0.05 throughout).  Every place a default δ appears — the contract
-# dataclass, ``BlinkML.train_with_accuracy``, the sklearn wrappers, the
-# experiment runners — reads this constant.  Env-overridable; values
-# outside (0, 1) fall back (the boundary values would fail
-# :func:`validate_delta` at contract-construction time anyway).
-DEFAULT_DELTA = _env_float("DEFAULT_DELTA", 0.05, minimum=0.0, maximum=1.0)
+# dataclass, ``BlinkML.train_with_accuracy``, the experiment runners —
+# reads this constant.  Env-overridable; values outside the open interval
+# (0, 1), the endpoints included, fall back to 0.05, because
+# :func:`validate_delta` rejects them at contract-construction time.
+DEFAULT_DELTA = _env_float(
+    "DEFAULT_DELTA",
+    0.05,
+    minimum=math.nextafter(0.0, 1.0),
+    maximum=math.nextafter(1.0, 0.0),
+)
 
 # Streaming sharded holdout evaluation (repro.evaluation.streaming).  The
 # holdout is processed in row blocks of this size so the per-candidate
@@ -186,9 +192,10 @@ DEFAULT_WARM_CACHE_MAX_BYTES = _env_int(
 )
 
 # How many candidate sample sizes the sample-size search evaluates per
-# stacked Monte-Carlo pass (ROADMAP "batched two-stage probes").  1 keeps
-# the classic bisection; the coordinator/session default trades a little
-# extra compute per pass for ~log_{b+1} instead of log_2 passes.
+# stacked Monte-Carlo round (a ceiling; the search stacks fewer once the
+# bracket is narrow).  1 keeps the classic bisection; the coordinator/session
+# default trades a little extra compute per round for ~log_{b+1} instead of
+# log_2 rounds.
 # Env-overridable like the other serving knobs; values below 1 fall back
 # to the default (the session/coordinator boundary rejects them outright).
 DEFAULT_SIZE_SEARCH_PROBE_BATCH = _env_int(

@@ -14,15 +14,15 @@ The coordinator workflow glues the components together:
 At most two models are ever trained, which is where the training-time
 savings of Figure 5 come from.
 
-Since the session refactor the workflow itself lives in
-:class:`repro.core.session.EstimationSession`; :class:`BlinkML` only
-assembles a session per ``train()`` call.  ``train()`` stays deterministic
-per seed, and with ``probe_batch=1`` it reproduces the pre-refactor
-monolithic coordinator exactly (same seeds → same outputs).  The default
-``probe_batch`` > 1 changes only the sample-size-search probe schedule —
-under the Theorem 2 monotonicity the search relies on, both schedules land
-on the same minimum n.  Serving deployments hold a session open and answer
-many contracts from its caches (see :meth:`BlinkML.session`).
+The workflow itself lives in :class:`repro.core.session.EstimationSession`;
+:class:`BlinkML` assembles a session per ``train()`` call, so ``train()`` is
+deterministic per seed.  The size search returns the smallest n the
+Monte-Carlo check accepts: when n lies strictly between n0 + 1 and N,
+Lemma 2's check, read from the session's cached base draws, fails at n − 1
+and holds at n.  ``probe_batch`` changes only which sizes the search probes
+on the way; where the check is monotone in n (Theorem 2), every
+``probe_batch`` returns the same n.  Serving deployments hold a session open
+and answer many contracts from its caches (see :meth:`BlinkML.session`).
 """
 
 from __future__ import annotations
@@ -134,11 +134,10 @@ class BlinkML:
     ) -> ApproximateTrainingResult:
         """Train an approximate model satisfying ``contract``.
 
-        Each call runs the full one-shot workflow in a fresh session:
-        deterministic per seed, and identical to the pre-session coordinator
-        when ``probe_batch=1`` (the default batched probes change only the
-        search schedule).  To amortise the initial model across contracts,
-        keep the :meth:`session` instead.
+        Each call runs the full one-shot workflow in a fresh session,
+        deterministic per seed; ``probe_batch`` changes only which sizes
+        the search probes (see the module docstring).  To amortise the
+        initial model across contracts, keep the :meth:`session` instead.
 
         Parameters
         ----------

@@ -160,8 +160,7 @@ def adaptive_probe_count(span: int, probe_batch: int) -> int:
     fewer candidates finish in the *same* ``r`` passes.  This returns the
     smallest per-round count ``b`` with ``(b + 1)^r >= span`` — never more
     passes than the fixed policy, never more stacked Monte-Carlo
-    evaluations than the bracket can use (ROADMAP "adaptive probe
-    batching").
+    evaluations than the bracket can use.
 
     Edge cases are explicit rather than emergent from the cap arithmetic:
     a resolved bracket (``span <= 1``) needs no candidates at all; a

@@ -78,7 +78,6 @@ from repro.data.store import ShardedDataset
 from repro.data.store.warm_cache import (
     DIFF_KIND,
     SIZE_KIND,
-    WarmCacheStats,
     WarmCacheTier,
     array_digest,
     diff_entry_key,
@@ -239,12 +238,15 @@ class EstimationSession:
         Sharding configuration forwarded to both estimators (``None`` uses
         the module default).
     probe_batch:
-        Candidate sizes per stacked sample-size-search pass (ROADMAP
-        "batched two-stage probes").
+        Ceiling on the candidate sizes one size-search round evaluates
+        (:meth:`~repro.core.sample_size.SampleSizeEstimator.estimate`).  It
+        changes only which sizes the search probes: where Lemma 2's check
+        is monotone in n (Theorem 2), every value returns the same n.
     rng:
         Seed or ``numpy.random.Generator``.  The facade passes its own
-        generator so ``BlinkML.train()`` consumes randomness in exactly the
-        order the monolithic coordinator did.
+        seeded generator, so ``BlinkML.train()`` is deterministic per seed:
+        the nested samples and the parameter sampler's base draws both come
+        from it.
     diff_cache_entries / diff_cache_bytes / model_cache_entries /
     size_cache_entries:
         LRU bounds for the three session caches (``None`` = unbounded);
@@ -426,24 +428,12 @@ class EstimationSession:
             )
 
     # ------------------------------------------------------------------
-    # Registry integration: byte accounting, resizable caps, idle time
+    # Registry integration: resizable caps, idle time
     # ------------------------------------------------------------------
     # How a registry-assigned byte budget is split across the three caches.
     # The sorted-difference vectors dominate (k float64s per (θ, n) pair);
     # models hold one θ each; size-search results are tiny dataclasses.
     CACHE_BUDGET_SPLIT = {"diff": 0.70, "model": 0.20, "size": 0.10}
-
-    def cache_bytes(self) -> int:
-        """Approximate bytes currently held across the three session caches."""
-        return sum(stats.bytes for stats in self.cache_stats().values())
-
-    def cache_byte_caps(self) -> dict[str, int | None]:
-        """The current per-cache byte caps (``None`` = unbounded)."""
-        return {
-            "diff": self._diff_cache.max_bytes,
-            "model": self._model_cache.max_bytes,
-            "size": self._size_cache.max_bytes,
-        }
 
     def resize_cache_budget(self, total_bytes: int) -> None:
         """Re-cap the session's caches to a combined ``total_bytes`` budget.
@@ -515,16 +505,6 @@ class EstimationSession:
             "size": self._size_cache.stats(),
         }
 
-    @property
-    def diff_cache_hits(self) -> int:
-        """Total difference-vector cache hits (see :meth:`cache_stats`)."""
-        return self._diff_cache.stats().hits
-
-    @property
-    def diff_cache_misses(self) -> int:
-        """Total difference-vector cache misses (see :meth:`cache_stats`)."""
-        return self._diff_cache.stats().misses
-
     # ------------------------------------------------------------------
     # Warm tier: cross-process persistent artifacts beneath the LRUs
     # ------------------------------------------------------------------
@@ -532,10 +512,6 @@ class EstimationSession:
     def warm_cache(self) -> WarmCacheTier | None:
         """The cross-process warm tier, or ``None`` when disabled."""
         return self._warm_cache
-
-    def warm_cache_stats(self) -> WarmCacheStats | None:
-        """Hit/miss/quarantine snapshot of the warm tier (``None`` = off)."""
-        return None if self._warm_cache is None else self._warm_cache.stats()
 
     def _warm_draws_digest(self, tags: tuple[str, ...]) -> str:
         """Digest of the sampler's frozen base-draw blocks for ``tags``.
@@ -841,10 +817,10 @@ class EstimationSession:
     ) -> ApproximateTrainingResult:
         """Train an approximate model satisfying ``contract`` (Section 2.3).
 
-        The workflow of the monolithic coordinator, with every
-        contract-independent quantity served from the session: statistics
-        and the initial model are never recomputed, difference vectors are
-        cached per (θ, n, N), and final models are cached per sample size.
+        The Section 2.3 workflow, with every contract-independent quantity
+        served from the session: statistics and the initial model are never
+        recomputed, difference vectors are cached per (θ, n, N), and final
+        models are cached per sample size.
 
         ``recompute_at_theta_n=True`` re-evaluates the H/J statistics at the
         *final* model's θ_n (the paper reuses the θ_0 statistics for

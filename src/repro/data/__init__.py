@@ -8,8 +8,8 @@ subpackage provides that substrate:
 * :mod:`repro.data.dataset` — an immutable in-memory training-set container
   with feature matrix, labels and named splits;
 * :mod:`repro.data.splits` — train / holdout / test splitting;
-* :mod:`repro.data.sampling` — uniform random sampling (with and without
-  replacement) and reservoir sampling over streams;
+* :mod:`repro.data.sampling` — uniform random sampling without
+  replacement, nested so the initial sample is a prefix of the final one;
 * :mod:`repro.data.synthetic` — generators that stand in for the six
   real-world datasets used in the paper's evaluation (see that module's
   docstring for the substitution rationale);
@@ -20,7 +20,7 @@ subpackage provides that substrate:
 
 from repro.data.dataset import Dataset
 from repro.data.splits import SplitSpec, train_holdout_test_split
-from repro.data.sampling import UniformSampler, WeightedSampler, reservoir_sample
+from repro.data.sampling import UniformSampler
 from repro.data.store import (
     ShardManifest,
     ShardStore,
@@ -45,8 +45,6 @@ __all__ = [
     "SplitSpec",
     "train_holdout_test_split",
     "UniformSampler",
-    "WeightedSampler",
-    "reservoir_sample",
     "ShardManifest",
     "ShardStore",
     "ShardStoreWriter",

@@ -194,37 +194,6 @@ class Dataset:
             metadata=dict(self.metadata),
         )
 
-    def concat(self, other: Dataset) -> Dataset:
-        """Stack two datasets with identical schemas row-wise."""
-        if self.n_features != other.n_features:
-            raise DataError(
-                "cannot concatenate datasets with different feature counts: "
-                f"{self.n_features} vs {other.n_features}"
-            )
-        if (self.y is None) != (other.y is None):
-            raise DataError("cannot concatenate supervised with unsupervised data")
-        X = np.vstack([self.X, other.X])
-        y = None if self.y is None else np.concatenate([self.y, other.y])
-        return Dataset(X, y, name=self.name, metadata=dict(self.metadata))
-
     def with_name(self, name: str) -> Dataset:
         """Return a copy carrying a new name."""
         return Dataset(self.X, self.y, name=name, metadata=dict(self.metadata))
-
-    def standardized(self, eps: float = 1e-12) -> Dataset:
-        """Return a copy whose feature columns have zero mean and unit variance.
-
-        Columns with (near-)zero variance are left centred but unscaled to
-        avoid dividing by zero.
-        """
-        mean = self.X.mean(axis=0)
-        std = self.X.std(axis=0)
-        std = np.where(std < eps, 1.0, std)
-        X = (self.X - mean) / std
-        return Dataset(X, self.y, name=self.name, metadata=dict(self.metadata))
-
-    def class_labels(self) -> np.ndarray:
-        """Return the sorted unique class labels (classification datasets only)."""
-        if self.y is None:
-            raise DataError("unsupervised dataset has no labels")
-        return np.unique(self.y)

@@ -5,21 +5,16 @@ BlinkML deliberately restricts itself to *uniform* random sampling
 leverage-score approaches, no sampling probabilities have to be tailored to
 the model, which is what lets a single system serve every MLE-based model.
 
-This module provides:
-
-* :class:`UniformSampler` — draws size-n uniform samples without replacement
-  from a :class:`~repro.data.dataset.Dataset`, with support for nested
-  sampling (a size-n' sample that contains an earlier size-n sample, which is
-  how the coordinator grows the initial sample into the final one without
-  discarding already-seen rows);
-* :func:`reservoir_sample` — classic reservoir sampling over a row stream,
-  standing in for the database-side sampling operator the paper assumes.
+:class:`UniformSampler` draws size-n uniform samples without replacement
+from a :class:`~repro.data.dataset.Dataset`, with support for nested
+sampling (a size-n' sample that contains an earlier size-n sample, which is
+how the coordinator grows the initial sample into the final one without
+discarding already-seen rows).
 """
 
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -46,8 +41,7 @@ class UniformSampler:
         machinery, however, is O(N): ``nested_sample`` keeps a full random
         permutation (8 bytes per population row) and ``sample`` uses
         ``Generator.choice(replace=False)``, so a 10⁹-row store still
-        costs ~8 GB of index memory (a sub-linear per-shard index scheme
-        is a ROADMAP item).
+        costs ~8 GB of index memory.
     rng:
         Seeded NumPy generator for reproducibility.
     """
@@ -67,19 +61,14 @@ class UniformSampler:
         # nested_sample calls could each build their own permutation, the
         # nesting invariant (D0 ⊂ Dn) would silently break for whichever
         # caller's permutation lost the publication race.  The same lock
-        # serialises every other consumption of the shared generator
-        # (sample / sample_indices), so concurrent callers cannot interleave
-        # its bit-stream mid-draw.
+        # serialises the other consumer of the shared generator (sample), so
+        # concurrent callers cannot interleave its bit-stream mid-draw.
         self._permutation: np.ndarray | None = None  # guarded-by: _rng_lock  # repro-lint: frozen-attr
         self._rng_lock = threading.Lock()
 
     @property
     def dataset(self) -> Dataset | ShardedDataset:
         return self._dataset
-
-    @property
-    def population_size(self) -> int:
-        return self._dataset.n_rows
 
     def _ensure_permutation(self) -> np.ndarray:
         permutation = self._permutation
@@ -121,161 +110,3 @@ class UniformSampler:
         return self._dataset.take(permutation[:n]).with_name(
             f"{self._dataset.name}/nested[{n}]"
         )
-
-    def sample_indices(self, n: int) -> np.ndarray:
-        """Return ``n`` uniformly sampled row indices without replacement."""
-        if n <= 0 or n > self._dataset.n_rows:
-            raise DataError("sample size out of range")
-        with self._rng_lock:
-            return self._rng.choice(self._dataset.n_rows, size=n, replace=False)
-
-
-class WeightedSampler:
-    """Draw samples with per-row inclusion probabilities proportional to weights.
-
-    BlinkML itself needs only *uniform* sampling, but the paper points out
-    (Sections 3.2 and 7) that its machinery extends to non-uniform sampling
-    as long as the sampling probabilities are known: the gradient covariance
-    J can then be re-weighted accordingly.  This sampler provides the data
-    side of that extension — weighted sampling without replacement using the
-    Efraimidis–Spirakis exponential-key method — together with the
-    raw Horvitz–Thompson-style importance weights ``1 / (n · p_i)`` a
-    downstream estimator needs to stay (asymptotically) unbiased for the
-    full-data objective (see :meth:`sample` for the exact estimator
-    conventions and the without-replacement caveat).
-    """
-
-    def __init__(
-        self,
-        dataset: Dataset,
-        weights: np.ndarray,
-        rng: np.random.Generator | None = None,
-    ):
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (dataset.n_rows,):
-            raise DataError(
-                f"weights must have one entry per row; got {weights.shape} for "
-                f"{dataset.n_rows} rows"
-            )
-        if np.any(weights < 0) or not np.all(np.isfinite(weights)):
-            raise DataError("weights must be finite and non-negative")
-        total = float(weights.sum())
-        if total <= 0:
-            raise DataError("at least one weight must be positive")
-        self._dataset = dataset
-        self._probabilities = weights / total
-        self._rng = rng or np.random.default_rng()
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        """Normalised per-row selection probabilities."""
-        return self._probabilities
-
-    def sample_indices(self, n: int) -> np.ndarray:
-        """Weighted sampling of ``n`` distinct row indices (Efraimidis–Spirakis)."""
-        if n <= 0:
-            raise DataError("sample size must be positive")
-        positive = np.flatnonzero(self._probabilities > 0)
-        if n > positive.size:
-            raise DataError(
-                f"cannot draw {n} distinct rows: only {positive.size} rows have "
-                "positive weight"
-            )
-        # Key_i = U_i^(1/w_i); the n largest keys form a weighted sample
-        # without replacement.
-        uniforms = self._rng.uniform(size=positive.size)
-        keys = np.power(uniforms, 1.0 / self._probabilities[positive])
-        chosen = positive[np.argsort(keys)[-n:]]
-        return chosen
-
-    def sample(self, n: int, normalize: bool = False) -> tuple[Dataset, np.ndarray]:
-        """Return a weighted sample and the matching importance weights.
-
-        The importance weight of row i is the *raw* Horvitz–Thompson-style
-        weight ``w_i = 1 / (n · p_i)``: with it, ``Σ_sample w_i y_i``
-        estimates the population total and ``(1/N) Σ_sample w_i y_i`` the
-        population mean — which is what keeps a weighted MLE objective
-        anchored to the full-data objective.  (For an objective written as
-        a *sample average*, ``(1/n) Σ w'_i ℓ_i`` matching the full-data
-        average requires ``w'_i = (n/N) w_i = 1/(N · p_i)``; either scaling
-        is an exact constant multiple of the weights returned here.)
-
-        Exactness caveat: ``n · p_i`` is the *with-replacement* inclusion
-        rate.  Under the Efraimidis–Spirakis without-replacement draws used
-        here the true inclusion probability of a heavy row is capped at 1,
-        so the estimators above are exactly unbiased for uniform weights
-        (where ``w_i = N/n``) and approximately unbiased otherwise, with
-        bias vanishing as ``max_i n · p_i → 0``.  Rows with extreme weights
-        relative to ``1/n`` should be handled with a dedicated
-        certainty-stratum before relying on these weights.
-
-        Parameters
-        ----------
-        n:
-            Sample size.
-        normalize:
-            When true, rescale the returned weights to mean one over the
-            sample.  Convenient when only *relative* weights matter (e.g.
-            reweighting a loss against a fixed regulariser), but it
-            silently destroys the exact unbiasedness above, so it is an
-            explicit opt-in rather than the default.
-        """
-        indices = self.sample_indices(n)
-        importance = 1.0 / (n * self._probabilities[indices])
-        if normalize:
-            importance = importance / importance.mean()
-        subset = self._dataset.take(indices).with_name(
-            f"{self._dataset.name}/weighted[{n}]"
-        )
-        return subset, importance
-
-
-def reservoir_sample(
-    rows: Iterable[np.ndarray],
-    k: int,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Reservoir-sample ``k`` rows from a stream of feature vectors.
-
-    This implements Algorithm R.  It exists to emulate the database-side
-    sampling operator the paper leans on: a single pass over a table (here, a
-    row iterator) producing a uniform sample of fixed size without knowing
-    the table's cardinality in advance.
-
-    Parameters
-    ----------
-    rows:
-        Iterable of 1-D NumPy arrays, all of the same length.
-    k:
-        Reservoir size.
-    rng:
-        Seeded generator.
-
-    Returns
-    -------
-    numpy.ndarray
-        A ``(k, d)`` array.  Raises :class:`DataError` if the stream holds
-        fewer than ``k`` rows.
-    """
-    if k <= 0:
-        raise DataError("reservoir size must be positive")
-    rng = rng or np.random.default_rng()
-
-    iterator: Iterator[np.ndarray] = iter(rows)
-    reservoir: list[np.ndarray] = []
-    for _ in range(k):
-        try:
-            reservoir.append(np.asarray(next(iterator), dtype=np.float64))
-        except StopIteration as exc:
-            raise DataError(
-                f"stream exhausted after {len(reservoir)} rows; needed {k}"
-            ) from exc
-
-    seen = k
-    for row in iterator:
-        seen += 1
-        j = int(rng.integers(0, seen))
-        if j < k:
-            reservoir[j] = np.asarray(row, dtype=np.float64)
-
-    return np.vstack(reservoir)

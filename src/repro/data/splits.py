@@ -40,10 +40,6 @@ class SplitSpec:
         if self.holdout_fraction + self.test_fraction >= 1.0:
             raise DataError("holdout + test fractions must leave room for training data")
 
-    @property
-    def train_fraction(self) -> float:
-        return 1.0 - self.holdout_fraction - self.test_fraction
-
 
 @dataclass(frozen=True)
 class DataSplits:

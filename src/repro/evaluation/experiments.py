@@ -6,9 +6,6 @@ several figures:
 * :func:`run_accuracy_sweep` — the Figure 5 / Figure 6 shape: sweep the
   requested accuracy, train a BlinkML model per level, compare against the
   full model (training time, sample size, actual agreement);
-* :func:`run_baseline_comparison` — the Figure 7 shape: same workload, but
-  each sample-size policy (FixedRatio, RelativeRatio, IncEstimator,
-  BlinkML) trains a model and is scored against the full model;
 * :func:`measure_full_training` — trains the exact model once and reports
   its wall-clock cost, reused as the denominator of every speed-up.
 """
@@ -19,7 +16,6 @@ import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
-from repro.baselines.base import SampleSizeBaseline
 from repro.config import DEFAULT_DELTA
 from repro.core.contract import ApproximationContract
 from repro.core.coordinator import BlinkML
@@ -138,32 +134,3 @@ def run_accuracy_sweep(
                 )
             )
     return records
-
-
-def run_baseline_comparison(
-    baselines: Sequence[SampleSizeBaseline],
-    splits: DataSplits,
-    requested_accuracies: Sequence[float],
-    full_model: TrainedModel,
-    delta: float = DEFAULT_DELTA,
-) -> list[dict]:
-    """Run every baseline policy at every requested accuracy (Figure 7 shape)."""
-    rows: list[dict] = []
-    for accuracy in requested_accuracies:
-        contract = ApproximationContract.from_accuracy(accuracy, delta=delta)
-        for baseline in baselines:
-            outcome = baseline.run(splits.train, splits.holdout, contract)
-            agreement = model_agreement(
-                baseline.spec, outcome.model.theta, full_model.theta, splits.holdout
-            )
-            rows.append(
-                {
-                    "policy": outcome.policy,
-                    "requested_accuracy": accuracy,
-                    "actual_accuracy": agreement,
-                    "sample_size": outcome.sample_size,
-                    "training_seconds": outcome.training_seconds,
-                    "n_models_trained": outcome.n_models_trained,
-                }
-            )
-    return rows

@@ -19,29 +19,12 @@ from repro.exceptions import DataError
 from repro.models.base import ModelClassSpec, TrainedModel
 
 
-def classification_accuracy(model: TrainedModel, dataset: Dataset) -> float:
-    """Fraction of correctly classified rows."""
-    if dataset.y is None:
-        raise DataError("classification accuracy needs labels")
-    predictions = model.predict(dataset.X)
-    return float(np.mean(predictions == dataset.y))
-
-
 def generalization_error(model: TrainedModel, dataset: Dataset) -> float:
     """Misclassification rate on a labelled test set (Figure 8b metric)."""
-    return 1.0 - classification_accuracy(model, dataset)
-
-
-def regression_r2(model: TrainedModel, dataset: Dataset) -> float:
-    """Coefficient of determination R² of a regression model."""
     if dataset.y is None:
-        raise DataError("R² needs labels")
+        raise DataError("generalization error needs labels")
     predictions = model.predict(dataset.X)
-    residual = float(np.mean((predictions - dataset.y) ** 2))
-    variance = float(np.var(dataset.y))
-    if variance == 0:
-        return 0.0
-    return 1.0 - residual / variance
+    return 1.0 - float(np.mean(predictions == dataset.y))
 
 
 def model_agreement(

@@ -32,7 +32,7 @@ where the rows live.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Protocol, runtime_checkable
@@ -233,20 +233,6 @@ def as_block_source(source: "Dataset | BlockSource") -> BlockSource:
                 f"(missing {attribute!r})"
             )
     return source
-
-
-def iter_holdout_blocks(
-    source: "Dataset | BlockSource", block_rows: int
-) -> Iterator[Dataset]:
-    """Yield the holdout as contiguous zero-copy blocks of ``<= block_rows`` rows.
-
-    With a :class:`~repro.data.store.ShardedDataset` source the bounds snap
-    to shard boundaries, so some blocks are shorter than ``block_rows`` but
-    none ever crosses a shard (no cross-shard copies).
-    """
-    blocks = as_block_source(source)
-    for start, stop in blocks.block_bounds(block_rows):
-        yield blocks.read_block(start, stop)
 
 
 @runtime_checkable

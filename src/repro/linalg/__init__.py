@@ -12,8 +12,8 @@ This subpackage holds the factored representation that makes this possible:
   (tall-skinny-QR gradient factors, probe gradient sums, block Hessian
   sums) that the streaming statistics tier folds block by block and the
   shard store persists as per-shard sidecars;
-* :mod:`repro.linalg.utils` — small shared helpers (safe Cholesky,
-  symmetrisation, dense multivariate-normal sampling).
+* :mod:`repro.linalg.utils` — small shared helpers (``freeze``,
+  symmetrisation, the Frobenius distance of Section 5.6).
 """
 
 from repro.linalg.covariance import FactoredCovariance
@@ -28,8 +28,6 @@ from repro.linalg.moments import (
 from repro.linalg.utils import (
     freeze,
     symmetrize,
-    safe_cholesky,
-    sample_multivariate_normal,
     frobenius_distance,
 )
 
@@ -43,7 +41,5 @@ __all__ = [
     "SUMMARY_KINDS",
     "summary_kind",
     "symmetrize",
-    "safe_cholesky",
-    "sample_multivariate_normal",
     "frobenius_distance",
 ]

@@ -71,20 +71,28 @@ class FactoredCovariance:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
-    def from_per_example_gradients(
+    def from_gradient_summary(
         cls,
-        per_example_gradients: np.ndarray,
+        summary: "GradientMomentSummary",
         regularization: float = 0.0,
         rank_tolerance: float = 1e-12,
     ) -> FactoredCovariance:
-        """Build the factor from the per-example gradient matrix (ObservedFisher).
+        """Build the factor from a gradient moment summary (ObservedFisher).
+
+        J is the covariance of the per-example gradients ``qᵢ``,
+        ``J = (1/n) Σ qᵢqᵢᵀ``.  The summary's triangular factor satisfies
+        ``RᵀR = Σ qᵢqᵢᵀ``, so ``R / √n`` has exactly the singular values and
+        right singular vectors of the scaled per-example gradient matrix
+        ``Q / √n``, and its SVD gives ``J = U diag(s²) Uᵀ`` without ever
+        materialising ``Q``.
 
         Parameters
         ----------
-        per_example_gradients:
-            ``(n, d)`` matrix whose i-th row is ``q(θ_n; x_i, y_i)`` — the
-            *unregularised* per-example gradient returned by the MCS
-            ``grads`` function with the regulariser stripped.
+        summary:
+            The TSQR summary of the *unregularised* per-example gradients
+            (:meth:`GradientMomentSummary.from_gradients
+            <repro.linalg.moments.GradientMomentSummary.from_gradients>` of
+            one block, or a shard-merged fold).
         regularization:
             The L2 coefficient β.  ``H = J + βI`` per the information-matrix
             equality discussion in Section 3.4.
@@ -93,52 +101,11 @@ class FactoredCovariance:
             zero (directions with no gradient variance contribute nothing to
             the covariance).
         """
-        Q = np.asarray(per_example_gradients, dtype=np.float64)
-        if Q.ndim != 2:
-            raise StatisticsError(
-                f"per-example gradients must form a 2-D matrix, got shape {Q.shape}"
-            )
-        n = Q.shape[0]
-        if n < 2:
-            raise StatisticsError("need at least two per-example gradients")
-        if regularization < 0:
-            raise StatisticsError("regularization must be non-negative")
-
-        # J is the covariance of individual gradients: J = (1/n) Σ q_i q_iᵀ.
-        # SVD of the scaled matrix A = Q / sqrt(n) gives J = U diag(s²) Uᵀ.
-        scaled = Q / np.sqrt(n)
-        return cls._from_scaled_matrix(scaled, regularization, rank_tolerance)
-
-    @classmethod
-    def from_gradient_summary(
-        cls,
-        summary: "GradientMomentSummary",
-        regularization: float = 0.0,
-        rank_tolerance: float = 1e-12,
-    ) -> FactoredCovariance:
-        """Build the factor from a shard-merged gradient moment summary.
-
-        The summary's triangular factor satisfies ``RᵀR = Σ qᵢqᵢᵀ``, so
-        ``R / √n`` has exactly the singular values and right singular
-        vectors of the scaled per-example gradient matrix ``Q / √n`` — the
-        streaming statistics tier reaches the same covariance as
-        :meth:`from_per_example_gradients` without ever materialising ``Q``.
-        """
         if summary.rows < 2:
             raise StatisticsError("need at least two per-example gradients")
         if regularization < 0:
             raise StatisticsError("regularization must be non-negative")
         scaled = summary.r_factor / np.sqrt(summary.rows)
-        return cls._from_scaled_matrix(scaled, regularization, rank_tolerance)
-
-    @classmethod
-    def _from_scaled_matrix(
-        cls,
-        scaled: np.ndarray,
-        regularization: float,
-        rank_tolerance: float,
-    ) -> FactoredCovariance:
-        """Shared SVD tail for the ObservedFisher constructors."""
         # full_matrices=False keeps U at (d, min(n, d)): the O(min(n²d, nd²))
         # cost quoted in Section 3.4.
         try:

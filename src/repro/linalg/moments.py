@@ -144,10 +144,6 @@ class GradientMomentSummary:
             r_factor=_triangular_factor(np.vstack([self.r_factor, other.r_factor])),
         )
 
-    def second_moment(self) -> np.ndarray:
-        """``Σ qᵢqᵢᵀ = RᵀR`` densified (tests / low-dimensional diagnostics)."""
-        return self.r_factor.T @ self.r_factor
-
     def to_arrays(self) -> dict[str, np.ndarray]:
         return {
             "rows": np.array(self.rows, dtype=np.int64),

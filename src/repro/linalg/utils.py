@@ -30,56 +30,15 @@ def freeze(array: np.ndarray) -> np.ndarray:
 def symmetrize(matrix: np.ndarray) -> np.ndarray:
     """Return the symmetric part ``(A + Aᵀ) / 2`` of a square matrix.
 
-    Numerical Hessians and covariances accumulate tiny asymmetries; the
-    samplers require exactly symmetric inputs.
+    Numerical Hessians and covariances accumulate tiny asymmetries, and
+    the ``eigh`` in :meth:`FactoredCovariance.from_dense
+    <repro.linalg.covariance.FactoredCovariance.from_dense>` reads only one
+    triangle of its input, so the dense statistics paths symmetrise first.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise StatisticsError(f"expected a square matrix, got shape {matrix.shape}")
     return 0.5 * (matrix + matrix.T)
-
-
-def safe_cholesky(matrix: np.ndarray, jitter: float = 1e-10, max_tries: int = 8) -> np.ndarray:
-    """Cholesky factorisation with escalating diagonal jitter.
-
-    Covariance matrices assembled from finite samples can be indefinite by a
-    hair; adding a growing multiple of the identity until the factorisation
-    succeeds is the standard remedy.  Raises :class:`StatisticsError` when
-    even a large jitter does not help (which indicates a genuinely broken
-    covariance, not numerical noise).
-    """
-    matrix = symmetrize(matrix)
-    scale = float(np.mean(np.abs(np.diag(matrix)))) or 1.0
-    current_jitter = 0.0
-    for attempt in range(max_tries):
-        try:
-            return np.linalg.cholesky(matrix + current_jitter * np.eye(matrix.shape[0]))
-        except np.linalg.LinAlgError:
-            current_jitter = jitter * scale * (10.0 ** attempt)
-    raise StatisticsError(
-        "covariance matrix is not positive definite even after adding jitter "
-        f"(final jitter {current_jitter:g})"
-    )
-
-
-def sample_multivariate_normal(
-    mean: np.ndarray,
-    covariance: np.ndarray,
-    size: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Draw ``size`` samples from ``N(mean, covariance)`` via Cholesky.
-
-    This is the *basic approach* the paper contrasts against (Section 4.3):
-    it forms the dense covariance and factorises it.  BlinkML's fast path
-    lives in :class:`repro.core.parameter_sampler.ParameterSampler`; this
-    function is retained for the ClosedForm / InverseGradients statistics
-    paths and for tests that validate the fast path against it.
-    """
-    mean = np.asarray(mean, dtype=np.float64)
-    factor = safe_cholesky(covariance)
-    z = rng.standard_normal(size=(size, mean.shape[0]))
-    return mean[None, :] + z @ factor.T
 
 
 def frobenius_distance(a: np.ndarray, b: np.ndarray, normalize: bool = True) -> float:

@@ -128,10 +128,6 @@ class BatcherStats:
         """Mean fraction of the batch capacity each dispatch actually filled."""
         return self.requests / self.window_slots if self.window_slots else 0.0
 
-    @property
-    def mean_queue_wait_seconds(self) -> float:
-        return self.queue_wait_seconds / self.requests if self.requests else 0.0
-
     def merge(self, other: "BatcherStats") -> "BatcherStats":
         """Aggregate two snapshots (sums; maxima for the high-water marks)."""
         return BatcherStats(

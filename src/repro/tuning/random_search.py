@@ -53,15 +53,6 @@ class SearchResult:
             return None
         return max(self.trials, key=lambda trial: trial.test_accuracy)
 
-    def accuracy_over_time(self) -> list[tuple[float, float]]:
-        """(cumulative seconds, best-so-far accuracy) series for Figure 10."""
-        series = []
-        best = -np.inf
-        for trial in self.trials:
-            best = max(best, trial.test_accuracy)
-            series.append((trial.cumulative_seconds, best))
-        return series
-
 
 class RandomSearch:
     """Evaluate a candidate sequence with either full or BlinkML training.

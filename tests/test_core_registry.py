@@ -60,9 +60,6 @@ class FakeSession:
         self.budget = int(total_bytes)
         self.budget_history.append(self.budget)
 
-    def cache_bytes(self) -> int:
-        return 0
-
     def cache_stats(self) -> dict[str, CacheStats]:
         return {}
 
@@ -349,8 +346,8 @@ def test_fleet_stays_within_global_byte_budget(tiny_splits):
     # respects min_session_bytes, and the shares never exceed the pool.
     share = registry.session_budget_bytes()
     for key in registry.keys():
-        caps = registry.get(key).cache_byte_caps()
-        assert sum(caps.values()) <= share
+        caps = [stats.max_bytes for stats in registry.get(key).cache_stats().values()]
+        assert sum(caps) <= share
     assert share >= registry.min_session_bytes
     assert share * len(registry) <= budget
 

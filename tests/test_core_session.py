@@ -1,17 +1,23 @@
 """Tests for the contract-serving EstimationSession and the BlinkML facade."""
 
 import inspect
+import os
 import random
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.config import DEFAULT_DELTA, validate_delta
 from repro.core.contract import ApproximationContract
 from repro.core.coordinator import BlinkML
 from repro.core.guarantees import satisfies_probability_threshold
 from repro.core.parameter_sampler import ParameterSampler
+from repro.core.registry import SessionRegistry
 from repro.core.sample_size import SampleSizeEstimator
 from repro.core.session import EstimationSession, SessionAnswer
 from repro.core.statistics import compute_statistics
@@ -91,8 +97,8 @@ class TestSessionCache:
         second = session.sorted_differences(theta0, session.initial_sample_size)
         assert first is second  # the literal cached array, not a copy
         assert np.all(np.diff(first) >= 0)
-        assert session.diff_cache_hits == 1
-        assert session.diff_cache_misses == 1
+        stats = session.cache_stats()["diff"]
+        assert (stats.hits, stats.misses) == (1, 1)
 
     def test_cache_misses_on_different_theta_and_n(self, binary_splits):
         spec = SpyLogisticSpec(regularization=1e-3)
@@ -103,13 +109,13 @@ class TestSessionCache:
 
         # Different n: miss.
         session.sorted_differences(theta0, 2 * session.initial_sample_size)
-        assert session.diff_cache_misses == 2
+        assert session.cache_stats()["diff"].misses == 2
         assert spec.diff_evaluations > evaluations
 
         # Different θ: miss.
         evaluations = spec.diff_evaluations
         session.sorted_differences(theta0 + 0.01, session.initial_sample_size)
-        assert session.diff_cache_misses == 3
+        assert session.cache_stats()["diff"].misses == 3
         assert spec.diff_evaluations > evaluations
 
     def test_repeated_train_to_same_contract_is_free(self, binary_splits):
@@ -435,6 +441,35 @@ class TestDefaultDelta:
         with pytest.raises(ContractError):
             session.accuracy_estimate(session.initial_model.theta, 500, delta=1.5)
 
+    @pytest.mark.parametrize(
+        "raw,expected",
+        [("0", 0.05), ("1", 0.05), ("2", 0.05), ("abc", 0.05), ("0.2", 0.2)],
+    )
+    def test_environment_delta_outside_open_interval_falls_back(self, raw, expected):
+        """``DEFAULT_DELTA`` must lie in (0, 1); anything else reads 0.05.
+
+        The endpoints matter most: a δ of 0 or 1 would make every
+        default-δ contract raise ``ContractError`` at construction.
+        """
+        env = dict(os.environ, DEFAULT_DELTA=raw)
+        source_root = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            [source_root, *filter(None, [os.environ.get("PYTHONPATH")])]
+        )
+        probe = (
+            "from repro.core.contract import ApproximationContract\n"
+            "print(repr(ApproximationContract(epsilon=0.1).delta))\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert float(completed.stdout) == expected
+
 
 class TestBatchedProbes:
     @pytest.fixture(scope="class")
@@ -536,27 +571,40 @@ class TestRegistryIntegrationSurface:
     """
 
     def test_cache_bytes_sums_the_three_caches(self, binary_splits):
-        session = make_session(LogisticRegressionSpec(regularization=1e-3), binary_splits)
-        assert session.cache_bytes() == 0
+        registry = SessionRegistry(max_total_bytes=None, warm_cache=False)
+        session = registry.get_or_create(
+            "pair",
+            LogisticRegressionSpec(regularization=1e-3),
+            binary_splits.train,
+            binary_splits.holdout,
+            initial_sample_size=500,
+            n_parameter_samples=32,
+            rng=0,
+        )
+        assert registry.stats().bytes == 0
         session.answer(ApproximationContract.from_accuracy(0.85))
         expected = sum(stats.bytes for stats in session.cache_stats().values())
-        assert session.cache_bytes() == expected > 0
+        stats = registry.stats()
+        assert stats.per_session[0].bytes == stats.bytes == expected > 0
 
     def test_resize_cache_budget_caps_and_evicts(self, binary_splits):
         session = make_session(LogisticRegressionSpec(regularization=1e-3), binary_splits)
         theta = session.initial_model.theta
         for n in (600, 700, 800, 900, 1000, 1100):
             session.accuracy_estimate(theta, n)
-        before = session.cache_bytes()
+        before = sum(stats.bytes for stats in session.cache_stats().values())
         # One 32-sample vector is 256 bytes; cap the whole session well
         # below the six vectors currently held.
         session.resize_cache_budget(1024)
-        caps = session.cache_byte_caps()
-        assert sum(caps.values()) <= 1024
-        assert caps["diff"] == int(1024 * EstimationSession.CACHE_BUDGET_SPLIT["diff"])
-        assert session.cache_bytes() < before
-        assert session.cache_bytes() <= 1024
-        assert session.cache_stats()["diff"].evictions > 0
+        stats = session.cache_stats()
+        assert sum(entry.max_bytes for entry in stats.values()) <= 1024
+        assert stats["diff"].max_bytes == int(
+            1024 * EstimationSession.CACHE_BUDGET_SPLIT["diff"]
+        )
+        held_bytes = sum(entry.bytes for entry in stats.values())
+        assert held_bytes < before
+        assert held_bytes <= 1024
+        assert stats["diff"].evictions > 0
         # Growing the budget again raises the caps without dropping entries.
         held = session.cache_stats()["diff"].entries
         session.resize_cache_budget(1 << 20)

@@ -89,42 +89,9 @@ class TestFeatureSelection:
             make_dataset(5, 3).select_features(np.array([3]))
 
 
-class TestConcatAndTransforms:
-    def test_concat(self):
-        a, b = make_dataset(4), make_dataset(6)
-        combined = a.concat(b)
-        assert combined.n_rows == 10
-
-    def test_concat_schema_mismatch(self):
-        with pytest.raises(DataError):
-            make_dataset(4, 3).concat(make_dataset(4, 5))
-
-    def test_concat_supervision_mismatch(self):
-        with pytest.raises(DataError):
-            make_dataset(4).concat(make_dataset(4, labelled=False))
-
-    def test_standardized(self):
-        ds = make_dataset(200, 4)
-        standardized = ds.standardized()
-        np.testing.assert_allclose(standardized.X.mean(axis=0), 0, atol=1e-10)
-        np.testing.assert_allclose(standardized.X.std(axis=0), 1, atol=1e-10)
-
-    def test_standardized_constant_column(self):
-        X = np.ones((10, 2))
-        ds = Dataset(X, np.zeros(10))
-        standardized = ds.standardized()
-        assert np.all(np.isfinite(standardized.X))
-
+class TestWithName:
     def test_with_name(self):
         assert make_dataset().with_name("renamed").name == "renamed"
-
-    def test_class_labels(self):
-        ds = Dataset(np.zeros((4, 2)), np.array([2, 0, 2, 1]))
-        np.testing.assert_array_equal(ds.class_labels(), [0, 1, 2])
-
-    def test_class_labels_unsupervised_raises(self):
-        with pytest.raises(DataError):
-            make_dataset(labelled=False).class_labels()
 
 
 class TestContentDigest:

@@ -1,12 +1,10 @@
-"""Unit and property tests for uniform and reservoir sampling."""
+"""Unit tests for uniform sampling."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.data.dataset import Dataset
-from repro.data.sampling import UniformSampler, reservoir_sample
+from repro.data.sampling import UniformSampler
 from repro.exceptions import DataError
 
 
@@ -52,12 +50,6 @@ class TestUniformSampler:
         mean_row_id = sample.X[:, 0].mean()
         assert 300 < mean_row_id < 700
 
-    def test_sample_indices_range(self):
-        sampler = UniformSampler(make_dataset(20), rng=np.random.default_rng(0))
-        indices = sampler.sample_indices(5)
-        assert indices.min() >= 0 and indices.max() < 20
-        assert len(np.unique(indices)) == 5
-
     def test_concurrent_nested_samples_share_one_permutation(self):
         # Regression: the permutation is built lazily; two concurrent first
         # calls to nested_sample could each build their own permutation and
@@ -81,50 +73,3 @@ class TestUniformSampler:
         sampler = UniformSampler(make_dataset(20), rng=np.random.default_rng(0))
         sampler.nested_sample(5)
         assert sampler._permutation.flags.writeable is False
-
-
-class TestReservoirSample:
-    def test_exact_size(self):
-        rows = (np.array([i, i]) for i in range(100))
-        reservoir = reservoir_sample(rows, 10, rng=np.random.default_rng(0))
-        assert reservoir.shape == (10, 2)
-
-    def test_short_stream_raises(self):
-        rows = (np.array([i]) for i in range(3))
-        with pytest.raises(DataError):
-            reservoir_sample(rows, 5)
-
-    def test_invalid_k_raises(self):
-        with pytest.raises(DataError):
-            reservoir_sample(iter([]), 0)
-
-    def test_uniformity(self):
-        # Each of the 20 stream items should appear in roughly 25% of
-        # reservoirs of size 5 over many repetitions.
-        counts = np.zeros(20)
-        rng = np.random.default_rng(7)
-        repetitions = 400
-        for _ in range(repetitions):
-            rows = (np.array([float(i)]) for i in range(20))
-            reservoir = reservoir_sample(rows, 5, rng=rng)
-            for value in reservoir[:, 0]:
-                counts[int(value)] += 1
-        frequencies = counts / repetitions
-        assert np.all(frequencies > 0.15)
-        assert np.all(frequencies < 0.37)
-
-    @given(
-        n_stream=st.integers(min_value=1, max_value=60),
-        k=st.integers(min_value=1, max_value=60),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_property_reservoir_rows_come_from_stream(self, n_stream, k):
-        rows = [np.array([float(i)]) for i in range(n_stream)]
-        if k > n_stream:
-            with pytest.raises(DataError):
-                reservoir_sample(iter(rows), k, rng=np.random.default_rng(0))
-        else:
-            reservoir = reservoir_sample(iter(rows), k, rng=np.random.default_rng(0))
-            values = set(reservoir[:, 0])
-            assert values <= {float(i) for i in range(n_stream)}
-            assert len(values) == k

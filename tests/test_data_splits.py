@@ -18,7 +18,7 @@ class TestSplitSpec:
         spec = SplitSpec()
         assert 0 < spec.holdout_fraction < 1
         assert 0 < spec.test_fraction < 1
-        assert spec.train_fraction > 0
+        assert spec.holdout_fraction + spec.test_fraction < 1
 
     def test_negative_fraction_rejected(self):
         with pytest.raises(DataError):

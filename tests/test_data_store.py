@@ -43,7 +43,6 @@ from repro.data.store import (
 from repro.data.synthetic import higgs_like, power_like
 from repro.evaluation.streaming import (
     StreamingConfig,
-    iter_holdout_blocks,
     streaming_fanout_pairwise_prediction_differences,
     streaming_prediction_differences,
 )
@@ -464,7 +463,7 @@ class TestBlockSource:
 
     def test_blocks_are_memory_mapped_views(self, cls_data, tmp_path):
         sharded = write_store(cls_data, tmp_path, shard_rows=300)
-        block = next(iter_holdout_blocks(sharded, 128))
+        block = sharded.read_block(*sharded.block_bounds(128)[0])
         assert isinstance(block, Dataset)
         base = block.X.base
         while base is not None and not isinstance(base, np.memmap):
@@ -473,7 +472,10 @@ class TestBlockSource:
 
     def test_blocks_concatenate_to_the_dataset(self, cls_data, tmp_path):
         sharded = write_store(cls_data, tmp_path, shard_rows=300)
-        X = np.concatenate([b.X for b in iter_holdout_blocks(sharded, 128)], axis=0)
+        X = np.concatenate(
+            [sharded.read_block(*bounds).X for bounds in sharded.block_bounds(128)],
+            axis=0,
+        )
         assert np.array_equal(X, cls_data.X)
 
     def test_cross_shard_read_block_still_correct(self, cls_data, tmp_path):

@@ -3,24 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.baselines import FixedRatioBaseline, FullTrainingBaseline
 from repro.data.dataset import Dataset
 from repro.data.splits import SplitSpec, train_holdout_test_split
 from repro.data.synthetic import higgs_like
 from repro.evaluation import (
-    classification_accuracy,
     format_table,
     generalization_error,
-    measure_full_training,
     model_agreement,
     percentile,
-    regression_r2,
-    run_accuracy_sweep,
-    run_baseline_comparison,
     summarize,
 )
+from repro.evaluation.experiments import measure_full_training, run_accuracy_sweep
 from repro.exceptions import DataError
-from repro.models.linear_regression import LinearRegressionSpec
 from repro.models.logistic_regression import LogisticRegressionSpec
 
 
@@ -31,29 +25,20 @@ def eval_splits():
 
 
 class TestMetrics:
-    def test_classification_accuracy_and_error_sum_to_one(self, eval_splits):
+    def test_generalization_error_is_the_misclassification_rate(self, eval_splits):
         spec = LogisticRegressionSpec(regularization=1e-3)
         model = spec.fit(eval_splits.train)
-        accuracy = classification_accuracy(model, eval_splits.test)
         error = generalization_error(model, eval_splits.test)
-        assert accuracy + error == pytest.approx(1.0)
-        assert accuracy > 0.5
+        wrong = model.predict(eval_splits.test.X) != eval_splits.test.y
+        assert error == pytest.approx(wrong.mean())
+        assert error < 0.5
 
-    def test_classification_accuracy_needs_labels(self, eval_splits):
+    def test_generalization_error_needs_labels(self, eval_splits):
         spec = LogisticRegressionSpec()
         model = spec.fit(eval_splits.train)
         unlabeled = Dataset(eval_splits.test.X)
         with pytest.raises(DataError):
-            classification_accuracy(model, unlabeled)
-
-    def test_regression_r2(self):
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(500, 3))
-        y = X @ np.array([1.0, 2.0, -1.0]) + rng.normal(scale=0.1, size=500)
-        data = Dataset(X, y)
-        spec = LinearRegressionSpec(regularization=1e-5)
-        model = spec.fit(data)
-        assert regression_r2(model, data) > 0.95
+            generalization_error(model, unlabeled)
 
     def test_model_agreement_bounds(self, eval_splits):
         spec = LogisticRegressionSpec()
@@ -100,24 +85,6 @@ class TestExperimentRunners:
             seed=1,
         )
         assert records[0].actual_accuracy >= 0.9 - 0.03
-
-    def test_run_baseline_comparison(self, eval_splits):
-        spec = LogisticRegressionSpec(regularization=1e-3)
-        full_model, _ = measure_full_training(spec, eval_splits)
-        rows = run_baseline_comparison(
-            baselines=[
-                FixedRatioBaseline(spec, ratio=0.02, seed=0),
-                FullTrainingBaseline(spec, seed=0),
-            ],
-            splits=eval_splits,
-            requested_accuracies=[0.9, 0.95],
-            full_model=full_model,
-        )
-        assert len(rows) == 4
-        policies = {row["policy"] for row in rows}
-        assert policies == {"fixed_ratio", "full_training"}
-        full_rows = [row for row in rows if row["policy"] == "full_training"]
-        assert all(row["actual_accuracy"] == pytest.approx(1.0) for row in full_rows)
 
 
 class TestReporting:

@@ -17,7 +17,7 @@ from repro.data.store import ShardStore
 from repro.data.synthetic import gas_like, higgs_like, mnist_like
 from repro.evaluation.streaming import (
     StreamingConfig,
-    iter_holdout_blocks,
+    as_block_source,
     streaming_fanout_pairwise_prediction_differences,
     streaming_prediction_differences,
 )
@@ -180,7 +180,8 @@ class TestMetricsRouting:
 class TestBlocks:
     def test_blocks_cover_the_holdout_in_order(self):
         _, holdout, _ = _CACHE["lr"]
-        blocks = list(iter_holdout_blocks(holdout, 64))
+        source = as_block_source(holdout)
+        blocks = [source.read_block(*bounds) for bounds in source.block_bounds(64)]
         assert sum(block.n_rows for block in blocks) == holdout.n_rows
         np.testing.assert_array_equal(
             np.vstack([block.X for block in blocks]), holdout.X
@@ -191,7 +192,8 @@ class TestBlocks:
 
     def test_blocks_are_zero_copy_views(self):
         _, holdout, _ = _CACHE["lr"]
-        block = next(iter_holdout_blocks(holdout, 64))
+        source = as_block_source(holdout)
+        block = source.read_block(*source.block_bounds(64)[0])
         assert np.shares_memory(block.X, holdout.X)
         assert np.shares_memory(block.y, holdout.y)
 
@@ -206,7 +208,8 @@ class TestAccumulatorProtocol:
     def test_block_sum_merge_equals_single_pass(self):
         spec, holdout, p = _CACHE["lin"]
         theta_ref, Thetas, _ = _parameter_batches(p, seed=35)
-        blocks = list(iter_holdout_blocks(holdout, 100))
+        source = as_block_source(holdout)
+        blocks = [source.read_block(*bounds) for bounds in source.block_bounds(100)]
         single = spec.diff_accumulator(theta_ref, Thetas, holdout)
         for block in blocks:
             single.update(block)

@@ -2,7 +2,9 @@
 
 These tests pin down the central numerical identity of the paper: the
 SVD-based factor built from per-example gradients must agree with the dense
-H^-1 J H^-1 computed explicitly.
+H^-1 J H^-1 computed explicitly.  Gradients reach the factor the way the
+statistics tier feeds them: a TSQR summary, then
+``FactoredCovariance.from_gradient_summary``.
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import StatisticsError
 from repro.linalg.covariance import FactoredCovariance
+from repro.linalg.moments import GradientMomentSummary
 
 
 def dense_reference(Q: np.ndarray, beta: float) -> np.ndarray:
@@ -23,18 +26,25 @@ def dense_reference(Q: np.ndarray, beta: float) -> np.ndarray:
     return H_inv @ J @ H_inv
 
 
+def factor_from_gradients(Q, regularization=0.0) -> FactoredCovariance:
+    """The ObservedFisher path: summarise Q, then factor the summary."""
+    return FactoredCovariance.from_gradient_summary(
+        GradientMomentSummary.from_gradients(Q), regularization=regularization
+    )
+
+
 class TestFromPerExampleGradients:
     @pytest.mark.parametrize("beta", [1e-3, 1e-1, 1.0])
     def test_matches_dense_reference(self, beta):
         rng = np.random.default_rng(0)
         Q = rng.normal(size=(300, 8))
-        factor = FactoredCovariance.from_per_example_gradients(Q, regularization=beta)
+        factor = factor_from_gradients(Q, regularization=beta)
         np.testing.assert_allclose(factor.dense(), dense_reference(Q, beta), atol=1e-8)
 
     def test_zero_regularization_uses_pseudo_inverse_of_J(self):
         rng = np.random.default_rng(1)
         Q = rng.normal(size=(200, 5))
-        factor = FactoredCovariance.from_per_example_gradients(Q, regularization=0.0)
+        factor = factor_from_gradients(Q, regularization=0.0)
         J = Q.T @ Q / 200
         np.testing.assert_allclose(factor.dense(), np.linalg.inv(J), atol=1e-7)
 
@@ -44,24 +54,24 @@ class TestFromPerExampleGradients:
         rng = np.random.default_rng(2)
         basis = rng.normal(size=(3, 6))
         Q = rng.normal(size=(100, 3)) @ basis
-        factor = FactoredCovariance.from_per_example_gradients(Q, regularization=0.01)
+        factor = factor_from_gradients(Q, regularization=0.01)
         assert factor.rank <= 3
 
     def test_requires_2d(self):
         with pytest.raises(StatisticsError):
-            FactoredCovariance.from_per_example_gradients(np.zeros(5))
+            factor_from_gradients(np.zeros(5))
 
     def test_requires_two_rows(self):
         with pytest.raises(StatisticsError):
-            FactoredCovariance.from_per_example_gradients(np.ones((1, 3)))
+            factor_from_gradients(np.ones((1, 3)))
 
     def test_requires_nonzero_variance(self):
         with pytest.raises(StatisticsError):
-            FactoredCovariance.from_per_example_gradients(np.zeros((10, 3)))
+            factor_from_gradients(np.zeros((10, 3)))
 
     def test_negative_regularization_rejected(self):
         with pytest.raises(StatisticsError):
-            FactoredCovariance.from_per_example_gradients(np.ones((5, 2)), regularization=-1.0)
+            factor_from_gradients(np.ones((5, 2)), regularization=-1.0)
 
 
 class TestFromDense:
@@ -81,7 +91,7 @@ class TestFromDense:
         J = Q.T @ Q / 400
         H = J + beta * np.eye(7)
         from_dense = FactoredCovariance.from_dense(H, J, regularization=beta)
-        from_grads = FactoredCovariance.from_per_example_gradients(Q, regularization=beta)
+        from_grads = factor_from_gradients(Q, regularization=beta)
         np.testing.assert_allclose(from_dense.dense(), from_grads.dense(), atol=1e-8)
 
     def test_shape_mismatch(self):
@@ -97,13 +107,13 @@ class TestApplyAndDiagnostics:
     def test_apply_matches_dense_transform(self):
         rng = np.random.default_rng(5)
         Q = rng.normal(size=(100, 4))
-        factor = FactoredCovariance.from_per_example_gradients(Q, regularization=0.1)
+        factor = factor_from_gradients(Q, regularization=0.1)
         z = rng.normal(size=(20, factor.rank))
         np.testing.assert_allclose(factor.apply(z), z @ factor.transform.T)
 
     def test_apply_rejects_wrong_rank(self):
         rng = np.random.default_rng(6)
-        factor = FactoredCovariance.from_per_example_gradients(
+        factor = factor_from_gradients(
             rng.normal(size=(50, 4)), regularization=0.1
         )
         with pytest.raises(StatisticsError):
@@ -111,7 +121,7 @@ class TestApplyAndDiagnostics:
 
     def test_marginal_variances_match_dense_diagonal(self):
         rng = np.random.default_rng(7)
-        factor = FactoredCovariance.from_per_example_gradients(
+        factor = factor_from_gradients(
             rng.normal(size=(150, 6)), regularization=0.2
         )
         np.testing.assert_allclose(
@@ -120,7 +130,7 @@ class TestApplyAndDiagnostics:
 
     def test_scaled(self):
         rng = np.random.default_rng(8)
-        factor = FactoredCovariance.from_per_example_gradients(
+        factor = factor_from_gradients(
             rng.normal(size=(80, 3)), regularization=0.5
         )
         np.testing.assert_allclose(factor.scaled(0.25), 0.25 * factor.dense())
@@ -131,7 +141,7 @@ class TestApplyAndDiagnostics:
         # L z with z ~ N(0, I) must reproduce the covariance empirically.
         rng = np.random.default_rng(9)
         Q = rng.normal(size=(500, 3))
-        factor = FactoredCovariance.from_per_example_gradients(Q, regularization=0.3)
+        factor = factor_from_gradients(Q, regularization=0.3)
         z = rng.standard_normal(size=(60_000, factor.rank))
         samples = factor.apply(z)
         empirical = samples.T @ samples / samples.shape[0]

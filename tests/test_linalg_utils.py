@@ -7,12 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.exceptions import StatisticsError
-from repro.linalg.utils import (
-    frobenius_distance,
-    safe_cholesky,
-    sample_multivariate_normal,
-    symmetrize,
-)
+from repro.linalg.utils import frobenius_distance, symmetrize
 
 
 class TestSymmetrize:
@@ -36,41 +31,6 @@ class TestSymmetrize:
         once = symmetrize(A)
         twice = symmetrize(once)
         np.testing.assert_allclose(once, twice)
-
-
-class TestSafeCholesky:
-    def test_reconstructs_spd_matrix(self):
-        rng = np.random.default_rng(1)
-        A = rng.normal(size=(6, 6))
-        spd = A @ A.T + 6 * np.eye(6)
-        L = safe_cholesky(spd)
-        np.testing.assert_allclose(L @ L.T, spd, atol=1e-8)
-
-    def test_handles_near_singular(self):
-        # Rank-deficient PSD matrix needs jitter but should still factor.
-        v = np.array([1.0, 2.0, 3.0])
-        psd = np.outer(v, v)
-        L = safe_cholesky(psd)
-        np.testing.assert_allclose(L @ L.T, psd, atol=1e-4)
-
-    def test_rejects_hopeless_matrix(self):
-        with pytest.raises(StatisticsError):
-            safe_cholesky(np.array([[1.0, 0.0], [0.0, -50.0]]), jitter=1e-16, max_tries=1)
-
-
-class TestMultivariateNormalSampling:
-    def test_sample_moments(self):
-        rng = np.random.default_rng(2)
-        mean = np.array([1.0, -2.0])
-        cov = np.array([[2.0, 0.5], [0.5, 1.0]])
-        samples = sample_multivariate_normal(mean, cov, 40_000, rng)
-        np.testing.assert_allclose(samples.mean(axis=0), mean, atol=0.05)
-        np.testing.assert_allclose(np.cov(samples.T), cov, atol=0.08)
-
-    def test_sample_shape(self):
-        rng = np.random.default_rng(3)
-        samples = sample_multivariate_normal(np.zeros(3), np.eye(3), 7, rng)
-        assert samples.shape == (7, 3)
 
 
 class TestFrobeniusDistance:

@@ -22,12 +22,15 @@ from repro.core.guarantees import (
 from repro.core.parameter_sampler import ParameterSampler
 from repro.core.statistics import ModelStatistics, StatisticsMethod
 from repro.linalg.covariance import FactoredCovariance
+from repro.linalg.moments import GradientMomentSummary
 
 
 def make_statistics(seed: int, d: int = 4, n: int = 200) -> ModelStatistics:
     rng = np.random.default_rng(seed)
     Q = rng.normal(size=(n, d))
-    covariance = FactoredCovariance.from_per_example_gradients(Q, regularization=0.05)
+    covariance = FactoredCovariance.from_gradient_summary(
+        GradientMomentSummary.from_gradients(Q), regularization=0.05
+    )
     return ModelStatistics(
         covariance=covariance,
         method=StatisticsMethod.OBSERVED_FISHER,

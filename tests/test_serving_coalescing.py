@@ -390,9 +390,8 @@ class TestContractBatcherMechanics:
         assert merged.max_queue_depth == 4
         assert merged.max_queue_wait_seconds == 0.4
         assert merged.window_occupancy == pytest.approx(8 / 12)
-        assert merged.mean_queue_wait_seconds == pytest.approx(0.6 / 8)
+        assert merged.queue_wait_seconds == pytest.approx(0.6)
         assert BatcherStats().window_occupancy == 0.0
-        assert BatcherStats().mean_queue_wait_seconds == 0.0
 
 
 # ----------------------------------------------------------------------

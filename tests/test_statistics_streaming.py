@@ -42,6 +42,7 @@ from repro.data.store import ShardStore
 from repro.data.synthetic import bikeshare_like, higgs_like, mnist_like
 from repro.evaluation.streaming import StreamingConfig
 from repro.exceptions import BlinkMLError
+from repro.linalg.covariance import FactoredCovariance
 from repro.linalg.moments import GradientMomentSummary
 from repro.models.linear_regression import LinearRegressionSpec
 from repro.models.logistic_regression import LogisticRegressionSpec
@@ -171,9 +172,15 @@ class TestMomentSummaries:
         ]
         merged = parts[0].merge(parts[1]).merge(parts[2])
         assert merged.rows == whole.rows
-        np.testing.assert_allclose(
-            merged.second_moment(), whole.second_moment(), rtol=1e-12, atol=1e-12
-        )
+        # With β = 0 the factor's covariance is J⁻¹ = (QᵀQ / n)⁻¹, so it
+        # pins the second moment RᵀR = QᵀQ of both summaries.
+        for summary in (merged, whole):
+            np.testing.assert_allclose(
+                FactoredCovariance.from_gradient_summary(summary).dense(),
+                np.linalg.inv(Q.T @ Q / 300),
+                rtol=1e-12,
+                atol=1e-12,
+            )
         np.testing.assert_allclose(merged.gradient_sum, whole.gradient_sum)
 
     def test_array_roundtrip_is_bitwise(self):

@@ -690,6 +690,32 @@ class TestRealTree:
         ]
         assert len(knobs) <= 27, knobs
 
+    def test_every_module_has_an_importer(self):
+        # Library code that nothing in the system imports is dead weight:
+        # only its own tests would keep it alive.  Every module under
+        # src/repro, package __init__ and __main__ files aside, must be
+        # imported by some file under src/, benchmarks/, examples/ or tools/.
+        imported: set[str] = set()
+        for root in ("src", "benchmarks", "examples", "tools"):
+            for path in (REPO_ROOT / root).rglob("*.py"):
+                tree = ast.parse(path.read_text(encoding="utf-8"))
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.Import):
+                        imported.update(alias.name for alias in node.names)
+                    elif isinstance(node, ast.ImportFrom) and node.module:
+                        imported.add(node.module)
+                        imported.update(
+                            f"{node.module}.{alias.name}" for alias in node.names
+                        )
+        source_root = REPO_ROOT / "src"
+        modules = sorted(
+            ".".join(path.relative_to(source_root).with_suffix("").parts)
+            for path in (source_root / "repro").rglob("*.py")
+            if path.name not in ("__init__.py", "__main__.py")
+        )
+        orphans = [module for module in modules if module not in imported]
+        assert orphans == [], orphans
+
     def test_cli_check_passes_on_real_tree(self, capsys):
         assert analysis_main(["--check"]) == 0
         assert "invariant lint clean." in capsys.readouterr().out

@@ -94,17 +94,13 @@ class TestRandomSearch:
         result = search.run(candidates, strategy="blinkml", time_budget_seconds=0.5)
         assert result.n_trials < 50
 
-    def test_best_trial_and_accuracy_series(self, tuning_splits):
+    def test_best_trial_has_the_highest_accuracy(self, tuning_splits):
         search = self.make_search(tuning_splits)
         candidates = SearchSpace(n_features=16, min_features=4, seed=9).sample(4)
         result = search.run(candidates, strategy="blinkml")
         best = result.best_trial
         assert best is not None
         assert best.test_accuracy == max(t.test_accuracy for t in result.trials)
-        series = result.accuracy_over_time()
-        assert len(series) == result.n_trials
-        best_so_far = [accuracy for _, accuracy in series]
-        assert best_so_far == sorted(best_so_far)
 
     def test_invalid_strategy(self, tuning_splits):
         search = self.make_search(tuning_splits)
@@ -116,4 +112,3 @@ class TestRandomSearch:
         search = self.make_search(tuning_splits)
         result = search.run([], strategy="full")
         assert result.best_trial is None
-        assert result.accuracy_over_time() == []

@@ -401,8 +401,8 @@ class TestSessionWarmServing:
         assert _result_row(warm_result) == _result_row(cold_result)
         answer = warm.answer(contract)
         assert answer.from_cache
-        stats = warm.warm_cache_stats()
-        assert stats is not None and stats.hits >= 3 and stats.quarantined == 0
+        stats = warm.warm_cache.stats()
+        assert stats.hits >= 3 and stats.quarantined == 0
 
     def test_warm_results_match_cold_control_bitwise(self, tmp_path):
         contract = ApproximationContract(*_CONTRACT)
@@ -433,8 +433,7 @@ class TestSessionWarmServing:
         tampered_result = tampered.train_to(contract)
         assert streaming_pass_count() - before > 0  # recomputed, not served
         assert _result_row(tampered_result) == _result_row(cold_result)
-        stats = tampered.warm_cache_stats()
-        assert stats is not None and stats.quarantined >= 1
+        assert tampered.warm_cache.stats().quarantined >= 1
 
     def test_env_var_enables_warm_tier(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_WARM_CACHE_DIR", str(tmp_path / "warm"))
