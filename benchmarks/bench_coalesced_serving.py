@@ -22,8 +22,8 @@ responsible for:
 The workload uses logistic regression on ``higgs_like`` rows.  Each of its
 size-search rounds streams the holdout once, so the streamed evaluations
 dominate, as they do for the large holdouts the streaming engine exists
-for.  (A Lin search streams the holdout once per call and rescales that
-one vector for every round, so Lin would leave coalescing little to save.)
+for.  (A Lin search streams nothing after the holdout factor's one pass,
+so Lin would leave coalescing little to save.)
 
 Run standalone::
 

@@ -7,9 +7,10 @@ collected into one batch, identical (ε, δ) contracts are deduplicated into
 single-flight followers, and the distinct survivors are dispatched as ONE
 fused size search — every round of the bracketing search evaluates the
 union of all active searches' candidate sizes at once.  For this linear
-regression workload the whole fused search streams the holdout once and
-rescales that one vector for every round; for LR, ME and Poisson each
-round is one streamed pass.  Results are demultiplexed per caller and are
+regression workload no round streams the holdout: every Lin diff comes
+from the d × d holdout factor, built in one streamed pass and memoised;
+for LR, ME and Poisson each round is one streamed pass.  Results are
+demultiplexed per caller and are
 bitwise-identical to serial execution: coalescing changes how many rounds
 run, never what any caller gets back.
 

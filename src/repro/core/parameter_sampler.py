@@ -64,11 +64,6 @@ class ParameterSampler:
     def statistics(self) -> ModelStatistics:
         return self._statistics
 
-    @property
-    def caches_base_samples(self) -> bool:
-        """Whether every request against a tag shares one block of base draws."""
-        return self._cache_base_samples
-
     @staticmethod
     def alpha(n: int, N: int) -> float:
         """The variance scale ``α = 1/n − 1/N`` from Theorem 1."""

@@ -29,17 +29,7 @@ Implementation-level optimisations on top of the paper's search:
 * several contracts search in **lockstep**
   (:meth:`SampleSizeEstimator.estimate_many`), sharing each round;
   a single contract's search (:meth:`SampleSizeEstimator.estimate`) is
-  the one-member case of the same loop;
-* where the spec's diff is a seminorm of the parameter gap
-  (:attr:`~repro.models.base.ModelClassSpec._diff_scales_with_gap`, stock
-  Lin only), stage two puts ``θ_N − θ_n = √(1/n − 1/N) · B`` for the
-  cached base draws B, so candidate n's k diffs are ``√(1/n − 1/N) · c``
-  with ``c = diff(B, 0)``.  One ``estimate_many`` call then streams the
-  holdout once, for c (:meth:`SampleSizeEstimator.unit_gap_differences`,
-  on the first round that needs it), and every round rescales it.  The
-  bracket, the union and Lemma 2's check are unchanged; the rescaled
-  vectors equal the streamed ones to rounding, not bitwise.  A subclass
-  that redefines the diff, and every other family, streams each round.
+  the one-member case of the same loop.
 """
 
 from __future__ import annotations
@@ -66,13 +56,12 @@ from repro.obs import get_metrics, get_tracer
 
 # Size-search round economics (repro.obs): rounds plus the passes-saved
 # counter reproduce the coalescing tier's round accounting at scrape time.
-# A round streams the holdout once for LR, ME and Poisson; PPCA's diff
-# never streams, and a Lin search streams once in all.
+# A round streams the holdout once for LR, ME and Poisson; the PPCA and Lin
+# diffs never stream (Lin's come from the holdout factor).
 _SEARCH_ROUNDS = get_metrics().counter(
     "repro_size_search_rounds_total",
     "Size-search evaluation rounds executed (one streamed holdout pass per "
-    "round for LR, ME and Poisson; none for PPCA; one per search call for "
-    "Lin).",
+    "round for LR, ME and Poisson; none for PPCA and Lin).",
 )
 _SEARCHES_TOTAL = get_metrics().counter(
     "repro_size_search_searches_total",
@@ -129,9 +118,9 @@ class FusedSizeSearch:
         Evaluation rounds the fused search actually executed, each carrying
         the union of that round's candidates across all active searches.
         The field counts rounds, not holdout passes: a round streams the
-        holdout once for LR, ME and Poisson, PPCA's diff never streams,
-        and a Lin search streams once for all its rounds
-        (:meth:`SampleSizeEstimator.unit_gap_differences`).
+        holdout once for LR, ME and Poisson, and the PPCA and Lin diffs
+        never stream (Lin's come from the memoised holdout factor,
+        :func:`~repro.evaluation.streaming.holdout_factor`).
     serial_passes:
         Evaluation rounds the same contracts would have cost searched one
         at a time (each search's own round count, summed).  Exact, not
@@ -239,7 +228,9 @@ class SampleSizeEstimator:
         the same block order, that a lone single-candidate evaluation would,
         so the vector a candidate gets is independent of which (or whose)
         other candidates shared the pass.  This is the contract the
-        request-coalescing tier (:mod:`repro.serving`) is built on.
+        request-coalescing tier (:mod:`repro.serving`) is built on.  PPCA's
+        and stock Lin's segments need no holdout block, so for them the
+        call streams nothing (Lin's diffs come from the holdout factor).
         """
         if not candidate_ns:
             return []
@@ -252,28 +243,6 @@ class SampleSizeEstimator:
         return streaming_fanout_pairwise_prediction_differences(
             self._spec, segments, self._holdout, config=self._streaming
         )
-
-    def unit_gap_differences(self, sampler: ParameterSampler) -> np.ndarray:
-        """The k diffs between the stage-two base draws and zero, one streamed pass.
-
-        Stage two puts ``θ_N − θ_n = √(1/n − 1/N) · B`` for the cached
-        base draws B, so for a spec whose diff scales with the gap
-        (:attr:`~repro.models.base.ModelClassSpec._diff_scales_with_gap`)
-        candidate n's diffs are ``√(1/n − 1/N)`` times this vector.  It
-        draws ``"stage-one"`` before ``"stage-two"``, as
-        :meth:`~repro.core.parameter_sampler.ParameterSampler.two_stage_samples`
-        does, so the shared generator is left where the streamed search
-        would leave it.
-        """
-        count = self._n_parameter_samples
-        sampler.base_samples(count, tag="stage-one")
-        stage_two = sampler.base_samples(count, tag="stage-two")
-        return streaming_fanout_pairwise_prediction_differences(
-            self._spec,
-            [(stage_two, np.zeros_like(stage_two))],
-            self._holdout,
-            config=self._streaming,
-        )[0]
 
     # ------------------------------------------------------------------
     # Bracketing search (Section 4.2, batched probes, fused contracts)
@@ -360,14 +329,12 @@ class SampleSizeEstimator:
         same narrowing decisions — but all searches still active at a given
         round contribute their candidates to one deduplicated union, which
         is evaluated as a single fan-out streamed pass
-        (:meth:`candidate_differences_batch`), or, for a spec whose diff
-        scales with the gap, rescaled from the one vector this call streams
-        (:meth:`unit_gap_differences`).  Per-candidate segmentation (or the
-        per-candidate rescale) makes the demultiplexed outcomes bitwise
-        identical to lone runs, so the member estimates (sample size,
-        feasibility, probe schedule) are exactly what ``estimate()``
-        returns for each contract, while the round count drops from the sum
-        of the members' round counts to the maximum of them.
+        (:meth:`candidate_differences_batch`).  Per-candidate segmentation
+        makes the demultiplexed outcomes bitwise identical to lone runs,
+        so the member estimates (sample size, feasibility, probe schedule)
+        are exactly what ``estimate()`` returns for each contract, while
+        the round count drops from the sum of the members' round counts to
+        the maximum of them.
 
         Duplicated (ε, δ) contracts in the input are legal and cost nothing
         extra (their candidates always coincide, so the union absorbs
@@ -393,29 +360,20 @@ class SampleSizeEstimator:
         searches = [_LockstepSearch(contract) for contract in contracts]
         fused_passes = 0
         serial_passes = 0
-        # Rescaling needs every candidate to share one block of base draws.
-        scaled = self._spec._diff_scales_with_gap and sampler.caches_base_samples
-        unit: np.ndarray | None = None  # streamed by the first round that needs it
-
-        def differences_of(union: list[int]) -> list[np.ndarray]:
-            nonlocal unit
-            if not scaled:
-                return self.candidate_differences_batch(theta0, n0, union, N, sampler)
-            if unit is None:
-                unit = self.unit_gap_differences(sampler)
-            return [np.sqrt(sampler.alpha(n, N)) * unit for n in union]
 
         def evaluate(
             active: list[tuple["_LockstepSearch", list[int]]],
         ) -> list[list[bool]]:
-            """One fused round: the union's diffs, per-search demultiplexed outcomes."""
+            """One fused round: union pass, per-search demultiplexed outcomes."""
             nonlocal fused_passes, serial_passes
             fused_passes += 1
             serial_passes += len(active)
             for search, candidates in active:
                 search.probed.extend(candidates)
             union = sorted({c for _, candidates in active for c in candidates})
-            differences = differences_of(union)
+            differences = self.candidate_differences_batch(
+                theta0, n0, union, N, sampler
+            )
             index = {candidate: i for i, candidate in enumerate(union)}
             return [
                 [

@@ -26,12 +26,17 @@ Layering (see ``docs/architecture.md``): the estimation session and the
 accuracy / sample-size estimators call the two ``streaming_*`` functions
 below; the functions drive the spec's accumulators; only the model families
 know how to decompose their metric over blocks; only the block source knows
-where the rows live.
+where the rows live.  :func:`holdout_factor` is the one pass a family asks
+for itself: stock Lin's accumulators take every diff from the memoised
+d × d factor of the holdout instead of its rows.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import threading
+import weakref
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -42,12 +47,15 @@ import numpy as np
 from repro.config import DEFAULT_HOLDOUT_BLOCK_ROWS, DEFAULT_STREAMING_WORKERS
 from repro.data.dataset import Dataset
 from repro.exceptions import DataError
-from repro.models.base import DiffAccumulator, ModelClassSpec
+from repro.linalg.moments import _triangular_factor
+from repro.linalg.utils import freeze
+from repro.models.base import _BLAS_ROWS, DiffAccumulator, ModelClassSpec
 from repro.obs import current_pass_scope, get_metrics, get_tracer
 
 # Streamed-pass accounting: one tick per stream_accumulate() call that
-# actually consumes holdout blocks (parameter-space metrics and the
-# generic scalar-loop fallback never stream and never count).  The coalescing
+# actually consumes holdout blocks (parameter-space metrics, Lin's factor
+# diffs and the generic scalar-loop fallback never stream and never count;
+# the holdout-factor sweep itself is one pass).  The coalescing
 # serving tier's "passes saved" accounting is defined against this counter:
 # tests and the bench_coalesced_serving gate measure fused-vs-serial
 # executions by diffing it, so it must tick exactly once per pass no matter
@@ -411,6 +419,121 @@ def stream_accumulate(task: StreamTask, config: StreamingConfig) -> Any:
     _PASS_ROWS_TOTAL.inc(blocks.n_rows, scope=scope)
     _PASS_BYTES_TOTAL.inc(_approx_pass_nbytes(blocks), scope=scope)
     return result
+
+
+class _TriangularFold:
+    """TSQR of the rows' features: ``RᵀR = XᵀX`` over the blocks seen.
+
+    Each block's own R is taken from zero and then stacked onto the running
+    factor, so a block folded alone and merged gives the serial bytes.
+    """
+
+    needs_holdout_blocks = True
+
+    def __init__(self) -> None:
+        self._factor: np.ndarray | None = None
+        self._rows = 0
+
+    def _stack(self, factor: np.ndarray, rows: int) -> None:
+        if self._factor is not None:
+            factor = _triangular_factor(np.vstack([self._factor, factor]))
+        self._factor = factor
+        self._rows += rows
+
+    def update(self, block: Dataset) -> None:
+        self._stack(_triangular_factor(block.X), block.n_rows)
+
+    def merge(self, other: "_TriangularFold") -> None:
+        if other._factor is not None:
+            self._stack(other._factor, other._rows)
+
+    def finalize(self) -> np.ndarray:
+        if self._factor is None:
+            raise DataError("the holdout factor needs at least one row")
+        return self._factor / np.sqrt(self._rows)
+
+
+@dataclass(frozen=True)
+class _HoldoutFactorTask:
+    """Recipe for the one streamed pass behind :func:`holdout_factor`."""
+
+    source: "Dataset | BlockSource"
+
+    def make_accumulator(self) -> _TriangularFold:
+        return _TriangularFold()
+
+    def units(self, bounds: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+        return [[bound] for bound in bounds]
+
+
+class _MemoisedFactor:
+    """One source state's factor, computed once however many threads ask."""
+
+    def __init__(self, source: "Dataset | BlockSource", state: str):
+        self.source = weakref.ref(source)
+        self.state = state
+        self._lock = threading.Lock()
+        self._factor: np.ndarray | None = None  # guarded-by: _lock  # repro-lint: frozen-attr
+
+    def get(
+        self, source: "Dataset | BlockSource", config: StreamingConfig | None
+    ) -> np.ndarray:
+        with self._lock:
+            if self._factor is None:
+                self._factor = freeze(_factor_pass(source, config))
+            return self._factor
+
+
+# Memoised factors by id(source).  An entry holds its source weakly, and the
+# source's state: a Dataset is immutable, a store's manifest digest moves
+# when reload() adopts new rows, and either change computes a new factor.
+_FACTORS: dict[int, _MemoisedFactor] = {}  # guarded-by: _FACTORS_LOCK
+_FACTORS_LOCK = threading.Lock()
+
+
+def _source_state(source: "Dataset | BlockSource") -> str | None:
+    """The contents a memoised factor stands for; None when unknown."""
+    if isinstance(source, Dataset):
+        return ""
+    digest = getattr(source, "content_digest", None)
+    return str(digest()) if callable(digest) else None
+
+
+def _factor_pass(
+    source: "Dataset | BlockSource", config: StreamingConfig | None
+) -> np.ndarray:
+    """The one streamed TSQR pass behind :func:`holdout_factor`."""
+    config = dataclasses.replace(
+        config or DEFAULT_STREAMING_CONFIG, block_rows=_BLAS_ROWS
+    )
+    return stream_accumulate(_HoldoutFactorTask(source), config)
+
+
+def holdout_factor(
+    source: "Dataset | BlockSource", config: StreamingConfig | None = None
+) -> np.ndarray:
+    """The ``(d, d)`` triangular R with ``RᵀR = XᵀX / m`` over the m rows.
+
+    One streamed pass (one :func:`streaming_pass_count` tick and one
+    ``streaming.pass`` span) folds the QR of each block of at most
+    :data:`~repro.models.base._BLAS_ROWS` rows onto the running factor in
+    row order, so its bytes depend neither on the BLAS thread count nor on
+    ``config`` (which only sets the fan-out's worker count).  The factor is
+    memoised per source and per source state, computed once under
+    concurrent calls and returned read-only.  Fewer rows than columns give
+    an ``(m, d)`` factor with the same Gram matrix.
+    """
+    state = _source_state(source)
+    if state is None:
+        return freeze(_factor_pass(source, config))
+    with _FACTORS_LOCK:
+        for key in [key for key, entry in _FACTORS.items() if entry.source() is None]:
+            del _FACTORS[key]
+        entry = _FACTORS.get(id(source))
+        if entry is None or entry.source() is not source or entry.state != state:
+            entry = _MemoisedFactor(source, state)
+            _FACTORS[id(source)] = entry
+    return entry.get(source, config)
 
 
 def streaming_prediction_differences(

@@ -55,9 +55,9 @@ class DiffAccumulator(ABC):
     :meth:`merge` in block order onto a zero accumulator before finalizing.
     """
 
-    #: set to False by accumulators whose metric does not depend on the
-    #: holdout rows at all (e.g. PPCA's parameter-space cosine); the driver
-    #: then skips the block loop entirely.
+    #: set to False by accumulators whose differences need no holdout block
+    #: (PPCA's parameter-space cosine, Lin's factor diffs); the driver then
+    #: skips the block loop entirely.
     needs_holdout_blocks: bool = True
 
     @abstractmethod
@@ -118,14 +118,16 @@ class BlockSumDiffAccumulator(DiffAccumulator):
 
 
 class PrecomputedDiffAccumulator(DiffAccumulator):
-    """Accumulator whose differences do not depend on the holdout rows.
+    """Accumulator whose differences are known before any holdout block.
 
-    Two uses: parameter-space metrics (PPCA's aligned cosine) that are fully
-    determined by the parameter batches, and the generic fallback for custom
-    :class:`ModelClassSpec` subclasses without a streaming decomposition —
-    the fallback evaluates the scalar ``prediction_difference`` pair by pair
-    on the full holdout up front, which preserves correctness but not the
-    O(k · block) memory bound (documented in ``docs/architecture.md``).
+    Three uses: parameter-space metrics (PPCA's aligned cosine) that are
+    fully determined by the parameter batches; Lin's diffs, computed from
+    the d × d holdout factor of one earlier pass; and the generic fallback
+    for custom :class:`ModelClassSpec` subclasses without a streaming
+    decomposition — the fallback evaluates the scalar
+    ``prediction_difference`` pair by pair on the full holdout up front,
+    which preserves correctness but not the O(k · block) memory bound
+    (documented in ``docs/architecture.md``).
     """
 
     needs_holdout_blocks = False
@@ -327,19 +329,6 @@ class ModelClassSpec(ABC):
         """Whether :meth:`hessian` is implemented for this model family."""
         return type(self).hessian is not ModelClassSpec.hessian
 
-    @property
-    def _diff_scales_with_gap(self) -> bool:
-        """Whether the pairwise ``diff`` is a seminorm of the parameter gap.
-
-        True promises, for every holdout: ``pairwise_diff(θ_a, θ_b)`` equals
-        ``pairwise_diff(θ_a − θ_b, 0)``, and ``pairwise_diff(s·Δ, 0)`` equals
-        ``|s| · pairwise_diff(Δ, 0)``.  The size search then evaluates every
-        candidate from one streamed pass
-        (:meth:`~repro.core.sample_size.SampleSizeEstimator.estimate_many`).
-        False by default: each search round streams its own candidates.
-        """
-        return False
-
     # ------------------------------------------------------------------
     # Prediction and the `diff` metric (Section 2.1, Appendix C)
     # ------------------------------------------------------------------
@@ -532,32 +521,17 @@ class ModelClassSpec(ABC):
         )
 
     def _pairwise_rms_accumulator(
-        self,
-        Thetas_a: np.ndarray,
-        Thetas_b: np.ndarray,
-        scale: float,
-        linear_predictions: bool = False,
+        self, Thetas_a: np.ndarray, Thetas_b: np.ndarray, scale: float
     ) -> DiffAccumulator:
-        """Blockwise normalised RMS gap between matched parameter pairs.
-
-        ``linear_predictions=True`` exploits prediction linearity in θ: the
-        per-pair gaps collapse to one GEMM over the parameter deltas.
-        """
+        """Blockwise normalised RMS gap between matched parameter pairs."""
         Thetas_a, Thetas_b = self._as_paired_batches(Thetas_a, Thetas_b)
+        stacked = np.concatenate([Thetas_a, Thetas_b], axis=0)
         k = Thetas_a.shape[0]
-        if linear_predictions:
-            deltas = Thetas_a - Thetas_b
 
-            def block_sums(block: Dataset) -> np.ndarray:
-                gaps = self.predict_many(deltas, block.X)
-                return np.einsum("kn,kn->k", gaps, gaps)
-        else:
-            stacked = np.concatenate([Thetas_a, Thetas_b], axis=0)
-
-            def block_sums(block: Dataset) -> np.ndarray:
-                predictions = self.predict_many(stacked, block.X)
-                gaps = predictions[:k] - predictions[k:]
-                return np.einsum("kn,kn->k", gaps, gaps)
+        def block_sums(block: Dataset) -> np.ndarray:
+            predictions = self.predict_many(stacked, block.X)
+            gaps = predictions[:k] - predictions[k:]
+            return np.einsum("kn,kn->k", gaps, gaps)
 
         return BlockSumDiffAccumulator(
             k, block_sums, lambda sums, rows: np.sqrt(sums / rows) / scale

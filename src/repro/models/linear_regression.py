@@ -32,7 +32,9 @@ from repro.exceptions import ModelSpecError
 from repro.models.base import (
     DiffAccumulator,
     GeneralizedLinearSpec,
+    PrecomputedDiffAccumulator,
     holdout_label_scale,
+    row_blocked_product,
 )
 
 
@@ -149,27 +151,42 @@ class LinearRegressionSpec(GeneralizedLinearSpec):
     def diff_accumulator(
         self, theta_ref: np.ndarray, Thetas: np.ndarray, dataset: Dataset
     ) -> DiffAccumulator:
-        """Streaming RMS gap: per-block squared-error sums, one final sqrt."""
-        return self._rms_accumulator(theta_ref, Thetas, self._difference_scale(dataset))
+        """Diffs from the holdout factor, or streamed RMS gaps for a subclass."""
+        scale = self._difference_scale(dataset)
+        if not self._diffs_from_factor:
+            return self._rms_accumulator(theta_ref, Thetas, scale)
+        gaps = self._as_parameter_batch(Thetas) - np.asarray(theta_ref, dtype=np.float64)
+        return self._factor_accumulator(gaps, dataset, scale)
 
     def pairwise_diff_accumulator(
         self, Thetas_a: np.ndarray, Thetas_b: np.ndarray, dataset: Dataset
     ) -> DiffAccumulator:
-        # Predictions are linear in θ, so the k prediction gaps per block
-        # collapse to a single GEMM over the parameter deltas.
-        return self._pairwise_rms_accumulator(
-            Thetas_a, Thetas_b, self._difference_scale(dataset), linear_predictions=True
-        )
+        scale = self._difference_scale(dataset)
+        if not self._diffs_from_factor:
+            return self._pairwise_rms_accumulator(Thetas_a, Thetas_b, scale)
+        Thetas_a, Thetas_b = self._as_paired_batches(Thetas_a, Thetas_b)
+        return self._factor_accumulator(Thetas_a - Thetas_b, dataset, scale)
 
     @property
-    def _diff_scales_with_gap(self) -> bool:
-        # The RMS of X(θ_a − θ_b) is a seminorm of the gap.  A subclass that
-        # redefines the diff, or the predictions it is built from, keeps the
-        # streamed search.
-        cls = type(self)
-        return (
-            cls.pairwise_diff_accumulator is LinearRegressionSpec.pairwise_diff_accumulator
-            and cls.predict_many is LinearRegressionSpec.predict_many
+    def _diffs_from_factor(self) -> bool:
+        # Lin's own predictions are X θ, so a pair's RMS gap over the holdout
+        # is ‖R(θ_a − θ_b)‖ for the holdout factor R.  A subclass with other
+        # predictions streams them.
+        return type(self).predict_many is LinearRegressionSpec.predict_many
+
+    def _factor_accumulator(
+        self, gaps: np.ndarray, dataset: Dataset, scale: float
+    ) -> DiffAccumulator:
+        """``‖R gᵢ‖ / scale`` per parameter gap gᵢ: O(k·d²), no holdout rows.
+
+        The factor is the streaming engine's memoised one-pass TSQR; the
+        engine imports this module, so it is imported at call time.
+        """
+        from repro.evaluation.streaming import holdout_factor
+
+        projected = row_blocked_product(gaps, holdout_factor(dataset).T)
+        return PrecomputedDiffAccumulator(
+            np.sqrt(np.einsum("kd,kd->k", projected, projected)) / scale
         )
 
     def describe(self) -> dict:

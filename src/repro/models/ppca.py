@@ -31,6 +31,7 @@ from repro.models.base import (
     PrecomputedDiffAccumulator,
     transposed_row_sum,
 )
+from repro.optim.base import Objective
 
 
 class PPCASpec(ModelClassSpec):
@@ -154,13 +155,19 @@ class PPCASpec(ModelClassSpec):
         return Theta, M_inv, logdet_C
 
     def _data_term(
-        self, Theta: np.ndarray, M_inv: np.ndarray, logdet_C: float, X: np.ndarray
+        self,
+        Theta: np.ndarray,
+        M_inv: np.ndarray,
+        logdet_C: float,
+        X: np.ndarray,
+        squared_norm: float,
     ) -> float:
+        """The mean negative log-likelihood; ``squared_norm`` is ``‖X‖_F²``."""
         n, d = X.shape
         # tr(C⁻¹ S) with S = (1/n) XᵀX, evaluated without forming S:
         # (1/(n σ²)) (‖X‖_F² − tr(M⁻¹ (XΘ)ᵀ (XΘ))).
         XTheta = X @ Theta
-        trace_term = (float(np.sum(X * X)) - float(np.sum((XTheta @ M_inv) * XTheta))) / (
+        trace_term = (squared_norm - float(np.sum((XTheta @ M_inv) * XTheta))) / (
             n * self.sigma2
         )
         return 0.5 * (d * np.log(2.0 * np.pi) + logdet_C + trace_term)
@@ -176,7 +183,9 @@ class PPCASpec(ModelClassSpec):
 
     def loss(self, theta: np.ndarray, dataset: Dataset) -> float:
         Theta, M_inv, logdet_C = self._forward(theta, dataset)
-        return self._data_term(Theta, M_inv, logdet_C, dataset.X) + self.regularizer(theta)
+        X = dataset.X
+        data_term = self._data_term(Theta, M_inv, logdet_C, X, _squared_norm(X))
+        return data_term + self.regularizer(theta)
 
     def per_example_gradients(self, theta: np.ndarray, dataset: Dataset) -> np.ndarray:
         Theta, M_inv, _ = self._forward(theta, dataset)
@@ -195,12 +204,21 @@ class PPCASpec(ModelClassSpec):
     def value_and_gradient(
         self, theta: np.ndarray, dataset: Dataset
     ) -> tuple[float, np.ndarray]:
+        return self._value_and_gradient(theta, dataset, _squared_norm(dataset.X))
+
+    def _value_and_gradient(
+        self, theta: np.ndarray, dataset: Dataset, squared_norm: float
+    ) -> tuple[float, np.ndarray]:
         Theta, M_inv, logdet_C = self._forward(theta, dataset)
         X = dataset.X
         return (
-            self._data_term(Theta, M_inv, logdet_C, X) + self.regularizer(theta),
+            self._data_term(Theta, M_inv, logdet_C, X, squared_norm) + self.regularizer(theta),
             self._data_gradient(Theta, M_inv, X) + self.regularizer_gradient(theta),
         )
+
+    def objective(self, dataset: Dataset) -> Objective:
+        """A fit's objective, with ``‖X‖_F²`` computed once instead of per step."""
+        return _PPCAObjective(self, dataset)
 
     # ------------------------------------------------------------------
     # Prediction and diff
@@ -343,3 +361,20 @@ class PPCASpec(ModelClassSpec):
         description = super().describe()
         description.update({"n_factors": self.n_factors, "sigma2": self.sigma2})
         return description
+
+
+def _squared_norm(X: np.ndarray) -> float:
+    """``‖X‖_F²``, the data term's part that does not depend on Θ."""
+    return float(np.sum(X * X))
+
+
+class _PPCAObjective(Objective):
+    """A (spec, dataset) pair whose fixed ``‖X‖_F²`` is computed once."""
+
+    def __init__(self, spec: PPCASpec, dataset: Dataset):
+        self._spec = spec
+        self._dataset = dataset
+        self._squared_norm = _squared_norm(dataset.X)
+
+    def value_and_gradient(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        return self._spec._value_and_gradient(theta, self._dataset, self._squared_norm)

@@ -92,8 +92,8 @@ class BatcherStats:
         serially.  ``passes_saved`` is their difference — exact, because
         each member search follows the identical bracket trajectory fused
         or serial.  They count rounds, not holdout passes: a round streams
-        the holdout once for LR, ME and Poisson, PPCA's diff never
-        streams, and a Lin search streams once for all its rounds.
+        the holdout once for LR, ME and Poisson, and the PPCA and Lin
+        diffs never stream (Lin's come from the holdout factor).
     load_shed:
         Submissions rejected by backpressure (queue full) with :class:`~repro.exceptions.ServingOverloadError`.
     max_queue_depth:

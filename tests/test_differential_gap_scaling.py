@@ -1,15 +1,16 @@
-"""Differential: Lin's size search from one streamed pass changes no answer.
+"""Differential: Lin's diffs from the holdout factor change no answer.
 
-Lin's pairwise diff is the RMS of ``X_h(θ_a − θ_b)`` over the holdout, a
-seminorm of the gap, and stage two draws ``θ_N − θ_n = √(1/n − 1/N) · B``
-from the cached base draws B.  So ``SampleSizeEstimator.estimate_many``
-streams ``c = diff(B, 0)`` once per call and gives candidate n the vector
-``√(1/n − 1/N) · c``.  A subclass whose ``pairwise_diff_accumulator`` calls
-the parent's takes the streamed path, one pass per round, and must train to
-the same sample size, θ bytes, ε estimate and probe schedule.
+Lin's pairwise diff is the RMS of ``X_h(θ_a − θ_b)`` over the holdout,
+which is ``‖R(θ_a − θ_b)‖ / s`` for the holdout factor R
+(``RᵀR = X_hᵀX_h / m``).  Stock Lin's accumulators compute it from R, so a
+search streams no holdout pass once R exists.  A subclass forced onto the
+streamed accumulators takes one pass per round, and must train to the same
+sample size, θ bytes and probe schedule, with ε estimates equal to 1e-12.
 
-The search then has a closed form (ROADMAP item 3): the smallest n whose
-Lemma 2 order statistic ``√(1/n − 1/N) · c_(q)`` is at most ε.
+Stage two draws ``θ_N − θ_n = √(1/n − 1/N) · B`` from the cached base
+draws B, so the search has a closed form (ROADMAP item 3): the smallest n
+whose Lemma 2 order statistic ``√(1/n − 1/N) · c_(q)`` of
+``c = diff(B, 0)`` is at most ε.
 """
 
 from __future__ import annotations
@@ -29,22 +30,29 @@ from repro.core.statistics import compute_statistics
 from repro.data.splits import SplitSpec, train_holdout_test_split
 from repro.data.store import ShardStore
 from repro.data.synthetic import gas_like, higgs_like
-from repro.evaluation.streaming import StreamingConfig, streaming_pass_count
+from repro.evaluation.streaming import (
+    StreamingConfig,
+    holdout_factor,
+    streaming_pass_count,
+)
+from repro.models.base import BlockSumDiffAccumulator, PrecomputedDiffAccumulator
 from repro.models.linear_regression import LinearRegressionSpec
 from repro.models.logistic_regression import LogisticRegressionSpec
-from repro.models.max_entropy import MaxEntropySpec
-from repro.models.poisson_regression import PoissonRegressionSpec
-from repro.models.ppca import PPCASpec
 
 BLOCK_ROWS = 256
 K = 64
 
 
 class StreamedLinearRegression(LinearRegressionSpec):
-    """The stock diff, redefined, so every search round streams the holdout."""
+    """Lin's diffs on the streamed accumulators: every evaluation streams."""
+
+    def diff_accumulator(self, theta_ref, Thetas, dataset):
+        return self._rms_accumulator(theta_ref, Thetas, self._difference_scale(dataset))
 
     def pairwise_diff_accumulator(self, Thetas_a, Thetas_b, dataset):
-        return super().pairwise_diff_accumulator(Thetas_a, Thetas_b, dataset)
+        return self._pairwise_rms_accumulator(
+            Thetas_a, Thetas_b, self._difference_scale(dataset)
+        )
 
 
 class ClippedLinearRegression(LinearRegressionSpec):
@@ -74,17 +82,20 @@ def search_setup(splits):
     return spec, estimator, model.theta, statistics, n0, splits.train.n_rows
 
 
-def test_only_stock_lin_scales_with_the_gap():
-    assert LinearRegressionSpec()._diff_scales_with_gap
-    assert not StreamedLinearRegression()._diff_scales_with_gap
-    assert not ClippedLinearRegression()._diff_scales_with_gap
-    for spec in (
-        LogisticRegressionSpec(),
-        PoissonRegressionSpec(),
-        MaxEntropySpec(n_classes=3),
-        PPCASpec(),
-    ):
-        assert not spec._diff_scales_with_gap
+def test_only_stock_lin_takes_the_holdout_factor(splits):
+    thetas = np.zeros((2, splits.holdout.n_features))
+
+    def accumulators(spec):
+        return (
+            spec.diff_accumulator(thetas[0], thetas, splits.holdout),
+            spec.pairwise_diff_accumulator(thetas, thetas, splits.holdout),
+        )
+
+    for accumulator in accumulators(LinearRegressionSpec()):
+        assert isinstance(accumulator, PrecomputedDiffAccumulator)
+    for streamed in (StreamedLinearRegression(), ClippedLinearRegression()):
+        for accumulator in accumulators(streamed):
+            assert isinstance(accumulator, BlockSumDiffAccumulator)
 
 
 def train(spec, splits, holdout, seed, streaming):
@@ -101,9 +112,8 @@ def train(spec, splits, holdout, seed, streaming):
     return (
         result.sample_size,
         result.model.theta.tobytes(),
-        result.estimated_epsilon,
         result.metadata["size_search_probes"],
-    )
+    ), result.estimated_epsilon
 
 
 @pytest.mark.parametrize("holdout_kind", ["memory", "sharded"])
@@ -117,20 +127,23 @@ def test_rescaled_search_trains_the_same_answer(splits, tmp_path, holdout_kind):
         streaming = StreamingConfig(block_rows=BLOCK_ROWS, n_workers=2)
     assert holdout.n_rows >= 3 * BLOCK_ROWS
     for seed in range(1, 11):
-        stock = train(LinearRegressionSpec(regularization=1e-3), splits, holdout, seed, streaming)
-        streamed = train(
+        stock, stock_epsilon = train(
+            LinearRegressionSpec(regularization=1e-3), splits, holdout, seed, streaming
+        )
+        streamed, streamed_epsilon = train(
             StreamedLinearRegression(regularization=1e-3), splits, holdout, seed, streaming
         )
         # The contract needs a size search, so the search's diffs decide n.
         assert 300 < stock[0] < splits.train.n_rows
         assert stock == streamed
+        assert stock_epsilon == pytest.approx(streamed_epsilon, rel=1e-12, abs=0.0)
 
 
 def test_rescaled_search_keeps_the_draw_order_after_a_refresh(tmp_path):
     # After a train-growing refresh the data sampler draws its permutation
     # lazily, after the search's base draws, from the session's generator.
-    # Skipping the unused stage-one draw would move the stage-two draws and
-    # that permutation, and θ_n with them.
+    # A search that drew its stage-one and stage-two blocks in another order
+    # than the streamed one would move that permutation, and θ_n with it.
     data = gas_like(n_rows=6_000, n_features=8, seed=81)
     holdout = gas_like(n_rows=1_200, n_features=8, seed=82)
     thetas = []
@@ -157,25 +170,27 @@ def test_rescaled_search_keeps_the_draw_order_after_a_refresh(tmp_path):
     assert thetas[0] == thetas[1]
 
 
-def test_rescaled_diffs_match_the_streamed_pairs(search_setup):
+def test_factor_diffs_match_the_streamed_pairs(search_setup, splits):
     _, estimator, theta0, statistics, n0, N = search_setup
+    streamed = SampleSizeEstimator(
+        StreamedLinearRegression(regularization=1e-3),
+        splits.holdout,
+        n_parameter_samples=K,
+    )
     candidates = sorted(
         {int(n) for n in np.linspace(n0, N, 40)} | {N // 2, N // 2 + 1, N - 1}
     )
     for seed in (1, 2, 3):
-        sampler = ParameterSampler(statistics, rng=np.random.default_rng(seed))
-        unit = estimator.unit_gap_differences(sampler)
-        streamed = estimator.candidate_differences_batch(theta0, n0, candidates, N, sampler)
-        for n, reference in zip(candidates, streamed):
-            rescaled = np.sqrt(sampler.alpha(n, N)) * unit
+        pairs = []
+        for side in (estimator, streamed):
+            sampler = ParameterSampler(statistics, rng=np.random.default_rng(seed))
+            pairs.append(side.candidate_differences_batch(theta0, n0, candidates, N, sampler))
+        for n, factor, reference in zip(candidates, *pairs):
             if n == N:
-                np.testing.assert_array_equal(rescaled, 0.0)
+                np.testing.assert_array_equal(factor, 0.0)
                 np.testing.assert_array_equal(reference, 0.0)
                 continue
-            # Near N the streamed θ_n − θ_N cancels, so it is the less
-            # accurate side there.
-            tolerance = 1e-13 if n <= N // 2 else 1e-11
-            np.testing.assert_allclose(rescaled, reference, rtol=tolerance, atol=0.0)
+            np.testing.assert_allclose(factor, reference, rtol=1e-12, atol=0.0)
 
 
 def unit_gaps_by_algebra(sampler, holdout):
@@ -221,15 +236,17 @@ CONTRACTS = [
 
 
 @pytest.mark.parametrize("count", [1, 3])
-def test_lin_search_streams_the_holdout_once(search_setup, count):
+def test_lin_search_streams_the_holdout_once(search_setup, splits, count):
+    # The one pass is the holdout factor's; once it exists, no search streams.
     _, estimator, theta0, statistics, n0, N = search_setup
+    holdout_factor(splits.holdout)
     sampler = ParameterSampler(statistics, rng=np.random.default_rng(5))
     before = streaming_pass_count()
     search = estimator.estimate_many(
         theta0, n0, N, CONTRACTS[:count], statistics,
         sampler=sampler, skip_lower_probe=True, probe_batch=3,
     )
-    assert streaming_pass_count() - before == 1
+    assert streaming_pass_count() - before == 0
     # Rounds are still counted, one per bracket step.
     assert search.fused_passes > 1
 

@@ -206,7 +206,7 @@ class TestBlocks:
 
 class TestAccumulatorProtocol:
     def test_block_sum_merge_equals_single_pass(self):
-        spec, holdout, p = _CACHE["lin"]
+        spec, holdout, p = _CACHE["poisson"]
         theta_ref, Thetas, _ = _parameter_batches(p, seed=35)
         source = as_block_source(holdout)
         blocks = [source.read_block(*bounds) for bounds in source.block_bounds(100)]
@@ -223,7 +223,7 @@ class TestAccumulatorProtocol:
         np.testing.assert_allclose(left.finalize(), single.finalize(), atol=1e-15)
 
     def test_block_sum_rejects_foreign_merge_and_empty_finalize(self):
-        spec, holdout, p = _CACHE["lin"]
+        spec, holdout, p = _CACHE["poisson"]
         theta_ref, Thetas, _ = _parameter_batches(p, seed=36)
         accumulator = spec.diff_accumulator(theta_ref, Thetas, holdout)
         with pytest.raises(ModelSpecError):

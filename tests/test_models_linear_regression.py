@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from repro.data.dataset import Dataset
+from repro.evaluation.streaming import (
+    StreamingConfig,
+    streaming_fanout_pairwise_prediction_differences,
+)
 from repro.exceptions import ModelSpecError
 from repro.models.linear_regression import LinearRegressionSpec
 
@@ -131,6 +135,26 @@ class TestDifference:
         assert spec.prediction_difference(base, near, data) < spec.prediction_difference(
             base, far, data
         )
+
+    def test_subclass_predictions_drive_its_streamed_pairwise_diffs(self, small_data):
+        # A subclass whose predictions are not X θ streams them, pair by
+        # pair, and must agree with its own scalar diff.
+        class OffsetLinearRegression(LinearRegressionSpec):
+            def predict(self, theta, X):
+                return super().predict(theta, X) + 1.0
+
+            def predict_many(self, Thetas, X):
+                return super().predict_many(Thetas, X) + 1.0
+
+        data, _ = small_data
+        spec = OffsetLinearRegression()
+        rng = np.random.default_rng(3)
+        Thetas_a, Thetas_b = rng.normal(size=(2, 3, 6))
+        streamed = streaming_fanout_pairwise_prediction_differences(
+            spec, [(Thetas_a, Thetas_b)], data, config=StreamingConfig(block_rows=64)
+        )[0]
+        scalar = [spec.prediction_difference(a, b, data) for a, b in zip(Thetas_a, Thetas_b)]
+        np.testing.assert_allclose(streamed, scalar, rtol=1e-12, atol=0.0)
 
     def test_describe(self):
         description = LinearRegressionSpec(regularization=0.2).describe()

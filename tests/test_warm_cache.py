@@ -31,7 +31,6 @@ from repro.data.splits import SplitSpec
 from repro.data.synthetic import higgs_like
 from repro.data.store.warm_cache import (
     DIFF_KIND,
-    SIZE_KIND,
     diff_entry_key,
     entry_filename,
     payload_digest,

@@ -11,7 +11,6 @@ common strict-mode regression, the silently untyped def.
 
 from __future__ import annotations
 
-import ast
 from collections.abc import Iterable
 
 from tools.analysis.context import Finding, ModuleContext
