@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import DEFAULT_NUM_PARAMETER_SAMPLES, validate_delta
+from repro.config import NUM_PARAMETER_SAMPLES, validate_delta
 from repro.core.guarantees import conservative_upper_bound
 from repro.core.parameter_sampler import ParameterSampler
 from repro.core.statistics import ModelStatistics
@@ -91,7 +91,7 @@ class ModelAccuracyEstimator:
         samples.
     streaming:
         Sharding configuration for the holdout evaluation; ``None`` uses the
-        module default (:data:`repro.config.DEFAULT_HOLDOUT_BLOCK_ROWS` rows
+        module default (:data:`repro.config.HOLDOUT_BLOCK_ROWS` rows
         per block, serial).
     """
 
@@ -99,7 +99,7 @@ class ModelAccuracyEstimator:
         self,
         spec: ModelClassSpec,
         holdout: Dataset,
-        n_parameter_samples: int = DEFAULT_NUM_PARAMETER_SAMPLES,
+        n_parameter_samples: int = NUM_PARAMETER_SAMPLES,
         streaming: StreamingConfig | None = None,
     ):
         if n_parameter_samples < 2:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import DEFAULT_DELTA
+from repro.config import DELTA
 from repro.exceptions import ContractError
 
 
@@ -29,7 +29,7 @@ class ApproximationContract:
     """
 
     epsilon: float
-    delta: float = DEFAULT_DELTA
+    delta: float = DELTA
 
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < 1.0:
@@ -38,7 +38,7 @@ class ApproximationContract:
             raise ContractError(f"delta must lie in (0, 1), got {self.delta}")
 
     @classmethod
-    def from_accuracy(cls, accuracy: float, delta: float = DEFAULT_DELTA) -> ApproximationContract:
+    def from_accuracy(cls, accuracy: float, delta: float = DELTA) -> ApproximationContract:
         """Build a contract from a requested accuracy ``(1 − ε) × 100 %``.
 
         The paper's figures are parameterised by requested accuracy (80 %,

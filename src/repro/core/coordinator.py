@@ -28,10 +28,10 @@ and answer many contracts from its caches (see :meth:`BlinkML.session`).
 from __future__ import annotations
 
 from repro.config import (
-    DEFAULT_DELTA,
-    DEFAULT_INITIAL_SAMPLE_SIZE,
-    DEFAULT_NUM_PARAMETER_SAMPLES,
-    DEFAULT_SIZE_SEARCH_PROBE_BATCH,
+    DELTA,
+    INITIAL_SAMPLE_SIZE,
+    NUM_PARAMETER_SAMPLES,
+    SIZE_SEARCH_PROBE_BATCH,
 )
 import numpy as np
 
@@ -78,12 +78,12 @@ class BlinkML:
         self,
         spec: ModelClassSpec,
         *,
-        initial_sample_size: int = DEFAULT_INITIAL_SAMPLE_SIZE,
-        n_parameter_samples: int = DEFAULT_NUM_PARAMETER_SAMPLES,
+        initial_sample_size: int = INITIAL_SAMPLE_SIZE,
+        n_parameter_samples: int = NUM_PARAMETER_SAMPLES,
         statistics_method: StatisticsMethod | str = StatisticsMethod.OBSERVED_FISHER,
         seed: int | None = None,
         streaming: StreamingConfig | None = None,
-        probe_batch: int = DEFAULT_SIZE_SEARCH_PROBE_BATCH,
+        probe_batch: int = SIZE_SEARCH_PROBE_BATCH,
     ):
         self.spec = spec
         self.initial_sample_size = int(initial_sample_size)
@@ -155,7 +155,7 @@ class BlinkML:
         train: Dataset,
         holdout: Dataset,
         requested_accuracy: float,
-        delta: float = DEFAULT_DELTA,
+        delta: float = DELTA,
     ) -> ApproximateTrainingResult:
         """Convenience wrapper taking a requested accuracy instead of ε."""
         contract = ApproximationContract.from_accuracy(requested_accuracy, delta=delta)

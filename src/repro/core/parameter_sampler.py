@@ -34,25 +34,26 @@ class ParameterSampler:
         The factored statistics computed at the initial model.
     rng:
         Seeded NumPy generator.
-    cache_base_samples:
-        When true (default), the largest block of base draws from the
-        unscaled distribution is cached *per tag*, implementing
-        sampling-by-scaling: the binary search over n re-uses the same base
-        draws and only rescales them, exactly as Section 4.3 prescribes.
-        Smaller requests return prefix slices of the cached block and larger
-        requests extend it in place, so every request against a tag shares a
-        common prefix of draws — even when callers ask for different counts.
+
+    The largest block of base draws from the unscaled distribution is
+    cached *per tag*, implementing sampling-by-scaling: the binary search
+    over n re-uses the same base draws and only rescales them, exactly as
+    Section 4.3 prescribes.  Smaller requests return prefix slices of the
+    cached block and larger requests extend it in place, so every request
+    against a tag shares a common prefix of draws — even when callers ask
+    for different counts.  Two contracts rest on that sharing: warm-cache
+    keys digest the cached blocks, and a lockstep search over several
+    contracts equals the serial searches bitwise because every candidate
+    reads the same draws.
     """
 
     def __init__(
         self,
         statistics: ModelStatistics,
         rng: np.random.Generator | None = None,
-        cache_base_samples: bool = True,
     ):
         self._statistics = statistics
         self._rng = rng or np.random.default_rng()
-        self._cache_base_samples = cache_base_samples
         # Cached blocks are stored read-only (callers receive views of
         # them); the lock serialises cache growth and RNG consumption so
         # concurrent callers cannot tear the grow-in-place update or
@@ -96,10 +97,6 @@ class ParameterSampler:
         if count <= 0:
             raise StatisticsError("sample count must be positive")
         covariance = self._statistics.covariance
-        if not self._cache_base_samples:
-            with self._lock:
-                z = self._rng.standard_normal(size=(count, covariance.rank))
-            return covariance.apply(z)
         with self._lock:
             cached = self._base_cache.get(tag)
             have = 0 if cached is None else cached.shape[0]

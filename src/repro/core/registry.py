@@ -67,7 +67,7 @@ import threading
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Literal
 
 from repro.config import (
     DEFAULT_REGISTRY_CACHE_BYTES,
@@ -204,9 +204,9 @@ class SessionRegistry:
     warm_cache:
         Cross-process warm tier shared by *every* member session
         (:class:`~repro.data.store.warm_cache.WarmCacheTier`): a tier
-        instance, a directory path, ``None``/``True`` to consult
-        ``REPRO_WARM_CACHE_DIR`` / ``DEFAULT_WARM_CACHE_DIR`` (disabled
-        when unset), or ``False`` to force cold construction.  When a tier
+        instance, a directory path, ``None`` to consult
+        ``REPRO_WARM_CACHE_DIR`` (disabled when unset), or ``False`` to
+        force cold construction.  When a tier
         resolves it is injected into every ``get_or_create`` construction
         (explicit ``warm_cache`` in ``session_kwargs`` wins) and its
         counters are reported as :attr:`RegistryStats.warm`.
@@ -219,7 +219,7 @@ class SessionRegistry:
         max_total_bytes: int | None = DEFAULT_REGISTRY_CACHE_BYTES,
         min_session_bytes: int = DEFAULT_REGISTRY_MIN_SESSION_BYTES,
         session_factory: Callable[..., EstimationSession] = EstimationSession,
-        warm_cache: WarmCacheTier | str | os.PathLike[str] | bool | None = None,
+        warm_cache: WarmCacheTier | str | os.PathLike[str] | Literal[False] | None = None,
     ):
         if max_sessions is not None and max_sessions < 1:
             raise BlinkMLError("registry: max_sessions must be at least 1 or None")

@@ -40,7 +40,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.config import DEFAULT_NUM_PARAMETER_SAMPLES
+from repro.config import NUM_PARAMETER_SAMPLES
 from repro.core.contract import ApproximationContract
 from repro.core.guarantees import satisfies_probability_threshold
 from repro.core.parameter_sampler import ParameterSampler
@@ -194,7 +194,7 @@ class SampleSizeEstimator:
         self,
         spec: ModelClassSpec,
         holdout: Dataset,
-        n_parameter_samples: int = DEFAULT_NUM_PARAMETER_SAMPLES,
+        n_parameter_samples: int = NUM_PARAMETER_SAMPLES,
         streaming: StreamingConfig | None = None,
     ):
         if n_parameter_samples < 2:

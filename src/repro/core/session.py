@@ -44,19 +44,19 @@ import threading
 import time
 from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
-from typing import cast
+from typing import Literal, cast
 
 import numpy as np
 
 from repro.config import (
-    DEFAULT_DELTA,
-    DEFAULT_INITIAL_SAMPLE_SIZE,
-    DEFAULT_NUM_PARAMETER_SAMPLES,
     DEFAULT_SESSION_DIFF_CACHE_BYTES,
     DEFAULT_SESSION_DIFF_CACHE_ENTRIES,
     DEFAULT_SESSION_MODEL_CACHE_ENTRIES,
     DEFAULT_SESSION_SIZE_CACHE_ENTRIES,
-    DEFAULT_SIZE_SEARCH_PROBE_BATCH,
+    DELTA,
+    INITIAL_SAMPLE_SIZE,
+    NUM_PARAMETER_SAMPLES,
+    SIZE_SEARCH_PROBE_BATCH,
     validate_delta,
 )
 from repro.core.accuracy import AccuracyEstimate, ModelAccuracyEstimator
@@ -259,10 +259,9 @@ class EstimationSession:
         tier's digest-keyed ``.npz`` artifacts before computing, and fresh
         computes are written behind, so a restarted process answers repeat
         contracts with zero streamed passes.  Accepts a tier instance, a
-        directory path (shared per-path within the process), ``None`` /
-        ``True`` to consult ``REPRO_WARM_CACHE_DIR`` /
-        ``DEFAULT_WARM_CACHE_DIR`` (disabled when unset), or ``False`` to
-        force the cold path regardless of environment.  Entry keys fold in
+        directory path (shared per-path within the process), ``None`` to
+        consult ``REPRO_WARM_CACHE_DIR`` (disabled when unset), or
+        ``False`` to force the cold path regardless of environment.  Entry keys fold in
         the spec / holdout / θ digests *and* a digest of the sampler's base
         draws, so equal keys imply bitwise-identical Monte-Carlo inputs —
         a warm hit returns exactly the bytes a cold compute would produce.
@@ -274,18 +273,18 @@ class EstimationSession:
         train: Dataset | ShardedDataset,
         holdout: Dataset | ShardedDataset,
         *,
-        initial_sample_size: int = DEFAULT_INITIAL_SAMPLE_SIZE,
-        n_parameter_samples: int = DEFAULT_NUM_PARAMETER_SAMPLES,
+        initial_sample_size: int = INITIAL_SAMPLE_SIZE,
+        n_parameter_samples: int = NUM_PARAMETER_SAMPLES,
         statistics_method: StatisticsMethod | str = StatisticsMethod.OBSERVED_FISHER,
         statistics_scope: str = "sample",
         streaming: StreamingConfig | None = None,
-        probe_batch: int = DEFAULT_SIZE_SEARCH_PROBE_BATCH,
+        probe_batch: int = SIZE_SEARCH_PROBE_BATCH,
         rng: np.random.Generator | int | None = None,
         diff_cache_entries: int | None = DEFAULT_SESSION_DIFF_CACHE_ENTRIES,
         diff_cache_bytes: int | None = DEFAULT_SESSION_DIFF_CACHE_BYTES,
         model_cache_entries: int | None = DEFAULT_SESSION_MODEL_CACHE_ENTRIES,
         size_cache_entries: int | None = DEFAULT_SESSION_SIZE_CACHE_ENTRIES,
-        warm_cache: WarmCacheTier | str | os.PathLike[str] | bool | None = None,
+        warm_cache: WarmCacheTier | str | os.PathLike[str] | Literal[False] | None = None,
     ):
         if holdout.n_rows == 0:
             raise DataError("holdout set must not be empty")
@@ -623,7 +622,7 @@ class EstimationSession:
         return estimate, from_cache
 
     def accuracy_estimate(
-        self, theta: np.ndarray, n: int, delta: float = DEFAULT_DELTA
+        self, theta: np.ndarray, n: int, delta: float = DELTA
     ) -> AccuracyEstimate:
         """Accuracy estimate for any (θ, n) — quantile lookup when cached."""
         return self._accuracy_estimate(theta, n, delta)[0]

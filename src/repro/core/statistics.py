@@ -65,7 +65,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.config import DEFAULT_FINITE_DIFFERENCE_EPS
+from repro.config import FINITE_DIFFERENCE_EPS
 from repro.data.dataset import Dataset
 from repro.evaluation.streaming import (
     BlockSource,
@@ -169,7 +169,7 @@ def spec_digest(spec: ModelClassSpec) -> str:
 def theta_digest(
     theta: np.ndarray,
     method: StatisticsMethod | str = StatisticsMethod.OBSERVED_FISHER,
-    probe_eps: float = DEFAULT_FINITE_DIFFERENCE_EPS,
+    probe_eps: float = FINITE_DIFFERENCE_EPS,
 ) -> str:
     """Content digest of the parameter vector a summary was evaluated at.
 
@@ -236,7 +236,7 @@ class ProbeGradientAccumulator:
         self,
         spec: ModelClassSpec,
         theta: np.ndarray,
-        probe_eps: float = DEFAULT_FINITE_DIFFERENCE_EPS,
+        probe_eps: float = FINITE_DIFFERENCE_EPS,
     ):
         self.spec = spec
         self.theta = np.asarray(theta, dtype=np.float64)
@@ -347,7 +347,7 @@ class _StatisticsTask:
 def covariance_from_summary(
     spec: ModelClassSpec,
     summary: MomentSummary,
-    probe_eps: float = DEFAULT_FINITE_DIFFERENCE_EPS,
+    probe_eps: float = FINITE_DIFFERENCE_EPS,
 ) -> FactoredCovariance:
     """Turn a merged moment summary into the factored covariance.
 
@@ -470,7 +470,7 @@ def compute_statistics(
     theta: np.ndarray,
     source: "Dataset | BlockSource",
     method: StatisticsMethod | str = StatisticsMethod.OBSERVED_FISHER,
-    probe_eps: float = DEFAULT_FINITE_DIFFERENCE_EPS,
+    probe_eps: float = FINITE_DIFFERENCE_EPS,
     streaming: StreamingConfig | None = None,
     persist: bool = True,
 ) -> ModelStatistics:
@@ -497,7 +497,7 @@ def compute_statistics(
     streaming:
         Block size / executor configuration; ``None`` means the default
         :class:`~repro.evaluation.streaming.StreamingConfig` (blocks of
-        :data:`~repro.config.DEFAULT_HOLDOUT_BLOCK_ROWS` rows, the
+        :data:`~repro.config.HOLDOUT_BLOCK_ROWS` rows, the
         session-wide worker default).
     persist:
         For store-backed sources: whether newly computed per-shard

@@ -156,6 +156,22 @@ class Dataset:
         object.__setattr__(self, "_content_digest", digest)
         return digest
 
+    def label_std(self) -> float:
+        """Population standard deviation of the labels, ``np.std(y)``.
+
+        The normalised regression families scale every diff by it.  Like
+        :meth:`content_digest` it is computed once per ``Dataset`` object
+        and memoised, which the read-only arrays make safe.
+        """
+        cached = getattr(self, "_label_std", None)
+        if cached is not None:
+            return cached
+        if self.y is None:
+            raise DataError("dataset has no labels (unsupervised)")
+        scale = float(np.std(self.y))
+        object.__setattr__(self, "_label_std", scale)
+        return scale
+
     # ------------------------------------------------------------------
     # Transformations (all return new Dataset objects)
     # ------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import DEFAULT_HOLDOUT_FRACTION, DEFAULT_TEST_FRACTION
+from repro.config import HOLDOUT_FRACTION, TEST_FRACTION
 from repro.data.dataset import Dataset
 from repro.exceptions import DataError
 
@@ -31,8 +31,8 @@ class SplitSpec:
     non-negative and sum to strictly less than one.
     """
 
-    holdout_fraction: float = DEFAULT_HOLDOUT_FRACTION
-    test_fraction: float = DEFAULT_TEST_FRACTION
+    holdout_fraction: float = HOLDOUT_FRACTION
+    test_fraction: float = TEST_FRACTION
 
     def __post_init__(self) -> None:
         if self.holdout_fraction < 0 or self.test_fraction < 0:

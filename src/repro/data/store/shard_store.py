@@ -37,7 +37,7 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from repro.config import DEFAULT_STORE_SHARD_ROWS
+from repro.config import STORE_SHARD_ROWS
 from repro.data.dataset import (
     Dataset,
     content_hasher,
@@ -164,7 +164,7 @@ class ShardStoreWriter:
         self,
         directory: str | os.PathLike,
         *,
-        shard_rows: int = DEFAULT_STORE_SHARD_ROWS,
+        shard_rows: int = STORE_SHARD_ROWS,
         name: str = "dataset",
         metadata: dict | None = None,
         overwrite: bool = False,
@@ -477,7 +477,7 @@ class ShardStore:
         dataset: Dataset,
         directory: str | os.PathLike,
         *,
-        shard_rows: int = DEFAULT_STORE_SHARD_ROWS,
+        shard_rows: int = STORE_SHARD_ROWS,
         name: str | None = None,
         overwrite: bool = False,
     ) -> "ShardStore":
@@ -562,7 +562,7 @@ class ShardStore:
         self,
         blocks: Iterable[tuple[np.ndarray, np.ndarray | None]],
         *,
-        shard_rows: int = DEFAULT_STORE_SHARD_ROWS,
+        shard_rows: int = STORE_SHARD_ROWS,
     ) -> "ShardStore":
         """Grow this store by appending ``(X_block, y_block)`` pairs.
 
@@ -943,7 +943,7 @@ def write_blocks(
     blocks: Iterable[tuple[np.ndarray, np.ndarray | None]],
     directory: str | os.PathLike,
     *,
-    shard_rows: int = DEFAULT_STORE_SHARD_ROWS,
+    shard_rows: int = STORE_SHARD_ROWS,
     name: str = "dataset",
     metadata: dict | None = None,
     overwrite: bool = False,

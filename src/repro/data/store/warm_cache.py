@@ -56,10 +56,11 @@ import uuid
 import zipfile
 from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
-from repro.config import DEFAULT_WARM_CACHE_DIR, DEFAULT_WARM_CACHE_MAX_BYTES
+from repro.config import DEFAULT_WARM_CACHE_MAX_BYTES
 from repro.linalg.utils import freeze
 
 #: entry kinds the session layer persists.
@@ -530,12 +531,10 @@ _shared_tiers: dict[str, WarmCacheTier] = {}  # guarded-by: _shared_lock
 def default_warm_cache_dir() -> str:
     """The configured warm-cache directory ('' = disabled).
 
-    Reads the deployment-facing ``REPRO_WARM_CACHE_DIR`` runtime alias
-    first (evaluated per call, so tests and CI can retarget it without
-    re-importing :mod:`repro.config`), then the REP005 import-time knob
-    ``DEFAULT_WARM_CACHE_DIR``.
+    Reads the ``REPRO_WARM_CACHE_DIR`` environment variable on every call,
+    so tests and CI can retarget it without re-importing anything.
     """
-    return os.environ.get("REPRO_WARM_CACHE_DIR", "").strip() or DEFAULT_WARM_CACHE_DIR
+    return os.environ.get("REPRO_WARM_CACHE_DIR", "").strip()
 
 
 def shared_warm_cache(directory: str | os.PathLike[str]) -> WarmCacheTier:
@@ -555,21 +554,21 @@ def shared_warm_cache(directory: str | os.PathLike[str]) -> WarmCacheTier:
 
 
 def resolve_warm_cache(
-    warm_cache: WarmCacheTier | str | os.PathLike[str] | bool | None = None,
+    warm_cache: WarmCacheTier | str | os.PathLike[str] | Literal[False] | None = None,
 ) -> WarmCacheTier | None:
     """Resolve a constructor-facing ``warm_cache`` argument to a tier.
 
-    ``None``/``True`` resolve through :func:`default_warm_cache_dir`
-    (``None`` when unconfigured), ``False`` disables the tier even when
-    the environment configures one (tests asserting cold-path behaviour
-    pin this), a path selects the process-shared tier for that directory,
-    and an existing :class:`WarmCacheTier` passes through.
+    ``None`` resolves through :func:`default_warm_cache_dir` (``None``
+    when ``REPRO_WARM_CACHE_DIR`` is unset), ``False`` disables the tier
+    even when the environment configures one (tests asserting cold-path
+    behaviour pin this), a path selects the process-shared tier for that
+    directory, and an existing :class:`WarmCacheTier` passes through.
     """
     if isinstance(warm_cache, WarmCacheTier):
         return warm_cache
     if warm_cache is False:
         return None
-    if warm_cache is None or warm_cache is True:
+    if warm_cache is None:
         directory = default_warm_cache_dir()
         return shared_warm_cache(directory) if directory else None
     return shared_warm_cache(warm_cache)

@@ -16,7 +16,7 @@ import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
-from repro.config import DEFAULT_DELTA
+from repro.config import DELTA
 from repro.core.contract import ApproximationContract
 from repro.core.coordinator import BlinkML
 from repro.data.splits import DataSplits
@@ -83,7 +83,7 @@ def run_accuracy_sweep(
     spec_factory: Callable[[], ModelClassSpec],
     splits: DataSplits,
     requested_accuracies: Sequence[float],
-    delta: float = DEFAULT_DELTA,
+    delta: float = DELTA,
     repetitions: int = 1,
     initial_sample_size: int = 2_000,
     n_parameter_samples: int = 64,

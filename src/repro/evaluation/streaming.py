@@ -44,7 +44,7 @@ from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.config import DEFAULT_HOLDOUT_BLOCK_ROWS, DEFAULT_STREAMING_WORKERS
+from repro.config import DEFAULT_STREAMING_WORKERS, HOLDOUT_BLOCK_ROWS
 from repro.data.dataset import Dataset
 from repro.exceptions import DataError
 from repro.linalg.moments import _triangular_factor
@@ -174,7 +174,7 @@ class StreamingConfig:
         :class:`~repro.exceptions.DataError`.
     """
 
-    block_rows: int = DEFAULT_HOLDOUT_BLOCK_ROWS
+    block_rows: int = HOLDOUT_BLOCK_ROWS
     n_workers: int = DEFAULT_STREAMING_WORKERS
     backend: str = "threads"
 

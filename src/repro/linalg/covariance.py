@@ -32,6 +32,12 @@ from repro.linalg.utils import symmetrize
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.linalg.moments import GradientMomentSummary
 
+#: Relative thresholds below which a direction of the factor is dropped:
+#: singular values of the scaled gradient matrix (ObservedFisher) and
+#: eigenvalues of the dense covariance (ClosedForm / InverseGradients).
+RANK_TOLERANCE = 1e-12
+EIG_TOLERANCE = 1e-12
+
 
 @dataclass(frozen=True)
 class FactoredCovariance:
@@ -75,7 +81,6 @@ class FactoredCovariance:
         cls,
         summary: "GradientMomentSummary",
         regularization: float = 0.0,
-        rank_tolerance: float = 1e-12,
     ) -> FactoredCovariance:
         """Build the factor from a gradient moment summary (ObservedFisher).
 
@@ -96,10 +101,10 @@ class FactoredCovariance:
         regularization:
             The L2 coefficient β.  ``H = J + βI`` per the information-matrix
             equality discussion in Section 3.4.
-        rank_tolerance:
-            Relative threshold below which singular values are treated as
-            zero (directions with no gradient variance contribute nothing to
-            the covariance).
+
+        Singular values below :data:`RANK_TOLERANCE` times the largest are
+        treated as zero (directions with no gradient variance contribute
+        nothing to the covariance).
         """
         if summary.rows < 2:
             raise StatisticsError("need at least two per-example gradients")
@@ -122,7 +127,7 @@ class FactoredCovariance:
         U = vt.T
         if s.size == 0 or s[0] <= 0:
             raise StatisticsError("gradient matrix has no variance; cannot factorise J")
-        keep = s > rank_tolerance * s[0]
+        keep = s > RANK_TOLERANCE * s[0]
         U = U[:, keep]
         s = s[keep]
 
@@ -135,13 +140,13 @@ class FactoredCovariance:
         hessian: np.ndarray,
         gradient_covariance: np.ndarray,
         regularization: float = 0.0,
-        eig_tolerance: float = 1e-12,
     ) -> FactoredCovariance:
         """Build the factor from dense ``H`` and ``J`` (ClosedForm / InverseGradients).
 
         The dense path is only used for low-dimensional models, so an
         explicit ``H⁻¹ J H⁻¹`` followed by an eigendecomposition is
-        affordable.
+        affordable.  Eigenvalues below :data:`EIG_TOLERANCE` times the
+        largest are treated as zero.
         """
         H = symmetrize(hessian)
         J = symmetrize(gradient_covariance)
@@ -155,7 +160,7 @@ class FactoredCovariance:
         eigenvalues, eigenvectors = np.linalg.eigh(covariance)
         # Clip tiny negative eigenvalues caused by round-off.
         eigenvalues = np.clip(eigenvalues, 0.0, None)
-        keep = eigenvalues > eig_tolerance * max(eigenvalues.max(), 1e-300)
+        keep = eigenvalues > EIG_TOLERANCE * max(eigenvalues.max(), 1e-300)
         if not np.any(keep):
             raise StatisticsError("covariance H⁻¹JH⁻¹ is numerically zero")
         eigenvalues = eigenvalues[keep]

@@ -151,29 +151,22 @@ def holdout_label_scale(dataset: Any, family: str) -> float:
 
     One implementation for every normalised regression family (linear,
     Poisson) so the scale contract cannot silently diverge between them.
-    Block sources (:class:`repro.data.store.ShardedDataset`) expose the
-    scale through precomputed manifest moments (``label_std()`` — O(1), no
-    label I/O, equal to ``np.std`` of the materialised labels to a few
-    ulps); in-memory datasets compute ``np.std(y)`` directly.  (Near-)zero
-    scales fall back to 1.0 to avoid dividing by zero on constant labels.
+    Both holdout kinds expose the scale as ``label_std()``: an in-memory
+    :class:`~repro.data.dataset.Dataset` memoises ``np.std(y)``, and a
+    :class:`repro.data.store.ShardedDataset` reads its precomputed
+    manifest moments (O(1), no label I/O, equal to ``np.std`` of the
+    materialised labels to a few ulps).  (Near-)zero scales fall back to
+    1.0 to avoid dividing by zero on constant labels.
     """
     # Supervision is checked first so the unlabeled-holdout misuse raises
     # the same ModelSpecError whichever storage tier the holdout lives in
-    # (a sharded source's label_std() would otherwise surface a DataError
-    # about manifest moments instead of explaining the missing labels).
-    if not getattr(dataset, "is_supervised", True):
+    # (label_std() would otherwise surface a DataError instead of
+    # explaining the missing labels).
+    if not dataset.is_supervised:
         raise ModelSpecError(
             f"normalised {family} difference needs holdout labels for scaling"
         )
-    label_std = getattr(dataset, "label_std", None)
-    if callable(label_std):
-        scale = float(label_std())
-        return scale if scale > 0 else 1.0
-    if dataset.y is None:
-        raise ModelSpecError(
-            f"normalised {family} difference needs holdout labels for scaling"
-        )
-    scale = float(np.std(dataset.y))
+    scale = float(dataset.label_std())
     return scale if scale > 0 else 1.0
 
 

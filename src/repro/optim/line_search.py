@@ -14,6 +14,15 @@ import numpy as np
 
 from repro.optim.base import Objective
 
+# Tuning of the search, fixed for every caller: the first trial step, the
+# sufficient-decrease (Armijo) and curvature constants of the strong Wolfe
+# conditions, the probe budget of each phase and the largest step tried.
+INITIAL_STEP = 1.0
+C1 = 1e-4
+C2 = 0.9
+MAX_STEPS = 25
+MAX_STEP_SIZE = 1e8
+
 
 @dataclass
 class LineSearchResult:
@@ -41,11 +50,6 @@ def wolfe_line_search(
     direction: np.ndarray,
     value: float,
     gradient: np.ndarray,
-    initial_step: float = 1.0,
-    c1: float = 1e-4,
-    c2: float = 0.9,
-    max_steps: int = 25,
-    max_step_size: float = 1e8,
 ) -> LineSearchResult:
     """Strong-Wolfe line search (bracket + zoom).
 
@@ -70,14 +74,14 @@ def wolfe_line_search(
     def zoom(alpha_lo: float, alpha_hi: float, value_lo: float) -> LineSearchResult:
         nonlocal evaluations
         best = LineSearchResult(alpha_lo, value_lo, None, evaluations)
-        for _ in range(max_steps):
+        for _ in range(MAX_STEPS):
             alpha = 0.5 * (alpha_lo + alpha_hi)
             candidate_value, candidate_gradient = phi(alpha)
             dphi = float(candidate_gradient @ direction)
-            if (not np.isfinite(candidate_value)) or candidate_value > phi0 + c1 * alpha * dphi0 or candidate_value >= value_lo:
+            if (not np.isfinite(candidate_value)) or candidate_value > phi0 + C1 * alpha * dphi0 or candidate_value >= value_lo:
                 alpha_hi = alpha
             else:
-                if abs(dphi) <= -c2 * dphi0:
+                if abs(dphi) <= -C2 * dphi0:
                     return LineSearchResult(alpha, candidate_value, candidate_gradient, evaluations)
                 if dphi * (alpha_hi - alpha_lo) >= 0:
                     alpha_hi = alpha_lo
@@ -91,21 +95,21 @@ def wolfe_line_search(
 
     previous_alpha = 0.0
     previous_value = phi0
-    alpha = min(initial_step, max_step_size)
-    for iteration in range(max_steps):
+    alpha = INITIAL_STEP
+    for iteration in range(MAX_STEPS):
         candidate_value, candidate_gradient = phi(alpha)
-        if (not np.isfinite(candidate_value)) or candidate_value > phi0 + c1 * alpha * dphi0 or (
+        if (not np.isfinite(candidate_value)) or candidate_value > phi0 + C1 * alpha * dphi0 or (
             iteration > 0 and candidate_value >= previous_value
         ):
             return zoom(previous_alpha, alpha, previous_value)
         dphi = float(candidate_gradient @ direction)
-        if abs(dphi) <= -c2 * dphi0:
+        if abs(dphi) <= -C2 * dphi0:
             return LineSearchResult(alpha, candidate_value, candidate_gradient, evaluations)
         if dphi >= 0:
             return zoom(alpha, previous_alpha, candidate_value)
         previous_alpha = alpha
         previous_value = candidate_value
-        alpha = min(2.0 * alpha, max_step_size)
+        alpha = min(2.0 * alpha, MAX_STEP_SIZE)
 
     # Out of steps: report the last evaluated point as a failure.
     return LineSearchResult(previous_alpha, previous_value, None, evaluations)

@@ -22,9 +22,9 @@ from collections import deque
 import numpy as np
 
 from repro.config import (
-    DEFAULT_GRADIENT_TOLERANCE,
-    DEFAULT_LBFGS_MEMORY,
-    DEFAULT_MAX_ITERATIONS,
+    GRADIENT_TOLERANCE,
+    LBFGS_MEMORY,
+    MAX_ITERATIONS,
 )
 from repro.exceptions import OptimizationError
 from repro.optim.base import Objective, check_finite
@@ -87,8 +87,8 @@ class _QuasiNewton:
 
     def __init__(
         self,
-        max_iterations: int = DEFAULT_MAX_ITERATIONS,
-        gradient_tolerance: float = DEFAULT_GRADIENT_TOLERANCE,
+        max_iterations: int = MAX_ITERATIONS,
+        gradient_tolerance: float = GRADIENT_TOLERANCE,
     ):
         self.max_iterations = max_iterations
         self.gradient_tolerance = gradient_tolerance
@@ -166,9 +166,9 @@ class LBFGS(_QuasiNewton):
 
     def __init__(
         self,
-        max_iterations: int = DEFAULT_MAX_ITERATIONS,
-        gradient_tolerance: float = DEFAULT_GRADIENT_TOLERANCE,
-        memory: int = DEFAULT_LBFGS_MEMORY,
+        max_iterations: int = MAX_ITERATIONS,
+        gradient_tolerance: float = GRADIENT_TOLERANCE,
+        memory: int = LBFGS_MEMORY,
     ):
         if memory < 1:
             raise OptimizationError(f"L-BFGS memory must be at least 1, got {memory}")

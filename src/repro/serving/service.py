@@ -40,7 +40,7 @@ import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 
-from typing import Any
+from typing import Any, Literal
 
 from repro.config import (
     DEFAULT_COALESCE_MAX_BATCH,
@@ -82,8 +82,11 @@ class CoalescingService:
         (:class:`~repro.core.registry.SessionRegistry`'s ``warm_cache``):
         the cross-process warm tier every member session shares, so a
         restarted service answers repeat contracts with zero streamed
-        passes.  When ``registry`` is passed explicitly this must stay
-        ``None`` — configure the tier on the registry you construct.
+        passes.  A tier, a directory path, ``None`` to consult
+        ``REPRO_WARM_CACHE_DIR`` (disabled when unset), or ``False`` to
+        force cold construction.  When ``registry`` is passed explicitly
+        this must stay ``None`` — configure the tier on the registry you
+        construct.
     window_ms / max_batch / max_queue:
         Per-key :class:`~repro.serving.batcher.ContractBatcher` parameters
         (see that class).  ``max_queue`` is the service's only
@@ -108,7 +111,7 @@ class CoalescingService:
         housekeeping_seconds: float = DEFAULT_SERVICE_HOUSEKEEPING_SECONDS,
         idle_evict_seconds: float = DEFAULT_SERVICE_IDLE_EVICT_SECONDS,
         start_housekeeping: bool = True,
-        warm_cache: WarmCacheTier | str | os.PathLike[str] | bool | None = None,
+        warm_cache: WarmCacheTier | str | os.PathLike[str] | Literal[False] | None = None,
     ):
         if registry is not None and warm_cache is not None:
             raise ServingError(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.config import DEFAULT_DELTA
+from repro.config import DELTA
 from repro.core.contract import ApproximationContract
 from repro.core.coordinator import BlinkML
 from repro.data.dataset import Dataset
@@ -86,7 +86,7 @@ class RandomSearch:
         self.train = train
         self.holdout = holdout
         self.test = test
-        self.contract = contract or ApproximationContract(epsilon=0.05, delta=DEFAULT_DELTA)
+        self.contract = contract or ApproximationContract(epsilon=0.05, delta=DELTA)
         self.initial_sample_size = initial_sample_size
         self.n_parameter_samples = n_parameter_samples
         self.seed = seed

@@ -80,13 +80,6 @@ class TestBaseSamples:
         b = sampler.base_samples(24, tag="two")
         assert not np.allclose(a[:24], b)
 
-    def test_no_cache_mode(self, statistics_and_theta):
-        stats, _ = statistics_and_theta
-        sampler = ParameterSampler(stats, rng=np.random.default_rng(0), cache_base_samples=False)
-        a = sampler.base_samples(16)
-        b = sampler.base_samples(16)
-        assert not np.allclose(a, b)
-
     def test_base_covariance_matches_factor(self, statistics_and_theta):
         stats, _ = statistics_and_theta
         sampler = ParameterSampler(stats, rng=np.random.default_rng(1))

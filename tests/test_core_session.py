@@ -1,18 +1,13 @@
 """Tests for the contract-serving EstimationSession and the BlinkML facade."""
 
 import inspect
-import os
 import random
-import subprocess
-import sys
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import repro
-from repro.config import DEFAULT_DELTA, validate_delta
+from repro.config import DELTA, validate_delta
 from repro.core.contract import ApproximationContract
 from repro.core.coordinator import BlinkML
 from repro.core.guarantees import satisfies_probability_threshold
@@ -418,16 +413,16 @@ class TestReadOnlyDifferences:
 
 class TestDefaultDelta:
     def test_contract_default_is_config_constant(self):
-        assert ApproximationContract(epsilon=0.1).delta == DEFAULT_DELTA
+        assert ApproximationContract(epsilon=0.1).delta == DELTA
         assert (
             inspect.signature(BlinkML.train_with_accuracy).parameters["delta"].default
-            == DEFAULT_DELTA
+            == DELTA
         )
         assert (
             inspect.signature(ApproximationContract.from_accuracy)
             .parameters["delta"]
             .default
-            == DEFAULT_DELTA
+            == DELTA
         )
 
     def test_validate_delta(self):
@@ -441,34 +436,11 @@ class TestDefaultDelta:
         with pytest.raises(ContractError):
             session.accuracy_estimate(session.initial_model.theta, 500, delta=1.5)
 
-    @pytest.mark.parametrize(
-        "raw,expected",
-        [("0", 0.05), ("1", 0.05), ("2", 0.05), ("abc", 0.05), ("0.2", 0.2)],
-    )
-    def test_environment_delta_outside_open_interval_falls_back(self, raw, expected):
-        """``DEFAULT_DELTA`` must lie in (0, 1); anything else reads 0.05.
-
-        The endpoints matter most: a δ of 0 or 1 would make every
-        default-δ contract raise ``ContractError`` at construction.
-        """
-        env = dict(os.environ, DEFAULT_DELTA=raw)
-        source_root = str(Path(repro.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(
-            [source_root, *filter(None, [os.environ.get("PYTHONPATH")])]
-        )
-        probe = (
-            "from repro.core.contract import ApproximationContract\n"
-            "print(repr(ApproximationContract(epsilon=0.1).delta))\n"
-        )
-        completed = subprocess.run(
-            [sys.executable, "-c", probe],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-            check=True,
-        )
-        assert float(completed.stdout) == expected
+    def test_default_delta_is_the_papers(self):
+        # δ is a fixed default, not an env knob: the paper's 0.05, read from
+        # no environment variable (tests/test_config_environment.py).
+        assert DELTA == 0.05
+        assert ApproximationContract(epsilon=0.1).delta == 0.05
 
 
 class TestBatchedProbes:

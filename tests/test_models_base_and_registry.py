@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.data.dataset import Dataset
-from repro.exceptions import ModelSpecError
+from repro.data.store import ShardStore
+from repro.exceptions import DataError, ModelSpecError
 from repro.models import (
     LinearRegressionSpec,
     LogisticRegressionSpec,
@@ -23,6 +24,44 @@ def tiny_regression():
     X = rng.normal(size=(200, 3))
     y = X @ np.array([1.0, -2.0, 0.5]) + rng.normal(scale=0.05, size=200)
     return Dataset(X, y)
+
+
+class TestHoldoutLabelScale:
+    @pytest.mark.parametrize("spec", [LinearRegressionSpec(), PoissonRegressionSpec()])
+    def test_in_memory_label_std_is_computed_once(self, spec, monkeypatch):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(500, 3))
+        holdout = Dataset(X, rng.poisson(2.0, size=500).astype(np.float64))
+        expected = float(np.std(holdout.y))
+        calls = []
+        std = np.std
+
+        def counting_std(*args, **kwargs):
+            calls.append(1)
+            return std(*args, **kwargs)
+
+        monkeypatch.setattr(np, "std", counting_std)
+        theta = np.zeros(3)
+        Thetas = rng.normal(scale=0.1, size=(4, 3))
+        for _ in range(10):
+            spec.diff_accumulator(theta, Thetas, holdout)
+            spec.pairwise_diff_accumulator(Thetas, Thetas[::-1], holdout)
+        assert len(calls) == 1
+        assert holdout.label_std().hex() == expected.hex()
+
+    @pytest.mark.parametrize("spec", [LinearRegressionSpec(), PoissonRegressionSpec()])
+    def test_unlabeled_holdout_raises_for_both_kinds(self, spec, tmp_path):
+        X = np.random.default_rng(5).normal(size=(300, 3))
+        in_memory = Dataset(X)
+        sharded = ShardStore.write(in_memory, tmp_path, shard_rows=100).dataset()
+        with pytest.raises(DataError):
+            in_memory.label_std()
+        Thetas = np.zeros((2, 3))
+        for holdout in (in_memory, sharded):
+            with pytest.raises(ModelSpecError, match="needs holdout labels"):
+                spec.diff_accumulator(np.zeros(3), Thetas, holdout)
+            with pytest.raises(ModelSpecError, match="needs holdout labels"):
+                spec.pairwise_diff_accumulator(Thetas, Thetas, holdout)
 
 
 class TestBaseBehaviour:

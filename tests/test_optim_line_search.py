@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.optim.base import FunctionObjective
 from repro.optim.driver import minimize
-from repro.optim.line_search import wolfe_line_search
+from repro.optim.line_search import C1, C2, wolfe_line_search
 from repro.optim.quasi_newton import LBFGS
 
 
@@ -27,16 +27,15 @@ class TestWolfe:
         theta = np.array([5.0, -7.0])
         value, gradient = objective.value_and_gradient(theta)
         direction = -gradient
-        c1, c2 = 1e-4, 0.9
-        result = wolfe_line_search(objective, theta, direction, value, gradient, c1=c1, c2=c2)
+        result = wolfe_line_search(objective, theta, direction, value, gradient)
         assert result.success
         alpha = result.step_size
         new_value, new_gradient = objective.value_and_gradient(theta + alpha * direction)
         dphi0 = float(gradient @ direction)
         # Armijo (sufficient decrease) condition.
-        assert new_value <= value + c1 * alpha * dphi0 + 1e-12
+        assert new_value <= value + C1 * alpha * dphi0 + 1e-12
         # Curvature condition.
-        assert abs(float(new_gradient @ direction)) <= c2 * abs(dphi0) + 1e-12
+        assert abs(float(new_gradient @ direction)) <= C2 * abs(dphi0) + 1e-12
 
     def test_returns_gradient_at_accepted_point(self):
         objective = quadratic_objective()

@@ -27,7 +27,7 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.config import DEFAULT_HOLDOUT_BLOCK_ROWS
+from repro.config import HOLDOUT_BLOCK_ROWS
 from repro.core.statistics import compute_statistics, spec_digest, theta_digest
 from repro.data.store import (
     ShardManifest,
@@ -90,7 +90,7 @@ class TestSidecarReuse:
             spec_digest(spec),
             theta_digest(theta),
             first.method.value,
-            DEFAULT_HOLDOUT_BLOCK_ROWS,
+            HOLDOUT_BLOCK_ROWS,
         )
         assert entry is not None
         assert len(entry.shard_digests) == 4

@@ -688,7 +688,7 @@ class TestRealTree:
             for target in node.targets
             if isinstance(target, ast.Name) and target.id.startswith("DEFAULT_")
         ]
-        assert len(knobs) <= 27, knobs
+        assert len(knobs) <= 14, knobs
 
     def test_every_module_has_an_importer(self):
         # Library code that nothing in the system imports is dead weight:

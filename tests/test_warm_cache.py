@@ -255,7 +255,7 @@ class TestWarmCacheTier:
         monkeypatch.setenv("REPRO_WARM_CACHE_DIR", str(tmp_path / "env"))
         resolved = resolve_warm_cache(None)
         assert resolved is not None
-        assert resolved is resolve_warm_cache(True)
+        assert resolved is resolve_warm_cache(None)
         # Same directory → the process-shared instance.
         assert resolve_warm_cache(tmp_path / "env") is resolved
         assert shared_warm_cache(tmp_path / "env") is resolved

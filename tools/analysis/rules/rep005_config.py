@@ -2,11 +2,13 @@
 
 The deployment contract (docs/serving.md) promises that every
 ``DEFAULT_*`` constant in ``repro/config.py`` can be retuned through a
-same-named environment variable.  This rule machine-checks the three-way
-parity:
+same-named environment variable.  Env knobs are capacity, concurrency,
+latency and path settings; a constant that feeds an answer (n, θ, ε̂) is
+a fixed default without the ``DEFAULT_`` prefix and reads no environment
+variable.  This rule machine-checks the three-way parity:
 
 * every module-level ``DEFAULT_*`` assignment in config.py must call one
-  of the ``_env_int`` / ``_env_float`` / ``_env_str`` helpers;
+  of the ``_env_int`` / ``_env_float`` helpers;
 * the helper's first argument must be the knob's own name (the env var
   *is* the constant name);
 * every knob must have a row in the docs/serving.md knob table whose
@@ -25,7 +27,7 @@ from tools.analysis.context import Finding, RepoContext
 RULE_ID = "REP005"
 SUMMARY = "every DEFAULT_* config knob is env-overridable and documented"
 
-_ENV_HELPERS = {"_env_int", "_env_float", "_env_str"}
+_ENV_HELPERS = {"_env_int", "_env_float"}
 _CONFIG_RELPATH = "src/repro/config.py"
 _DOC_RELPATH = "docs/serving.md"
 _ROW_RE = re.compile(r"^\|\s*`(DEFAULT_[A-Z0-9_]+)`\s*\|[^|]*\|\s*([^|]+?)\s*\|")
@@ -59,7 +61,7 @@ def check_repo(repo: RepoContext) -> Iterable[Finding]:
                     stmt.lineno,
                     RULE_ID,
                     f"`{name}` is a bare constant: wrap it in _env_int / "
-                    "_env_float / _env_str so deployments can override it",
+                    "_env_float so deployments can override it",
                 )
                 continue
             first = value.args[0] if value.args else None
