@@ -2,11 +2,11 @@
 
 A serving process answers a repeat (ε, δ) contract from its in-memory
 caches — but those die with the process.  The warm tier
-(``repro.data.store.warm_cache``) persists the two expensive artifacts
-(sorted difference vectors, size-search results) as digest-verified
-``.npz`` entries in a shared directory, so a *restarted* process answers
-the same contracts with **zero streamed holdout passes** and bitwise
-identical results.
+(``repro.data.store.warm_cache``) persists the three expensive artifacts
+(sorted difference vectors, size-search results, trained models m_n) as
+digest-verified ``.npz`` entries in a shared directory, so a *restarted*
+process answers the same contracts with **zero streamed holdout passes**,
+fits only its initial model m_0, and returns bitwise identical results.
 
 The benchmark spawns three genuinely separate processes against one warm
 directory:
@@ -14,11 +14,13 @@ directory:
 1. **cold** — empty directory; serves the contract stream, pays the full
    streamed-pass cost, publishes warm entries on the way out;
 2. **warm restart** — a fresh interpreter, same directory; must serve the
-   identical stream with zero streamed passes and bitwise-identical
-   results (model θ, sample size, ε estimate);
-3. **tampered restart** — every warm entry has a byte flipped first; the
-   tier must quarantine the corrupt entries and transparently recompute,
-   again bitwise identical — corruption costs passes, never answers.
+   identical stream with zero streamed passes, no m_n fit (every result
+   reports ``model_cache_hit``) and bitwise-identical results (model θ,
+   sample size, ε estimate);
+3. **tampered restart** — every warm entry has one payload byte flipped
+   first; the tier must quarantine every entry and transparently
+   recompute and refit, again bitwise identical — corruption costs passes
+   and fits, never answers.
 
 Run standalone::
 
@@ -34,6 +36,7 @@ import os
 import sys
 import tempfile
 import time
+import zipfile
 
 import numpy as np
 
@@ -50,7 +53,8 @@ def serve_worker(warm_dir, config, queue):
 
     Rebuilds the deterministic workload from ``config``, serves the
     contract stream, and reports result rows, the streamed-pass delta
-    around serving (construction excluded), wall time, and tier counters.
+    around serving (construction excluded), wall time, tier counters, and
+    whether every result came without an m_n fit.
     """
     rows_n, features, initial, k, contracts = config
     splits = train_holdout_test_split(
@@ -70,6 +74,7 @@ def serve_worker(warm_dir, config, queue):
     passes_before = streaming_pass_count()
     start = time.perf_counter()
     rows = []
+    no_fit = True
     for epsilon, delta in contracts:
         result = session.train_to(ApproximationContract(epsilon, delta))
         rows.append(
@@ -79,12 +84,13 @@ def serve_worker(warm_dir, config, queue):
                 int(result.sample_size),
             )
         )
+        no_fit &= result.used_initial_model or result.metadata["model_cache_hit"]
     seconds = time.perf_counter() - start
     passes = streaming_pass_count() - passes_before
     tier = session.warm_cache
     tier.flush()
     stats = tier.stats()
-    queue.put((rows, passes, seconds, stats.writes, stats.quarantined))
+    queue.put((rows, passes, seconds, stats.writes, stats.quarantined, no_fit))
 
 
 def run_process(warm_dir, config):
@@ -101,12 +107,19 @@ def run_process(warm_dir, config):
 
 
 def tamper(warm_dir):
-    """Flip one byte in every published warm entry; return how many."""
+    """Flip one payload byte in every published warm entry; return how many.
+
+    The byte is the middle of the first archive member's stored bytes, not
+    of the file: a file offset can land in a zip local-header field that no
+    reader checks, leaving the payload intact.
+    """
     paths = glob.glob(os.path.join(warm_dir, "warm-*.npz"))
     for path in paths:
+        with zipfile.ZipFile(path) as archive:
+            stored = archive.read(archive.namelist()[0])
         with open(path, "rb") as handle:
             blob = bytearray(handle.read())
-        blob[len(blob) // 2] ^= 0xFF
+        blob[blob.find(stored) + len(stored) // 2] ^= 0xFF
         with open(path, "wb") as handle:
             handle.write(bytes(blob))
     return len(paths)
@@ -126,8 +139,8 @@ def main(argv: list[str] | None = None) -> int:
         "--check", action="store_true",
         help=(
             "exit non-zero unless the warm restart serves with zero streamed "
-            "passes, every generation is bitwise identical, and tampered "
-            "entries are quarantined and recomputed"
+            "passes and no m_n fit, every generation is bitwise identical, "
+            "and every tampered entry is quarantined and recomputed"
         ),
     )
     args = parser.parse_args(argv)
@@ -139,13 +152,16 @@ def main(argv: list[str] | None = None) -> int:
     config = (args.rows, args.features, args.initial, args.k, contracts)
 
     with tempfile.TemporaryDirectory(prefix="repro-warm-bench-") as warm_dir:
-        cold_rows, cold_passes, cold_s, cold_writes, _ = run_process(warm_dir, config)
-        entries = len(glob.glob(os.path.join(warm_dir, "warm-*.npz")))
-        warm_rows, warm_passes, warm_s, _, warm_quarantined = run_process(
+        cold_rows, cold_passes, cold_s, cold_writes, _, cold_no_fit = run_process(
             warm_dir, config
         )
+        entries = len(glob.glob(os.path.join(warm_dir, "warm-*.npz")))
+        model_entries = len(glob.glob(os.path.join(warm_dir, "warm-model-*.npz")))
+        warm_rows, warm_passes, warm_s, _, warm_quarantined, warm_no_fit = (
+            run_process(warm_dir, config)
+        )
         tampered_entries = tamper(warm_dir)
-        tam_rows, tam_passes, tam_s, _, tam_quarantined = run_process(
+        tam_rows, tam_passes, tam_s, _, tam_quarantined, tam_no_fit = run_process(
             warm_dir, config
         )
 
@@ -157,17 +173,22 @@ def main(argv: list[str] | None = None) -> int:
         f"n0={args.initial}, k={args.k}, {entries} warm entries "
         f"({cold_writes} writes)"
     )
-    header = f"{'generation':<20}{'passes':>8}{'seconds':>9}{'identical':>11}{'quarantined':>13}"
+    header = (
+        f"{'generation':<20}{'passes':>8}{'seconds':>9}{'identical':>11}"
+        f"{'quarantined':>13}{'m_n fit':>9}"
+    )
     print(header)
     print("-" * len(header))
-    for label, passes, seconds, identical, quarantined in (
-        ("cold (empty dir)", cold_passes, cold_s, True, 0),
-        ("warm restart", warm_passes, warm_s, warm_identical, warm_quarantined),
-        ("tampered restart", tam_passes, tam_s, tampered_identical, tam_quarantined),
+    for label, passes, seconds, identical, quarantined, no_fit in (
+        ("cold (empty dir)", cold_passes, cold_s, True, 0, cold_no_fit),
+        ("warm restart", warm_passes, warm_s, warm_identical, warm_quarantined,
+         warm_no_fit),
+        ("tampered restart", tam_passes, tam_s, tampered_identical, tam_quarantined,
+         tam_no_fit),
     ):
         print(
             f"{label:<20}{passes:>8}{seconds:>9.2f}"
-            f"{str(identical):>11}{quarantined:>13}"
+            f"{str(identical):>11}{quarantined:>13}{str(not no_fit):>9}"
         )
     speedup = cold_s / warm_s if warm_s > 0 else float("inf")
     print(
@@ -180,25 +201,33 @@ def main(argv: list[str] | None = None) -> int:
         failures = []
         if cold_passes <= 0:
             failures.append("cold generation streamed no passes (workload trivial?)")
-        if cold_writes < 2 or entries < 2:
+        if cold_writes < 3 or entries < 3 or model_entries < 1:
             failures.append(
-                f"cold generation published {entries} entries "
-                f"({cold_writes} writes); expected the diff + size artifacts"
+                f"cold generation published {entries} entries, {model_entries} "
+                f"of them models ({cold_writes} writes); expected the diff, "
+                "size and model artifacts"
             )
         if warm_passes != 0:
             failures.append(
                 f"warm restart streamed {warm_passes} passes (expected zero)"
             )
+        if not warm_no_fit:
+            failures.append("warm restart fitted an m_n (expected model_cache_hit)")
         if not warm_identical:
             failures.append("warm restart results differ from the cold run")
         if warm_quarantined:
             failures.append(
                 f"warm restart quarantined {warm_quarantined} healthy entries"
             )
-        if tam_quarantined < 1:
-            failures.append("tampered entries were not quarantined")
+        if tam_quarantined != tampered_entries:
+            failures.append(
+                f"tampered restart quarantined {tam_quarantined} of "
+                f"{tampered_entries} corrupt entries"
+            )
         if tam_passes <= 0:
             failures.append("tampered restart recomputed nothing")
+        if tam_no_fit:
+            failures.append("tampered restart served a corrupt model without a refit")
         if not tampered_identical:
             failures.append("tampered restart surfaced a wrong answer")
         if failures:
@@ -207,8 +236,8 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         print(
             f"OK: restart served {len(contracts)} contracts with zero streamed "
-            f"passes, bitwise identical; {tam_quarantined} corrupt entries "
-            "quarantined and recomputed correctly"
+            f"passes and no m_n fit, bitwise identical; {tam_quarantined} "
+            "corrupt entries quarantined and recomputed correctly"
         )
     return 0
 

@@ -6,8 +6,9 @@ those die with the process.  This example wires a
 restart: the second "process generation" is a brand-new session (fresh
 in-memory caches, fresh RNG stream) pointed at the same warm directory,
 and it answers the same contract stream with **zero streamed holdout
-passes** — every expensive artifact (sorted difference vectors, the size
-search) is loaded from digest-verified ``.npz`` entries instead of
+passes** and no model fit beyond its initial model — every expensive
+artifact (sorted difference vectors, the size search, the trained model
+m_n) is loaded from digest-verified ``.npz`` entries instead of
 recomputed.  A final section flips one byte in an entry to show the tamper
 story: the corrupt entry is quarantined and transparently recomputed, so
 corruption costs passes, never answers.
@@ -73,6 +74,7 @@ def serve_generation(label: str, warm_dir: str, splits) -> list[tuple]:
     stats = session.warm_cache.stats()
     print(
         f"{label}: {streaming_pass_count() - passes_before} streamed passes, "
+        f"{session.cache_stats()['model'].misses} m_n fits, "
         f"{time.perf_counter() - start:.2f}s  "
         f"(warm hits={stats.hits} writes={stats.writes} "
         f"quarantined={stats.quarantined})\n"

@@ -25,6 +25,7 @@ same values without hidden magic numbers.
 
 from __future__ import annotations
 
+import math
 import os
 
 from repro.exceptions import ContractError
@@ -52,9 +53,10 @@ def _env_int(name: str, default: int, minimum: int = 0) -> int:
 def _env_float(name: str, default: float, minimum: float = 0.0) -> float:
     """Float default overridable via an environment variable.
 
-    Same philosophy as :func:`_env_int`: invalid values — non-numbers or
-    anything below ``minimum`` — fall back to the built-in default rather
-    than failing import.
+    Same philosophy as :func:`_env_int`: invalid values — non-numbers,
+    ``nan`` and ``±inf``, or anything below ``minimum`` — fall back to the
+    built-in default rather than failing import.  (A non-finite period or
+    window would reach ``Condition.wait`` and kill the thread waiting on it.)
     """
     raw = os.environ.get(name)
     if raw is None:
@@ -63,7 +65,7 @@ def _env_float(name: str, default: float, minimum: float = 0.0) -> float:
         value = float(raw)
     except ValueError:
         return default
-    if value < minimum:
+    if not math.isfinite(value) or value < minimum:
         return default
     return value
 

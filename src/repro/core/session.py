@@ -14,6 +14,8 @@ contracts from them:
   with ``assume_sorted=True``) — **zero new model evaluations, zero GEMMs**;
 * models trained for one contract are cached by sample size and reused by
   any later contract that lands on the same n;
+* with a warm tier (:mod:`repro.data.store.warm_cache`) all three caches
+  persist beneath the process, so a restarted session fits only m_0;
 * all holdout evaluations stream through the sharded diff engine
   (:mod:`repro.evaluation.streaming`), so memory stays O(k · block).
 
@@ -42,9 +44,9 @@ import hashlib
 import os
 import threading
 import time
-from collections.abc import Hashable, Sequence
+from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass
-from typing import Literal, cast
+from typing import Any, Literal, cast
 
 import numpy as np
 
@@ -77,10 +79,12 @@ from repro.data.sampling import UniformSampler
 from repro.data.store import ShardedDataset
 from repro.data.store.warm_cache import (
     DIFF_KIND,
+    MODEL_KIND,
     SIZE_KIND,
     WarmCacheTier,
     array_digest,
     diff_entry_key,
+    model_entry_key,
     resolve_warm_cache,
     size_entry_key,
 )
@@ -89,6 +93,7 @@ from repro.exceptions import BlinkMLError, DataError, SampleSizeError
 from repro.linalg.utils import freeze
 from repro.models.base import ModelClassSpec, TrainedModel
 from repro.obs import get_metrics, get_tracer, pass_scope
+from repro.optim.result import OptimizationResult
 
 # Serving-latency histograms (repro.obs), labelled by the session's
 # model-spec class so fleets mixing model families stay distinguishable in
@@ -255,16 +260,18 @@ class EstimationSession:
     warm_cache:
         Optional cross-process warm tier
         (:class:`~repro.data.store.warm_cache.WarmCacheTier`) persisted
-        beneath the diff and size caches: an in-memory miss probes the
-        tier's digest-keyed ``.npz`` artifacts before computing, and fresh
-        computes are written behind, so a restarted process answers repeat
-        contracts with zero streamed passes.  Accepts a tier instance, a
-        directory path (shared per-path within the process), ``None`` to
-        consult ``REPRO_WARM_CACHE_DIR`` (disabled when unset), or
-        ``False`` to force the cold path regardless of environment.  Entry keys fold in
-        the spec / holdout / θ digests *and* a digest of the sampler's base
-        draws, so equal keys imply bitwise-identical Monte-Carlo inputs —
-        a warm hit returns exactly the bytes a cold compute would produce.
+        beneath the diff, size and model caches: an in-memory miss probes
+        the tier's digest-keyed ``.npz`` artifacts before computing, and
+        fresh computes are written behind, so a restarted process answers
+        repeat contracts with zero streamed passes and fits only m_0.
+        Accepts a tier instance, a directory path (shared per-path within
+        the process), ``None`` to consult ``REPRO_WARM_CACHE_DIR``
+        (disabled when unset), or ``False`` to force the cold path
+        regardless of environment.  Diff and size keys fold in the spec /
+        holdout / θ digests *and* a digest of the sampler's base draws;
+        model keys the spec / train / θ₀ digests, a digest of the nested
+        sampler's permutation and n.  Equal keys imply bitwise-identical
+        inputs, so a warm hit returns exactly what a cold compute would.
     """
 
     def __init__(
@@ -349,29 +356,44 @@ class EstimationSession:
         # never in the model cache — so eviction can never lose it
         # (_train_cached short-circuits n == n0 before consulting the cache).
         self._initial_model = initial_model
-        # Warm tier beneath the diff and size caches: digest-keyed on-disk
-        # artifacts shared across restarts and co-located processes.  Keys
-        # fold in a digest of the sampler's base draws — building a key
-        # *draws* those frozen blocks, which keeps RNG consumption identical
-        # between a warm hit and the cold compute it replaces.
-        self._warm_cache = resolve_warm_cache(warm_cache)
+        # Warm tier beneath all three caches: digest-keyed on-disk artifacts
+        # shared across restarts and co-located processes.  Keys fold in a
+        # digest of the sampler's base draws or of the nested sampler's
+        # permutation — building a key *draws* those frozen blocks, which
+        # keeps RNG consumption identical between a warm hit and the cold
+        # compute it replaces.
+        self._warm_cache = tier = resolve_warm_cache(warm_cache)
         self._spec_digest = spec_digest(spec)
+
+        def generation() -> int:
+            return self._generation
+
         self._diff_cache = LRUCache(  # repro-lint: frozen-cache
             "diff",
             max_entries=diff_cache_entries,
             max_bytes=diff_cache_bytes,
             sizeof=lambda vector: int(vector.nbytes),
-            warm_tier=None if self._warm_cache is None else _DiffWarmAdapter(self),
+            warm_tier=None if tier is None else _WarmAdapter(
+                tier, DIFF_KIND, self._warm_diff_key, lambda vector: {"differences": vector},
+                self._differences_from_payload, generation,
+            ),
         )
         self._model_cache = LRUCache(
             "model",
             max_entries=model_cache_entries,
             sizeof=lambda model: int(model.theta.nbytes),
+            warm_tier=None if tier is None else _WarmAdapter(
+                tier, MODEL_KIND, self._warm_model_key, _model_payload,
+                self._model_from_payload, generation,
+            ),
         )
         self._size_cache = LRUCache(
             "size",
             max_entries=size_cache_entries,
-            warm_tier=None if self._warm_cache is None else _SizeWarmAdapter(self),
+            warm_tier=None if tier is None else _WarmAdapter(
+                tier, SIZE_KIND, self._warm_size_key, _size_estimate_payload,
+                _size_estimate_from_payload, generation,
+            ),
         )
         # Shared read-only zeros vector for the degenerate n >= N estimate:
         # the full model differs from itself by exactly zero, so there is
@@ -403,6 +425,11 @@ class EstimationSession:
         # this lock (reads are lock-free: each is an atomic reference swap
         # and every serving path tolerates either the old or new snapshot).
         self._refresh_lock = threading.Lock()
+        # Bumped as each refresh begins, before any state moves: a warm
+        # entry is published only if no refresh began since its key was
+        # built, so a compute that straddles a refresh never lands under a
+        # key built from the other side of it.
+        self._generation = 0  # guarded-by: _refresh_lock
 
     def _compute_scope_statistics(
         self, theta: np.ndarray, initial_data: Dataset | None
@@ -557,6 +584,72 @@ class EstimationSession:
             delta=delta,
         )
 
+    def _warm_model_key(self, key: Hashable) -> str:
+        """Warm-tier key for a model-cache key ``n``: every input of its fit.
+
+        Reading the permutation digest builds the nested sampler's
+        permutation when no sample has yet (after a refresh), on the probe
+        path like the draws digest, so a hit and a refit consume the
+        generator alike.
+        """
+        return model_entry_key(
+            spec_digest=self._spec_digest,
+            train_digest=self.train_data.content_digest(),
+            permutation_digest=self._data_sampler.permutation_digest(),
+            theta0_digest=self._theta_digest(self._initial_model.theta).hex(),
+            n=cast(int, key),
+        )
+
+    def _differences_from_payload(
+        self, payload: dict[str, np.ndarray]
+    ) -> np.ndarray | None:
+        """A warm diff entry's vector; ``None`` unless float64 of length k."""
+        vector = payload.get("differences")
+        if (
+            vector is None
+            or vector.dtype != np.float64
+            or vector.shape != (self._n_parameter_samples,)
+        ):
+            return None
+        return vector
+
+    def _model_from_payload(
+        self, payload: dict[str, np.ndarray]
+    ) -> TrainedModel | None:
+        """Rebuild m_n from a warm entry; ``None`` when malformed (it refits).
+
+        θ must be float64 with the session's parameter dimension; the
+        optimizer record comes back field by field, so a hit equals the
+        refit it replaces.
+        """
+        try:
+            theta = payload["theta"]
+            history = payload["loss_history"]
+            if (
+                theta.dtype != np.float64
+                or theta.shape != self._initial_model.theta.shape
+                or history.dtype != np.float64
+                or history.ndim != 1
+            ):
+                return None
+            optimization = OptimizationResult(
+                theta=theta,
+                converged=bool(_payload_scalar(payload, "converged")),
+                n_iterations=int(_payload_scalar(payload, "n_iterations")),
+                final_value=float(_payload_scalar(payload, "final_value")),
+                gradient_norm=float(_payload_scalar(payload, "gradient_norm")),
+                n_function_evaluations=int(
+                    _payload_scalar(payload, "n_function_evaluations")
+                ),
+                loss_history=history.tolist(),
+            )
+            n_train = int(_payload_scalar(payload, "n_train"))
+        except (KeyError, TypeError, ValueError):
+            return None
+        return TrainedModel(
+            spec=self.spec, theta=theta, n_train=n_train, optimization=optimization
+        )
+
     # ------------------------------------------------------------------
     # Cached difference vectors and contract answers
     # ------------------------------------------------------------------
@@ -689,6 +782,7 @@ class EstimationSession:
         unchanged.  Serialized: concurrent refreshes run one at a time.
         """
         with self._refresh_lock:
+            self._generation += 1
             train_rows_before = self._N
             holdout_rows_before = self.holdout.n_rows
 
@@ -748,8 +842,8 @@ class EstimationSession:
     # ------------------------------------------------------------------
     # Full workflow per contract
     # ------------------------------------------------------------------
-    def _train_cached(self, n: int, theta0: np.ndarray | None) -> tuple[TrainedModel, float, bool]:
-        """Train (or reuse) the model for sample size n; returns seconds + hit flag.
+    def _train_cached(self, n: int) -> tuple[TrainedModel, float, bool]:
+        """Train (or reuse) m_n, warm-started from m_0; returns seconds + hit flag.
 
         Single-flight: two contracts landing concurrently on the same n
         train one model between them.  n0 is pinned to the initial model so
@@ -763,7 +857,7 @@ class EstimationSession:
         def train() -> TrainedModel:
             start = time.perf_counter()
             data = self._data_sampler.nested_sample(n)
-            model = self.spec.fit(data, theta0=theta0)
+            model = self.spec.fit(data, theta0=self._initial_model.theta)
             elapsed_holder.append(time.perf_counter() - start)
             return model
 
@@ -851,10 +945,9 @@ class EstimationSession:
         final_n = size_estimate.sample_size
 
         # Step 4: train m_n on a size-n sample (superset of D0), warm-started
-        # from m_0, unless an earlier contract already landed on the same n.
-        final_model, training_seconds, model_cache_hit = self._train_cached(
-            final_n, theta0=self.initial_model.theta
-        )
+        # from m_0, unless an earlier contract (or, through the warm tier,
+        # an earlier process) already landed on the same n.
+        final_model, training_seconds, model_cache_hit = self._train_cached(final_n)
         timings.final_training_seconds = training_seconds
 
         # Accuracy estimate of the final model (statistics recomputed at θ_n
@@ -1078,6 +1171,18 @@ class EstimationSession:
         return outcome
 
 
+def _payload_scalar(payload: dict[str, np.ndarray], name: str) -> Any:
+    """One scalar member of a warm payload (``ValueError`` when misshapen).
+
+    The serializer promotes 0-d arrays to contiguous 1-d, so each scalar
+    comes back as a single-element array and is read through ``ravel``.
+    """
+    values = np.ravel(payload[name])
+    if values.shape != (1,):
+        raise ValueError(f"warm payload field {name!r} is not scalar")
+    return values[0]
+
+
 def _size_estimate_payload(estimate: SampleSizeEstimate) -> dict[str, np.ndarray]:
     """Deterministic array payload for a size-search outcome.
 
@@ -1102,98 +1207,100 @@ def _size_estimate_from_payload(
 ) -> SampleSizeEstimate | None:
     """Rebuild a size estimate from a warm entry; ``None`` when malformed.
 
-    Scalars are stored as single-element arrays (the serializer promotes
-    0-d arrays to contiguous 1-d), so each is read back through ``ravel``;
-    any missing or misshapen member degrades to ``None`` — the caller then
+    Any missing or misshapen member degrades to ``None`` — the caller then
     treats the entry as a miss and simply reruns the search.
     """
-
-    def scalar(name: str) -> np.ndarray:
-        values = np.ravel(payload[name])
-        if values.shape != (1,):
-            raise ValueError(f"warm size entry field {name!r} is not scalar")
-        return values[0]
-
     try:
         return SampleSizeEstimate(
-            sample_size=int(scalar("sample_size")),
-            feasible=bool(scalar("feasible")),
-            n_probability_evaluations=int(scalar("n_probability_evaluations")),
+            sample_size=int(_payload_scalar(payload, "sample_size")),
+            feasible=bool(_payload_scalar(payload, "feasible")),
+            n_probability_evaluations=int(
+                _payload_scalar(payload, "n_probability_evaluations")
+            ),
             probed_sizes=tuple(
                 int(size) for size in np.ravel(payload["probed_sizes"])
             ),
-            estimation_seconds=float(scalar("estimation_seconds")),
+            estimation_seconds=float(_payload_scalar(payload, "estimation_seconds")),
         )
     except (KeyError, TypeError, ValueError):
         return None
 
 
-class _DiffWarmAdapter:
-    """Second-tier hook mapping diff-cache keys onto warm-tier entries.
+def _model_payload(model: TrainedModel) -> dict[str, np.ndarray] | None:
+    """Deterministic array payload for m_n: θ, n and the optimizer record.
 
-    Installed as the diff cache's ``warm_tier``: an in-memory miss probes
-    the persistent tier before streaming the k model diffs, and a fresh
-    compute is written behind.  Payload validation (dtype, length) means a
-    foreign or truncated entry degrades to a recompute, never a wrong
-    answer.  Loaded vectors are frozen, honouring the diff cache's
-    read-only invariant.
+    ``None`` keeps the model process-local: without an optimizer record a
+    hit could not equal the refit field by field.
+    """
+    result = model.optimization
+    if result is None:
+        return None
+    return {
+        "theta": np.asarray(model.theta, dtype=np.float64),
+        "n_train": np.array(model.n_train, dtype=np.int64),
+        "converged": np.array(result.converged, dtype=np.bool_),
+        "n_iterations": np.array(result.n_iterations, dtype=np.int64),
+        "final_value": np.array(result.final_value, dtype=np.float64),
+        "gradient_norm": np.array(result.gradient_norm, dtype=np.float64),
+        "n_function_evaluations": np.array(
+            result.n_function_evaluations, dtype=np.int64
+        ),
+        "loss_history": np.asarray(result.loss_history, dtype=np.float64),
+    }
+
+
+class _WarmAdapter:
+    """Second-tier hook mapping one session cache's keys onto warm entries.
+
+    Installed as an LRU cache's ``warm_tier``: an in-memory miss probes the
+    persistent tier before computing, and a fresh compute is written
+    behind.  ``entry_key`` maps a cache key to the entry's key string,
+    ``encode`` turns a value into its array payload (``None`` keeps it
+    process-local) and ``decode`` rebuilds it, returning ``None`` for a
+    malformed payload — a foreign or truncated entry degrades to a
+    recompute, never a wrong answer.  Loaded arrays arrive frozen, honouring
+    the session caches' read-only invariant.
+
+    The entry key is built once per miss, in :meth:`load`, and reused by
+    :meth:`store`; the cache calls both, and the compute between them, on
+    the computing thread, so a thread-local slot carries it.  ``store``
+    publishes only while ``generation()`` still reads what it read at the
+    probe: a value computed across a session refresh is kept in memory but
+    never published under a key built from either side of it.
     """
 
-    __slots__ = ("_session",)
+    __slots__ = (
+        "_tier", "_kind", "_entry_key", "_encode", "_decode", "_generation", "_probe"
+    )
 
-    def __init__(self, session: EstimationSession) -> None:
-        self._session = session
+    def __init__(
+        self,
+        tier: WarmCacheTier,
+        kind: str,
+        entry_key: Callable[[Hashable], str],
+        encode: Callable[[Any], dict[str, np.ndarray] | None],
+        decode: Callable[[dict[str, np.ndarray]], Any | None],
+        generation: Callable[[], int],
+    ) -> None:
+        self._tier = tier
+        self._kind = kind
+        self._entry_key = entry_key
+        self._encode = encode
+        self._decode = decode
+        self._generation = generation
+        self._probe = threading.local()
 
-    def load(self, key: Hashable) -> np.ndarray | None:
-        session = self._session
-        tier = session.warm_cache
-        if tier is None:  # pragma: no cover - adapter only installed with a tier
-            return None
-        payload = tier.get(DIFF_KIND, session._warm_diff_key(key))
-        if payload is None:
-            return None
-        vector = payload.get("differences")
-        if (
-            vector is None
-            or vector.dtype != np.float64
-            or vector.shape != (session._n_parameter_samples,)
-        ):
-            return None
-        return vector
+    def load(self, key: Hashable) -> Any | None:
+        generation = self._generation()
+        entry_key = self._entry_key(key)
+        self._probe.last = (key, generation, entry_key)
+        payload = self._tier.get(self._kind, entry_key)
+        return None if payload is None else self._decode(payload)
 
-    def store(self, key: Hashable, value: np.ndarray) -> None:
-        session = self._session
-        tier = session.warm_cache
-        if tier is not None:
-            tier.put(DIFF_KIND, session._warm_diff_key(key), {"differences": value})
-
-
-class _SizeWarmAdapter:
-    """Second-tier hook mapping size-cache keys onto warm-tier entries.
-
-    Same contract as :class:`_DiffWarmAdapter` for (ε, δ) search outcomes:
-    the dataclass round-trips through a fixed array schema
-    (:func:`_size_estimate_payload`), and a malformed payload degrades to a
-    miss so the search simply reruns.
-    """
-
-    __slots__ = ("_session",)
-
-    def __init__(self, session: EstimationSession) -> None:
-        self._session = session
-
-    def load(self, key: Hashable) -> SampleSizeEstimate | None:
-        session = self._session
-        tier = session.warm_cache
-        if tier is None:  # pragma: no cover - adapter only installed with a tier
-            return None
-        payload = tier.get(SIZE_KIND, session._warm_size_key(key))
-        if payload is None:
-            return None
-        return _size_estimate_from_payload(payload)
-
-    def store(self, key: Hashable, value: SampleSizeEstimate) -> None:
-        session = self._session
-        tier = session.warm_cache
-        if tier is not None:
-            tier.put(SIZE_KIND, session._warm_size_key(key), _size_estimate_payload(value))
+    def store(self, key: Hashable, value: Any) -> None:
+        probed_key, generation, entry_key = self._probe.last
+        if probed_key != key or generation != self._generation():
+            return
+        payload = self._encode(value)
+        if payload is not None:
+            self._tier.put(self._kind, entry_key, payload)

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.data.dataset import Dataset
+from repro.data.dataset import Dataset, content_hasher
 from repro.exceptions import DataError
 from repro.linalg.utils import freeze
 
@@ -65,6 +65,9 @@ class UniformSampler:
         # concurrent callers cannot interleave its bit-stream mid-draw.
         self._permutation: np.ndarray | None = None  # guarded-by: _rng_lock  # repro-lint: frozen-attr
         self._rng_lock = threading.Lock()
+        # Memo for permutation_digest(): the permutation never changes once
+        # built, so racing writers store the same string.
+        self._permutation_digest: str | None = None
 
     @property
     def dataset(self) -> Dataset | ShardedDataset:
@@ -79,6 +82,24 @@ class UniformSampler:
                     permutation = freeze(self._rng.permutation(self._dataset.n_rows))
                     self._permutation = permutation
         return permutation
+
+    def permutation_digest(self) -> str:
+        """Content digest of the nested-sampling permutation, memoised.
+
+        ``nested_sample(n)`` takes the first n rows of this permutation, so
+        for a given dataset the digest and n fix the sample's rows; warm
+        model keys fold it in.  The permutation holds N int64s, so it is
+        hashed once per sampler.  If no nested sample was drawn yet, this
+        builds the permutation, consuming the generator as that first
+        ``nested_sample`` call would have.
+        """
+        digest = self._permutation_digest
+        if digest is None:
+            hasher = content_hasher()
+            hasher.update(self._ensure_permutation())
+            digest = hasher.hexdigest()
+            self._permutation_digest = digest
+        return digest
 
     def sample(self, n: int) -> Dataset:
         """Return an independent size-``n`` uniform sample without replacement."""

@@ -1,13 +1,17 @@
 """Cross-process warm cache tier: digest-keyed persistent artifacts.
 
 The paper's serving economy — a repeat (ε, δ) contract costs a quantile
-lookup, not k model trainings — previously died at the process boundary:
-every restart, and every one of N co-located serving processes, recomputed
-identical sorted-difference vectors and size-search brackets from scratch.
-:class:`WarmCacheTier` is the durable second tier beneath the in-memory
-session caches (:meth:`repro.core.caching.LRUCache.get_or_compute` probes
-it on a miss before computing), the same shape as a persistent KV /
-compilation cache in an inference stack:
+lookup, not k model trainings — would otherwise die at the process
+boundary: every restart, and every one of N co-located serving processes,
+would recompute identical sorted-difference vectors, size-search brackets
+and trained models anew.  :class:`WarmCacheTier` is the durable
+second tier beneath the session's three in-memory caches
+(:meth:`repro.core.caching.LRUCache.get_or_compute` probes it on a miss
+before computing), the same shape as a persistent KV / compilation cache in
+an inference stack.  It holds three entry kinds: sorted-difference vectors
+(:data:`DIFF_KIND`), size-search outcomes (:data:`SIZE_KIND`) and trained
+models m_n with their optimizer record (:data:`MODEL_KIND`), so a
+restarted process fits only m_0.
 
 * **self-describing entries** — each artifact is one ``.npz`` file holding
   the payload arrays plus its kind, its full key string, and an embedded
@@ -27,7 +31,9 @@ compilation cache in an inference stack:
   ``quarantine/`` subdirectory — mirroring the tamper semantics of
   :meth:`repro.data.store.shard_store.ShardStore.verify`, but recovering
   by recomputation instead of raising — and reports a miss, so a
-  corrupted entry can never surface a wrong answer;
+  corrupted entry can never surface a wrong answer; a file that cannot
+  be opened (absent, or behind an unusable directory) is a plain miss,
+  not corruption;
 * **byte-bounded mtime-GC** — after each write the tier deletes
   oldest-first until the directory is back under ``max_bytes`` (and
   removes aged temp files left by crashed writers);
@@ -36,12 +42,17 @@ compilation cache in an inference stack:
   (and counts) writes under pressure rather than blocking.
 
 Keys are built by the pure functions :func:`diff_entry_key` /
-:func:`size_entry_key` from content digests only — model-spec digest,
-holdout content digest, θ-digest, and a digest of the parameter sampler's
-actual base draws (which captures both the H/J statistics and the RNG
-seed).  Draw-digest inclusion is what makes a warm hit *bitwise* equal to
-the cold compute: equal keys imply the Monte-Carlo inputs match exactly,
-and distinct statistics or seeds can never alias.
+:func:`size_entry_key` / :func:`model_entry_key` from content digests
+only.  Diff and size keys fold in the model-spec digest, the holdout
+content digest, a θ-digest, and a digest of the parameter sampler's actual
+base draws (which captures both the H/J statistics and the RNG seed).
+Draw-digest inclusion is what makes a warm hit *bitwise* equal to the cold
+compute: equal keys imply the Monte-Carlo inputs match exactly, and
+distinct statistics or seeds can never alias.  A model key pins every
+input of ``spec.fit(nested_sample(n), theta0=θ₀)``: the spec digest, the
+train content digest, a digest of the nested sampler's row permutation
+(which captures the RNG seed and N), the θ₀ digest and n; the optimizer
+settings are fixed constants (``repro.config``), so they need no field.
 """
 
 from __future__ import annotations
@@ -66,6 +77,7 @@ from repro.linalg.utils import freeze
 #: entry kinds the session layer persists.
 DIFF_KIND = "diff"
 SIZE_KIND = "size"
+MODEL_KIND = "model"
 
 _ENTRY_PREFIX = "warm-"
 _ENTRY_SUFFIX = ".npz"
@@ -151,6 +163,26 @@ def size_entry_key(
         f"|draws={draws_digest}|theta={theta_digest}|n0={int(n0)}|N={int(N)}"
         f"|k={int(k)}|probe={int(probe_batch)}"
         f"|eps={_float_hex(epsilon)}|delta={_float_hex(delta)}"
+    )
+
+
+def model_entry_key(
+    *,
+    spec_digest: str,
+    train_digest: str,
+    permutation_digest: str,
+    theta0_digest: str,
+    n: int,
+) -> str:
+    """The warm key of one trained model m_n.
+
+    Pins every input of the fit: ``permutation_digest`` hashes the nested
+    sampler's row permutation, so with the train digest it fixes the rows
+    of the size-n sample, and ``theta0_digest`` the warm start.
+    """
+    return (
+        f"{MODEL_KIND}|spec={spec_digest}|train={train_digest}"
+        f"|perm={permutation_digest}|theta0={theta0_digest}|n={int(n)}"
     )
 
 
@@ -270,20 +302,24 @@ class WarmCacheTier:
         """Load, verify and return the payload for ``key`` (``None`` = miss).
 
         Every returned array is frozen read-only (the caller typically
-        publishes it straight into a shared in-memory cache).  Any failure
-        mode — missing file, unparseable archive, kind/key mismatch (a
-        digest collision or a tampered entry), payload digest mismatch
-        (bit rot) — quarantines the file where applicable and reports a
-        miss, so corruption costs a recompute, never a wrong answer.
+        publishes it straight into a shared in-memory cache).  A file that
+        cannot be opened — absent, or behind an unusable directory — is a
+        plain miss.  A file that opens but fails to parse or verify —
+        unparseable archive, kind/key mismatch (a digest collision or a
+        tampered entry), payload digest mismatch (bit rot) — is
+        quarantined and reported as a miss, so corruption costs a
+        recompute, never a wrong answer.
         """
         path = os.path.join(self.directory, entry_filename(kind, key))
         try:
-            with np.load(path, allow_pickle=False) as archive:
-                members = {name: archive[name] for name in archive.files}
-        except FileNotFoundError:
+            handle = open(path, "rb")
+        except OSError:
             with self._lock:
                 self._misses += 1
             return None
+        try:
+            with handle, np.load(handle, allow_pickle=False) as archive:
+                members = {name: archive[name] for name in archive.files}
         except Exception:
             # Unparseable bytes where a verified entry should be: a torn
             # copy (impossible via our atomic rename, but the directory is

@@ -14,6 +14,10 @@ The probe reaches every fixed default: it relies on the default k, δ, split
 fractions, block and shard sizes, probe batch and optimiser settings, one
 session keeps the default n₀ and runs InverseGradients, and the service's
 LR key has d ≥ 100, so its fits take L-BFGS.
+
+A knob's invalid values fall back to its built-in default; for the float
+knobs that includes ``nan`` and ``±inf``, checked in a fresh interpreter
+per value.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -150,7 +156,19 @@ def env_knobs() -> set[str]:
     }
 
 
-def run_probe(overrides: dict[str, str]) -> str:
+def float_knob_defaults() -> dict[str, float]:
+    """Each ``_env_float`` knob's built-in default, read from the source."""
+    tree = ast.parse(CONFIG_PATH.read_text(encoding="utf-8"))
+    return {
+        node.args[0].value: ast.literal_eval(node.args[1])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "_env_float"
+    }
+
+
+def run_probe(overrides: dict[str, str], probe: str = PROBE) -> str:
     env = {
         name: value
         for name, value in os.environ.items()
@@ -162,7 +180,7 @@ def run_probe(overrides: dict[str, str]) -> str:
         [source_root, *filter(None, [os.environ.get("PYTHONPATH")])]
     )
     completed = subprocess.run(
-        [sys.executable, "-c", PROBE],
+        [sys.executable, "-c", probe],
         env=env,
         capture_output=True,
         text=True,
@@ -188,3 +206,22 @@ def test_no_environment_variable_changes_an_answer(tmp_path):
         }
     )
     assert tuned == clean
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_non_finite_float_knobs_fall_back_to_their_defaults(raw):
+    """A non-finite window or period would reach ``Condition.wait`` and
+    kill the thread waiting on it, so it reads as the built-in default."""
+    defaults = float_knob_defaults()
+    assert set(defaults) == {
+        "DEFAULT_COALESCE_WINDOW_MS",
+        "DEFAULT_SERVICE_HOUSEKEEPING_SECONDS",
+        "DEFAULT_SERVICE_IDLE_EVICT_SECONDS",
+    }
+    names = sorted(defaults)
+    probe = (
+        "from repro import config\n"
+        f"print(repr([float(getattr(config, name)).hex() for name in {names!r}]))\n"
+    )
+    loaded = run_probe(dict.fromkeys(names, raw), probe)
+    assert ast.literal_eval(loaded) == [float(defaults[name]).hex() for name in names]

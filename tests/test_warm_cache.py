@@ -4,8 +4,9 @@ Covers the tier itself (atomic publication, digest verification +
 quarantine, crash and tamper recovery, byte-bounded GC, deterministic
 serialisation), the key builders (distinctness and stability properties),
 the session/registry wiring (a fresh process answers repeat contracts with
-zero streamed passes, bitwise identical to a cold run), and multi-process
-contention against one shared warm directory.
+zero streamed passes and no m_n refit, bitwise identical to a cold run),
+an unusable warm directory, and multi-process contention against one
+shared warm directory.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from __future__ import annotations
 import glob
 import multiprocessing
 import os
+import threading
 import time
+import zipfile
 
 import numpy as np
 import pytest
@@ -27,12 +30,14 @@ from repro import (
     WarmCacheTier,
 )
 from repro.data import ShardStore, train_holdout_test_split
+from repro.data.sampling import UniformSampler
 from repro.data.splits import SplitSpec
 from repro.data.synthetic import higgs_like
 from repro.data.store.warm_cache import (
     DIFF_KIND,
     diff_entry_key,
     entry_filename,
+    model_entry_key,
     payload_digest,
     resolve_warm_cache,
     serialize_entry,
@@ -99,12 +104,66 @@ def _serve_worker(warm_dir: str, contracts, out_queue) -> None:
 
 def _key_worker(out_queue) -> None:
     """Spawn target: report the warm keys a fresh interpreter builds."""
-    session = _session(False)
-    diff_key = session._warm_diff_key(
-        (session._theta_digest(session.initial_model.theta), 1_000, session.full_size)
+    out_queue.put(_session_keys(_session(False)))
+
+
+def _session_keys(session: EstimationSession) -> tuple[str, str, str]:
+    """The diff, size and model keys of one fixed probe."""
+    return (
+        session._warm_diff_key(
+            (session._theta_digest(session.initial_model.theta), 1_000, session.full_size)
+        ),
+        session._warm_size_key(_CONTRACT),
+        session._warm_model_key(1_000),
     )
-    size_key = session._warm_size_key(_CONTRACT)
-    out_queue.put((diff_key, size_key))
+
+
+def _optimization_row(model) -> tuple:
+    """θ bytes, n and every OptimizationResult field of a trained model."""
+    result = model.optimization
+    return (
+        model.theta.tobytes(),
+        model.n_train,
+        result.theta.tobytes(),
+        result.converged,
+        result.n_iterations,
+        result.final_value,
+        result.gradient_norm,
+        result.n_function_evaluations,
+        list(result.loss_history),
+    )
+
+
+def _flip_member_byte(path: str, member: str) -> None:
+    """Flip the middle byte of one archive member's stored bytes.
+
+    Aimed at the payload, not at a byte offset in the file: an offset can
+    land in a zip local-header field that no reader checks.
+    """
+    with zipfile.ZipFile(path) as archive:
+        stored = archive.read(member)
+    with open(path, "rb") as handle:
+        blob = bytearray(handle.read())
+    start = blob.find(stored)
+    assert start >= 0
+    blob[start + len(stored) // 2] ^= 0xFF
+    with open(path, "wb") as handle:
+        handle.write(bytes(blob))
+
+
+@pytest.fixture
+def fit_calls(monkeypatch):
+    """Counts ``LogisticRegressionSpec.fit`` calls (patched on the class, so
+    the spec digest — which hashes instance attributes — is unchanged)."""
+    calls: list[int] = []
+    original = LogisticRegressionSpec.fit
+
+    def spy(self, dataset, *args, **kwargs):
+        calls.append(dataset.n_rows)
+        return original(self, dataset, *args, **kwargs)
+
+    monkeypatch.setattr(LogisticRegressionSpec, "fit", spy)
+    return calls
 
 
 def _payload(seed: int = 0) -> dict[str, np.ndarray]:
@@ -246,6 +305,19 @@ class TestWarmCacheTier:
         assert tier.get(DIFF_KIND, "k0") is None
         assert tier.get(DIFF_KIND, "k4") is not None
 
+    def test_unopenable_directory_is_a_miss_not_corruption(self, tmp_path):
+        """A warm directory below a regular file cannot even be opened:
+        reads miss without quarantining, writes are dropped and counted."""
+        blocker = tmp_path / "blocker"
+        blocker.write_bytes(b"not a directory")
+        tier = WarmCacheTier(blocker / "warm")
+        assert tier.get(DIFF_KIND, "k1") is None
+        tier.put(DIFF_KIND, "k1", _payload())
+        tier.flush()
+        stats = tier.stats()
+        assert (stats.hits, stats.misses, stats.quarantined) == (0, 1, 0)
+        assert (stats.writes, stats.dropped_writes, stats.entries) == (0, 1, 0)
+
     def test_resolve_semantics(self, tmp_path, monkeypatch):
         tier = WarmCacheTier(tmp_path / "t")
         assert resolve_warm_cache(tier) is tier
@@ -309,6 +381,37 @@ class TestKeyProperties:
             **{**diff_base, "n": 1_001}
         )
 
+        # A model key pins every input of spec.fit(nested_sample(n), θ₀).
+        model_base = dict(
+            spec_digest="s" * 32,
+            train_digest="r" * 32,
+            permutation_digest="p" * 32,
+            theta0_digest="t" * 32,
+            n=1_000,
+        )
+        model_keys = {model_entry_key(**model_base)}
+        for field, value in {
+            "spec_digest": "q" * 32,
+            "train_digest": "g" * 32,
+            "permutation_digest": "o" * 32,
+            "theta0_digest": "u" * 32,
+            "n": 1_001,
+        }.items():
+            model_keys.add(model_entry_key(**{**model_base, field: value}))
+        assert len(model_keys) == 6
+
+    def test_permutation_digest_follows_the_seed(self):
+        train = _splits().train
+
+        def sampler(seed: int) -> UniformSampler:
+            return UniformSampler(train, rng=np.random.default_rng(seed))
+
+        digest = sampler(0).permutation_digest()
+        assert digest == sampler(0).permutation_digest()
+        assert digest != sampler(1).permutation_digest()
+        memoised = sampler(0)
+        assert memoised.permutation_digest() is memoised.permutation_digest()
+
     def test_keys_stable_across_kwarg_ordering(self):
         forward = dict(
             spec_digest="s",
@@ -321,6 +424,15 @@ class TestKeyProperties:
         )
         reordered = dict(reversed(list(forward.items())))
         assert diff_entry_key(**forward) == diff_entry_key(**reordered)
+        model = dict(
+            spec_digest="s",
+            train_digest="r",
+            permutation_digest="p",
+            theta0_digest="t",
+            n=10,
+        )
+        reordered = dict(reversed(list(model.items())))
+        assert model_entry_key(**model) == model_entry_key(**reordered)
 
     def test_float_keys_are_bit_exact(self):
         base = dict(
@@ -367,15 +479,10 @@ class TestKeyProperties:
         queue = ctx.Queue()
         worker = ctx.Process(target=_key_worker, args=(queue,))
         worker.start()
-        child_diff, child_size = queue.get(timeout=120)
+        child_keys = queue.get(timeout=120)
         worker.join(timeout=120)
         assert worker.exitcode == 0
-        session = _session(False)
-        diff_key = session._warm_diff_key(
-            (session._theta_digest(session.initial_model.theta), 1_000, session.full_size)
-        )
-        assert diff_key == child_diff
-        assert session._warm_size_key(_CONTRACT) == child_size
+        assert _session_keys(_session(False)) == child_keys
 
 
 # ----------------------------------------------------------------------
@@ -433,6 +540,135 @@ class TestSessionWarmServing:
         assert streaming_pass_count() - before > 0  # recomputed, not served
         assert _result_row(tampered_result) == _result_row(cold_result)
         assert tampered.warm_cache.stats().quarantined >= 1
+
+    def test_restart_fits_only_the_initial_model(self, tmp_path, fit_calls):
+        contracts = [ApproximationContract(*pair) for pair in (_CONTRACT, *_EXTRA_CONTRACTS)]
+        splits = _splits()
+        cold = _session(str(tmp_path), splits)
+        cold_results = [cold.train_to(contract) for contract in contracts]
+        trained = [r for r in cold_results if not r.used_initial_model]
+        assert trained, "the workload must train at least one m_n"
+        assert len(fit_calls) == 1 + len({r.sample_size for r in trained})
+        cold.warm_cache.flush()
+        assert glob.glob(str(tmp_path / "warm-model-*.npz"))
+
+        del fit_calls[:]
+        warm = _session(str(tmp_path), splits)
+        warm_results = [warm.train_to(contract) for contract in contracts]
+        assert fit_calls == [warm.initial_sample_size]  # m_0 only
+        for cold_result, warm_result in zip(cold_results, warm_results):
+            assert _result_row(warm_result) == _result_row(cold_result)
+            assert _optimization_row(warm_result.model) == _optimization_row(
+                cold_result.model
+            )
+            if not warm_result.used_initial_model:
+                assert warm_result.metadata["model_cache_hit"] is True
+                assert warm_result.model.spec is warm.spec
+        assert warm.cache_stats()["model"].misses == 0
+
+    def test_corrupt_model_entry_refits_to_same_bytes(self, tmp_path, fit_calls):
+        contract = ApproximationContract(*_CONTRACT)
+        splits = _splits()
+        cold = _session(str(tmp_path), splits)
+        cold_result = cold.train_to(contract)
+        cold.warm_cache.flush()
+        (model_entry,) = glob.glob(str(tmp_path / "warm-model-*.npz"))
+        _flip_member_byte(model_entry, "theta.npy")
+
+        del fit_calls[:]
+        tampered = _session(str(tmp_path), splits)
+        tampered_result = tampered.train_to(contract)
+        assert fit_calls == [tampered.initial_sample_size, cold_result.sample_size]
+        assert tampered_result.metadata["model_cache_hit"] is False
+        assert _optimization_row(tampered_result.model) == _optimization_row(
+            cold_result.model
+        )
+        assert tampered.warm_cache.stats().quarantined == 1
+        assert glob.glob(str(tmp_path / "quarantine" / "warm-model-*.npz"))
+
+    def test_refresh_serves_no_model_from_before_an_append(self, tmp_path):
+        data = higgs_like(n_rows=3_000, n_features=_FEATURES, seed=13)
+        holdout = higgs_like(n_rows=500, n_features=_FEATURES, seed=14)
+        directory = tmp_path / "train"
+        ShardStore.write(data.take(np.arange(2_000)), directory, shard_rows=500)
+        contract = ApproximationContract(*_CONTRACT)
+
+        def session(warm_cache) -> EstimationSession:
+            return EstimationSession(
+                LogisticRegressionSpec(regularization=1e-3),
+                ShardStore.open(directory).dataset(),
+                holdout,
+                warm_cache=warm_cache,
+                **_SESSION_KWARGS,
+            )
+
+        warm, control = session(str(tmp_path / "warm")), session(False)
+        first = warm.train_to(contract)
+        assert not first.used_initial_model
+        assert _result_row(first) == _result_row(control.train_to(contract))
+        warm.warm_cache.flush()
+        key_before = warm._warm_model_key(first.sample_size)
+
+        ShardStore.open(directory).append_shards(
+            [(data.X[2_000:], data.y[2_000:])], shard_rows=500
+        )
+        assert warm.refresh().train_changed and control.refresh().train_changed
+        assert warm._warm_model_key(first.sample_size) != key_before
+        grown = warm.train_to(contract)
+        assert grown.metadata["model_cache_hit"] is False
+        assert _result_row(grown) == _result_row(control.train_to(contract))
+        assert warm.warm_cache.stats().quarantined == 0
+
+    def test_fit_straddling_a_refresh_is_not_published(self, tmp_path, monkeypatch):
+        """A fit that ends after refresh() swapped the sampler but before it
+        cleared the caches must not publish its θ, least of all under the
+        key built from the refreshed sampler, where it would be served."""
+        data = higgs_like(n_rows=3_000, n_features=_FEATURES, seed=13)
+        directory = tmp_path / "train"
+        ShardStore.write(data.take(np.arange(2_000)), directory, shard_rows=500)
+        session = EstimationSession(
+            LogisticRegressionSpec(regularization=1e-3),
+            ShardStore.open(directory).dataset(),
+            higgs_like(n_rows=500, n_features=_FEATURES, seed=14),
+            warm_cache=str(tmp_path / "warm"),
+            **_SESSION_KWARGS,
+        )
+        release, fitted = threading.Event(), []
+        original_fit = LogisticRegressionSpec.fit
+
+        def held_fit(self, dataset, *args, **kwargs):
+            model = original_fit(self, dataset, *args, **kwargs)
+            if dataset.n_rows != session.initial_sample_size:
+                fitted.append(dataset.n_rows)
+                release.wait(60)
+            return model
+
+        monkeypatch.setattr(LogisticRegressionSpec, "fit", held_fit)
+        worker = threading.Thread(
+            target=session.train_to, args=(ApproximationContract(*_CONTRACT),)
+        )
+        worker.start()
+        deadline = time.monotonic() + 60
+        while not fitted and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert fitted, "m_n never reached its fit"
+        ShardStore.open(directory).append_shards(
+            [(data.X[2_000:], data.y[2_000:])], shard_rows=500
+        )
+        clear_diffs = session._diff_cache.clear
+
+        def finish_fit_then_clear():
+            # Runs after refresh() swapped the sampler, before it clears the
+            # model cache: the fit's result is still current there.
+            release.set()
+            worker.join(60)
+            clear_diffs()
+
+        monkeypatch.setattr(session._diff_cache, "clear", finish_fit_then_clear)
+        assert session.refresh().train_changed
+        assert not worker.is_alive()
+        session.warm_cache.flush()
+        assert not glob.glob(str(tmp_path / "warm" / "warm-model-*.npz"))
 
     def test_env_var_enables_warm_tier(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_WARM_CACHE_DIR", str(tmp_path / "warm"))
@@ -528,6 +764,60 @@ class TestRegistryWarmTier:
                 SessionRegistry(), warm_cache=str(tmp_path),
                 start_housekeeping=False,
             )
+
+
+# ----------------------------------------------------------------------
+# Fault injection: an unusable warm directory
+# ----------------------------------------------------------------------
+class TestUnusableWarmDirectory:
+    def test_directory_below_a_regular_file_recomputes_bitwise(self, tmp_path):
+        """A directory path that runs through a regular file stays unusable
+        even for root (unlike ``chmod``): every read misses and every write
+        is dropped, yet the session and the service answer exactly as a
+        cold run does, and nothing counts as corruption."""
+        blocker = tmp_path / "blocker"
+        blocker.write_bytes(b"not a directory")
+        warm_dir = str(blocker / "warm")
+        contracts = [ApproximationContract(*pair) for pair in (_CONTRACT, *_EXTRA_CONTRACTS)]
+        splits = _splits()
+        control = _session(False, splits)
+        expected = [_result_row(control.train_to(contract)) for contract in contracts]
+        expected_answers = [control.answer(c).estimate.epsilon for c in contracts]
+
+        session = _session(warm_dir, splits)
+        assert [_result_row(session.train_to(c)) for c in contracts] == expected
+        assert [session.answer(c).estimate.epsilon for c in contracts] == expected_answers
+
+        service = CoalescingService(warm_cache=warm_dir, start_housekeeping=False)
+        try:
+            served = [
+                _result_row(
+                    service.train_to_sync(
+                        "lr",
+                        contract,
+                        spec=LogisticRegressionSpec(regularization=1e-3),
+                        train=splits.train,
+                        holdout=splits.holdout,
+                        **_SESSION_KWARGS,
+                    )
+                )
+                for contract in contracts
+            ]
+            answers = [
+                service.answer_sync("lr", c).estimate.epsilon for c in contracts
+            ]
+            assert service.registry.warm_cache is session.warm_cache
+        finally:
+            service.close()
+        assert served == expected
+        assert answers == expected_answers
+
+        tier = session.warm_cache
+        tier.flush()
+        stats = tier.stats()
+        assert stats.dropped_writes >= 1
+        assert stats.quarantined == 0
+        assert (stats.hits, stats.writes, stats.entries) == (0, 0, 0)
 
 
 # ----------------------------------------------------------------------
