@@ -2,11 +2,11 @@
 
 A serving process answers a repeat (ε, δ) contract from its in-memory
 caches — but those die with the process.  The warm tier
-(``repro.data.store.warm_cache``) persists the three expensive artifacts
-(sorted difference vectors, size-search results, trained models m_n) as
-digest-verified ``.npz`` entries in a shared directory, so a *restarted*
-process answers the same contracts with **zero streamed holdout passes**,
-fits only its initial model m_0, and returns bitwise identical results.
+(``repro.data.store.warm_cache``) persists the expensive artifacts
+(sorted difference vectors, size-search results, the initial model m_0
+and every trained m_n) as digest-verified entries in a shared directory,
+so a *restarted* process answers the same contracts with **zero streamed
+holdout passes**, fits no model, and returns bitwise identical results.
 
 The benchmark spawns three genuinely separate processes against one warm
 directory:
@@ -14,10 +14,11 @@ directory:
 1. **cold** — empty directory; serves the contract stream, pays the full
    streamed-pass cost, publishes warm entries on the way out;
 2. **warm restart** — a fresh interpreter, same directory; must serve the
-   identical stream with zero streamed passes, no m_n fit (every result
-   reports ``model_cache_hit``) and bitwise-identical results (model θ,
-   sample size, ε estimate);
-3. **tampered restart** — every warm entry has one payload byte flipped
+   identical stream with zero streamed passes, zero calls to ``fit``
+   (m_0 loads from its entry, every m_n result reports
+   ``model_cache_hit``) and bitwise-identical results (model θ, sample
+   size, ε estimate);
+3. **tampered restart** — every warm entry has its middle byte flipped
    first; the tier must quarantine every entry and transparently
    recompute and refit, again bitwise identical — corruption costs passes
    and fits, never answers.
@@ -36,7 +37,6 @@ import os
 import sys
 import tempfile
 import time
-import zipfile
 
 import numpy as np
 
@@ -48,14 +48,36 @@ from repro.evaluation.streaming import streaming_pass_count
 from repro.models.logistic_regression import LogisticRegressionSpec
 
 
+class CountedFit:
+    """Wraps ``LogisticRegressionSpec.fit`` on the class to count its calls.
+
+    Patching the class (not a subclass or an instance attribute) leaves the
+    spec digest, and with it every warm key, unchanged.
+    """
+
+    calls = 0
+
+    @classmethod
+    def install(cls):
+        fit = LogisticRegressionSpec.fit
+
+        def counted(self, *args, **kwargs):
+            cls.calls += 1
+            return fit(self, *args, **kwargs)
+
+        LogisticRegressionSpec.fit = counted
+
+
 def serve_worker(warm_dir, config, queue):
     """Spawn target: one serving process against a shared warm directory.
 
     Rebuilds the deterministic workload from ``config``, serves the
     contract stream, and reports result rows, the streamed-pass delta
-    around serving (construction excluded), wall time, tier counters, and
-    whether every result came without an m_n fit.
+    around serving (construction excluded), wall time, tier counters,
+    whether every result came without an m_n fit, and how many times
+    ``fit`` ran in the process, session construction included.
     """
+    CountedFit.install()
     rows_n, features, initial, k, contracts = config
     splits = train_holdout_test_split(
         higgs_like(n_rows=rows_n, n_features=features, seed=13),
@@ -90,7 +112,9 @@ def serve_worker(warm_dir, config, queue):
     tier = session.warm_cache
     tier.flush()
     stats = tier.stats()
-    queue.put((rows, passes, seconds, stats.writes, stats.quarantined, no_fit))
+    queue.put(
+        (rows, passes, seconds, stats.writes, stats.quarantined, no_fit, CountedFit.calls)
+    )
 
 
 def run_process(warm_dir, config):
@@ -107,19 +131,15 @@ def run_process(warm_dir, config):
 
 
 def tamper(warm_dir):
-    """Flip one payload byte in every published warm entry; return how many.
+    """Flip the middle byte of every published warm entry; return how many.
 
-    The byte is the middle of the first archive member's stored bytes, not
-    of the file: a file offset can land in a zip local-header field that no
-    reader checks, leaving the payload intact.
+    Each entry's digest covers the whole file, so any byte will do.
     """
-    paths = glob.glob(os.path.join(warm_dir, "warm-*.npz"))
+    paths = glob.glob(os.path.join(warm_dir, "warm-*.entry"))
     for path in paths:
-        with zipfile.ZipFile(path) as archive:
-            stored = archive.read(archive.namelist()[0])
         with open(path, "rb") as handle:
             blob = bytearray(handle.read())
-        blob[blob.find(stored) + len(stored) // 2] ^= 0xFF
+        blob[len(blob) // 2] ^= 0xFF
         with open(path, "wb") as handle:
             handle.write(bytes(blob))
     return len(paths)
@@ -139,8 +159,8 @@ def main(argv: list[str] | None = None) -> int:
         "--check", action="store_true",
         help=(
             "exit non-zero unless the warm restart serves with zero streamed "
-            "passes and no m_n fit, every generation is bitwise identical, "
-            "and every tampered entry is quarantined and recomputed"
+            "passes and calls fit zero times, every generation is bitwise "
+            "identical, and every tampered entry is quarantined and recomputed"
         ),
     )
     args = parser.parse_args(argv)
@@ -152,17 +172,17 @@ def main(argv: list[str] | None = None) -> int:
     config = (args.rows, args.features, args.initial, args.k, contracts)
 
     with tempfile.TemporaryDirectory(prefix="repro-warm-bench-") as warm_dir:
-        cold_rows, cold_passes, cold_s, cold_writes, _, cold_no_fit = run_process(
+        cold_rows, cold_passes, cold_s, cold_writes, _, _, cold_fits = run_process(
             warm_dir, config
         )
-        entries = len(glob.glob(os.path.join(warm_dir, "warm-*.npz")))
-        model_entries = len(glob.glob(os.path.join(warm_dir, "warm-model-*.npz")))
-        warm_rows, warm_passes, warm_s, _, warm_quarantined, warm_no_fit = (
+        entries = len(glob.glob(os.path.join(warm_dir, "warm-*.entry")))
+        model_entries = len(glob.glob(os.path.join(warm_dir, "warm-model-*.entry")))
+        warm_rows, warm_passes, warm_s, _, warm_quarantined, warm_no_fit, warm_fits = (
             run_process(warm_dir, config)
         )
         tampered_entries = tamper(warm_dir)
-        tam_rows, tam_passes, tam_s, _, tam_quarantined, tam_no_fit = run_process(
-            warm_dir, config
+        tam_rows, tam_passes, tam_s, _, tam_quarantined, tam_no_fit, tam_fits = (
+            run_process(warm_dir, config)
         )
 
     warm_identical = warm_rows == cold_rows
@@ -175,20 +195,20 @@ def main(argv: list[str] | None = None) -> int:
     )
     header = (
         f"{'generation':<20}{'passes':>8}{'seconds':>9}{'identical':>11}"
-        f"{'quarantined':>13}{'m_n fit':>9}"
+        f"{'quarantined':>13}{'fits':>6}"
     )
     print(header)
     print("-" * len(header))
-    for label, passes, seconds, identical, quarantined, no_fit in (
-        ("cold (empty dir)", cold_passes, cold_s, True, 0, cold_no_fit),
+    for label, passes, seconds, identical, quarantined, fits in (
+        ("cold (empty dir)", cold_passes, cold_s, True, 0, cold_fits),
         ("warm restart", warm_passes, warm_s, warm_identical, warm_quarantined,
-         warm_no_fit),
+         warm_fits),
         ("tampered restart", tam_passes, tam_s, tampered_identical, tam_quarantined,
-         tam_no_fit),
+         tam_fits),
     ):
         print(
             f"{label:<20}{passes:>8}{seconds:>9.2f}"
-            f"{str(identical):>11}{quarantined:>13}{str(not no_fit):>9}"
+            f"{str(identical):>11}{quarantined:>13}{fits:>6}"
         )
     speedup = cold_s / warm_s if warm_s > 0 else float("inf")
     print(
@@ -201,11 +221,11 @@ def main(argv: list[str] | None = None) -> int:
         failures = []
         if cold_passes <= 0:
             failures.append("cold generation streamed no passes (workload trivial?)")
-        if cold_writes < 3 or entries < 3 or model_entries < 1:
+        if cold_writes < 4 or entries < 4 or model_entries < 2:
             failures.append(
                 f"cold generation published {entries} entries, {model_entries} "
                 f"of them models ({cold_writes} writes); expected the diff, "
-                "size and model artifacts"
+                "size, m_0 and m_n artifacts"
             )
         if warm_passes != 0:
             failures.append(
@@ -213,6 +233,8 @@ def main(argv: list[str] | None = None) -> int:
             )
         if not warm_no_fit:
             failures.append("warm restart fitted an m_n (expected model_cache_hit)")
+        if warm_fits != 0:
+            failures.append(f"warm restart called fit {warm_fits} times (expected zero)")
         if not warm_identical:
             failures.append("warm restart results differ from the cold run")
         if warm_quarantined:
@@ -236,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         print(
             f"OK: restart served {len(contracts)} contracts with zero streamed "
-            f"passes and no m_n fit, bitwise identical; {tam_quarantined} "
+            f"passes and zero fits, bitwise identical; {tam_quarantined} "
             "corrupt entries quarantined and recomputed correctly"
         )
     return 0

@@ -6,12 +6,12 @@ those die with the process.  This example wires a
 restart: the second "process generation" is a brand-new session (fresh
 in-memory caches, fresh RNG stream) pointed at the same warm directory,
 and it answers the same contract stream with **zero streamed holdout
-passes** and no model fit beyond its initial model — every expensive
-artifact (sorted difference vectors, the size search, the trained model
-m_n) is loaded from digest-verified ``.npz`` entries instead of
-recomputed.  A final section flips one byte in an entry to show the tamper
-story: the corrupt entry is quarantined and transparently recomputed, so
-corruption costs passes, never answers.
+passes** and no model fit at all — every expensive artifact (the initial
+model m_0, sorted difference vectors, the size search, the trained model
+m_n) is loaded from digest-verified entry files instead of recomputed.
+A final section flips one byte in an entry to show the tamper story: the
+corrupt entry is quarantined and transparently recomputed, so corruption
+costs passes or fits, never answers.
 
 In production the directory is shared by *co-located processes* too — the
 entries are content-addressed and published atomically, so concurrent
@@ -47,10 +47,21 @@ CONTRACTS = (
 )
 
 
+class CountedLogisticRegression(LogisticRegressionSpec):
+    """Logistic regression that counts its fits, m_0's included."""
+
+    fits = 0
+
+    def fit(self, *args, **kwargs):
+        CountedLogisticRegression.fits += 1
+        return super().fit(*args, **kwargs)
+
+
 def serve_generation(label: str, warm_dir: str, splits) -> list[tuple]:
     """One 'process generation': a fresh session against the warm dir."""
+    fits_before = CountedLogisticRegression.fits
     session = EstimationSession(
-        LogisticRegressionSpec(regularization=1e-3),
+        CountedLogisticRegression(regularization=1e-3),
         splits.train,
         splits.holdout,
         warm_cache=warm_dir,
@@ -74,7 +85,7 @@ def serve_generation(label: str, warm_dir: str, splits) -> list[tuple]:
     stats = session.warm_cache.stats()
     print(
         f"{label}: {streaming_pass_count() - passes_before} streamed passes, "
-        f"{session.cache_stats()['model'].misses} m_n fits, "
+        f"{CountedLogisticRegression.fits - fits_before} fits, "
         f"{time.perf_counter() - start:.2f}s  "
         f"(warm hits={stats.hits} writes={stats.writes} "
         f"quarantined={stats.quarantined})\n"
@@ -93,7 +104,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory(prefix="blinkml-warm-") as warm_dir:
         print("generation 1 (cold: empty warm directory)")
         cold = serve_generation("cold", warm_dir, splits)
-        entries = glob.glob(os.path.join(warm_dir, "warm-*.npz"))
+        entries = glob.glob(os.path.join(warm_dir, "warm-*.entry"))
         print(f"published {len(entries)} warm entries under {warm_dir}\n")
 
         print("generation 2 (restart: fresh session, same directory)")

@@ -14,8 +14,8 @@ contracts from them:
   with ``assume_sorted=True``) — **zero new model evaluations, zero GEMMs**;
 * models trained for one contract are cached by sample size and reused by
   any later contract that lands on the same n;
-* with a warm tier (:mod:`repro.data.store.warm_cache`) all three caches
-  persist beneath the process, so a restarted session fits only m_0;
+* with a warm tier (:mod:`repro.data.store.warm_cache`) m_0 and all three
+  caches persist beneath the process, so a restarted session fits no model;
 * all holdout evaluations stream through the sharded diff engine
   (:mod:`repro.evaluation.streaming`), so memory stays O(k · block).
 
@@ -218,7 +218,8 @@ class EstimationSession:
     """Owns one initial model and serves any number of (ε, δ) contracts.
 
     Construction runs steps 1–2 of the coordinator workflow (Section 2.3)
-    once: draw D0, train m_0, compute the H/J statistics, build the shared
+    once: draw D0, train m_0 (or load it from the warm tier), compute the
+    H/J statistics, build the shared
     :class:`~repro.core.parameter_sampler.ParameterSampler`.  Everything
     after that is per-contract and served from caches wherever possible.
 
@@ -260,17 +261,19 @@ class EstimationSession:
     warm_cache:
         Optional cross-process warm tier
         (:class:`~repro.data.store.warm_cache.WarmCacheTier`) persisted
-        beneath the diff, size and model caches: an in-memory miss probes
-        the tier's digest-keyed ``.npz`` artifacts before computing, and
-        fresh computes are written behind, so a restarted process answers
-        repeat contracts with zero streamed passes and fits only m_0.
+        beneath m_0 and the diff, size and model caches: the constructor
+        loads m_0 from it, an in-memory miss probes the tier's
+        digest-verified entries before computing, and fresh computes are
+        written behind, so a restarted process answers repeat contracts
+        with zero streamed passes and fits no model.
         Accepts a tier instance, a directory path (shared per-path within
         the process), ``None`` to consult ``REPRO_WARM_CACHE_DIR``
         (disabled when unset), or ``False`` to force the cold path
         regardless of environment.  Diff and size keys fold in the spec /
         holdout / θ digests *and* a digest of the sampler's base draws;
-        model keys the spec / train / θ₀ digests, a digest of the nested
-        sampler's permutation and n.  Equal keys imply bitwise-identical
+        model keys the spec / train / θ₀ digests (m_0's θ₀ is
+        ``spec.initial_parameters(D0)``, m_n's is m_0's θ), a digest of the
+        nested sampler's permutation and n.  Equal keys imply bitwise-identical
         inputs, so a warm hit returns exactly what a cold compute would.
     """
 
@@ -325,10 +328,20 @@ class EstimationSession:
         self._n0 = min(int(initial_sample_size), self._N)
         self._data_sampler = UniformSampler(train, rng=self._rng)  # guarded-by: _refresh_lock
 
-        # Step 1: initial model m_0 on D0 (once per session).
+        # Warm tier beneath m_0 and all three caches: digest-keyed on-disk
+        # artifacts shared across restarts and co-located processes.  Keys
+        # fold in a digest of the sampler's base draws or of the nested
+        # sampler's permutation — building a key *draws* those frozen
+        # blocks, which keeps RNG consumption identical between a warm hit
+        # and the cold compute it replaces.
+        self._warm_cache = tier = resolve_warm_cache(warm_cache)
+        self._spec_digest = spec_digest(spec)
+
+        # Step 1: initial model m_0 on D0 (once per session), or its warm
+        # entry — a restart with a populated tier fits no model at all.
         start = time.perf_counter()
         initial_data = self._data_sampler.nested_sample(self._n0)
-        initial_model = spec.fit(initial_data)
+        initial_model = self._initial_fit(initial_data)
         self._initial_training_seconds = time.perf_counter() - start
 
         # Step 2: H/J statistics at θ_0 and the shared parameter sampler.
@@ -356,14 +369,6 @@ class EstimationSession:
         # never in the model cache — so eviction can never lose it
         # (_train_cached short-circuits n == n0 before consulting the cache).
         self._initial_model = initial_model
-        # Warm tier beneath all three caches: digest-keyed on-disk artifacts
-        # shared across restarts and co-located processes.  Keys fold in a
-        # digest of the sampler's base draws or of the nested sampler's
-        # permutation — building a key *draws* those frozen blocks, which
-        # keeps RNG consumption identical between a warm hit and the cold
-        # compute it replaces.
-        self._warm_cache = tier = resolve_warm_cache(warm_cache)
-        self._spec_digest = spec_digest(spec)
 
         def generation() -> int:
             return self._generation
@@ -384,7 +389,10 @@ class EstimationSession:
             sizeof=lambda model: int(model.theta.nbytes),
             warm_tier=None if tier is None else _WarmAdapter(
                 tier, MODEL_KIND, self._warm_model_key, _model_payload,
-                self._model_from_payload, generation,
+                lambda payload: self._model_from_payload(
+                    payload, self._initial_model.theta.shape
+                ),
+                generation,
             ),
         )
         self._size_cache = LRUCache(
@@ -613,21 +621,48 @@ class EstimationSession:
             return None
         return vector
 
-    def _model_from_payload(
-        self, payload: dict[str, np.ndarray]
-    ) -> TrainedModel | None:
-        """Rebuild m_n from a warm entry; ``None`` when malformed (it refits).
+    def _initial_fit(self, initial_data: Dataset) -> TrainedModel:
+        """m_0 on D0: the warm entry when the tier holds one, else the fit.
 
-        θ must be float64 with the session's parameter dimension; the
-        optimizer record comes back field by field, so a hit equals the
-        refit it replaces.
+        The entry is a model entry like m_n's, keyed on every input of the
+        fit, with ``spec.initial_parameters(D0)`` as the start.  Without a
+        tier no digest is computed: a cold session pays for the fit only.
+        """
+        tier = self._warm_cache
+        if tier is None:
+            return self.spec.fit(initial_data)
+        theta0 = self.spec.initial_parameters(initial_data)
+        entry_key = model_entry_key(
+            spec_digest=self._spec_digest,
+            train_digest=self.train_data.content_digest(),
+            permutation_digest=self._data_sampler.permutation_digest(),
+            theta0_digest=self._theta_digest(theta0).hex(),
+            n=self._n0,
+        )
+        payload = tier.get(MODEL_KIND, entry_key)
+        model = None if payload is None else self._model_from_payload(payload, theta0.shape)
+        if model is None:
+            model = self.spec.fit(initial_data, theta0=theta0)
+            payload = _model_payload(model)
+            if payload is not None:
+                tier.put(MODEL_KIND, entry_key, payload)
+        return model
+
+    def _model_from_payload(
+        self, payload: dict[str, np.ndarray], theta_shape: tuple[int, ...]
+    ) -> TrainedModel | None:
+        """Rebuild a model from a warm entry; ``None`` when malformed (it refits).
+
+        θ must be float64 of ``theta_shape``, the session's parameter
+        dimension; the optimizer record comes back field by field, so a hit
+        equals the fit it replaces.
         """
         try:
             theta = payload["theta"]
             history = payload["loss_history"]
             if (
                 theta.dtype != np.float64
-                or theta.shape != self._initial_model.theta.shape
+                or theta.shape != theta_shape
                 or history.dtype != np.float64
                 or history.ndim != 1
             ):
@@ -1172,15 +1207,11 @@ class EstimationSession:
 
 
 def _payload_scalar(payload: dict[str, np.ndarray], name: str) -> Any:
-    """One scalar member of a warm payload (``ValueError`` when misshapen).
-
-    The serializer promotes 0-d arrays to contiguous 1-d, so each scalar
-    comes back as a single-element array and is read through ``ravel``.
-    """
-    values = np.ravel(payload[name])
-    if values.shape != (1,):
+    """One 0-d member of a warm payload (``ValueError`` when misshapen)."""
+    value = payload[name]
+    if value.shape != ():
         raise ValueError(f"warm payload field {name!r} is not scalar")
-    return values[0]
+    return value[()]
 
 
 def _size_estimate_payload(estimate: SampleSizeEstimate) -> dict[str, np.ndarray]:

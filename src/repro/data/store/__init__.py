@@ -19,9 +19,10 @@ The storage tier beneath the streaming sharded holdout engine (see
   written lazily by the streaming statistics tier and reused on every later
   session bootstrap;
 * :class:`WarmCacheTier` / :class:`WarmCacheStats` — the cross-process warm
-  cache: digest-keyed persistent ``.npz`` artifacts (sorted-difference
-  vectors, size-search outcomes) shared across restarts and co-located
-  serving processes, verified on every read and quarantined when corrupt.
+  cache: digest-keyed persistent entry files (sorted-difference vectors,
+  size-search outcomes, trained models) shared across restarts and
+  co-located serving processes, verified on every read and quarantined
+  when corrupt.
 """
 
 from repro.data.store.manifest import (

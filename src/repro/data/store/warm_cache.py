@@ -10,33 +10,42 @@ second tier beneath the session's three in-memory caches
 before computing), the same shape as a persistent KV / compilation cache in
 an inference stack.  It holds three entry kinds: sorted-difference vectors
 (:data:`DIFF_KIND`), size-search outcomes (:data:`SIZE_KIND`) and trained
-models m_n with their optimizer record (:data:`MODEL_KIND`), so a
-restarted process fits only m_0.
+models with their optimizer record (:data:`MODEL_KIND`) — every m_n and
+the session's initial model m_0 — so a restarted process fits no model.
 
-* **self-describing entries** — each artifact is one ``.npz`` file holding
-  the payload arrays plus its kind, its full key string, and an embedded
-  content digest over the payload; nothing outside the file is needed to
-  validate it, so there is no manifest to keep consistent across
-  processes;
+* **self-describing entries** — each artifact is one flat file
+  (``warm-<kind>-<digest>.entry``), laid out as a magic line, the header
+  length (8 bytes, little-endian), a canonical JSON header (the kind, the
+  full key string, and each member's name, dtype and shape in sorted name
+  order; 0-d members stay 0-d), the member bytes (each starting at an
+  8-byte-aligned offset, zero padding between), and a 32-byte blake2b over
+  every preceding byte; nothing outside the file is needed to validate it,
+  so there is no manifest to keep consistent across processes;
 * **content-addressed, deterministic bytes** — the file name is a digest
-  of the key and the archive is serialised with fixed member order and
-  zip timestamps, so two processes racing to publish the same key write
-  *byte-identical* files and last-writer-wins is benign;
-* **crash-safe publication** — writes go to a unique dot-prefixed temp
-  file and become visible only through one atomic ``os.replace``; a
-  reader can never observe a torn entry, and a SIGKILL mid-write leaves
-  only an invisible temp file the next GC sweeps up;
-* **verification + quarantine on every read** — a mismatched digest (or a
-  key collision, or any parse failure) moves the entry into a
+  of the key and the layout has no timestamps or free choices, so two
+  processes racing to publish the same key write *byte-identical* files
+  and last-writer-wins is benign;
+* **crash-safe publication** — writes go to a unique temp file
+  (``<name>.tmp-<pid>-<nonce>``) and become visible only through one
+  atomic ``os.replace``; a reader can never observe a torn entry, a
+  failed write (a full disk) removes its temp file, and a SIGKILL
+  mid-write leaves only an invisible temp file the next GC sweeps up;
+* **verification + quarantine on every read** — :meth:`WarmCacheTier.get`
+  reads the file in one ``read()`` and checks the digest over the whole
+  file, then the kind and key; a flipped or truncated byte anywhere (or a
+  key collision, or a malformed header) moves the entry into a
   ``quarantine/`` subdirectory — mirroring the tamper semantics of
   :meth:`repro.data.store.shard_store.ShardStore.verify`, but recovering
   by recomputation instead of raising — and reports a miss, so a
   corrupted entry can never surface a wrong answer; a file that cannot
   be opened (absent, or behind an unusable directory) is a plain miss,
-  not corruption;
+  not corruption.  A hit returns read-only views into the bytes read;
 * **byte-bounded mtime-GC** — after each write the tier deletes
   oldest-first until the directory is back under ``max_bytes`` (and
-  removes aged temp files left by crashed writers);
+  removes aged temp files left by crashed writers).  Entry files of the
+  earlier ``.npz`` layout (``warm-*.npz``) are never parsed — a get looks
+  only for the current name, so each is a plain miss — but they count
+  toward the bound and go oldest-first like any other entry;
 * **async write-behind** — entries are published from a background
   thread so the serving path never waits on disk; a bounded queue drops
   (and counts) writes under pressure rather than blocking.
@@ -53,18 +62,20 @@ input of ``spec.fit(nested_sample(n), theta0=θ₀)``: the spec digest, the
 train content digest, a digest of the nested sampler's row permutation
 (which captures the RNG seed and N), the θ₀ digest and n; the optimizer
 settings are fixed constants (``repro.config``), so they need no field.
+m_n starts from m_0's θ, m_0 from ``spec.initial_parameters(D0)``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
+import json
+import math
 import os
 import queue
+import struct
 import threading
 import time
 import uuid
-import zipfile
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Literal
@@ -80,7 +91,14 @@ SIZE_KIND = "size"
 MODEL_KIND = "model"
 
 _ENTRY_PREFIX = "warm-"
-_ENTRY_SUFFIX = ".npz"
+_ENTRY_SUFFIX = ".entry"
+#: suffix of the earlier archive layout: never parsed, still counted and GC'd.
+_LEGACY_SUFFIX = ".npz"
+_MAGIC = b"repro-warm-entry 1\n"
+_LENGTH = struct.Struct("<Q")
+_HEADER_START = len(_MAGIC) + _LENGTH.size
+_ALIGN = 8
+_DIGEST_BYTES = 32
 _TEMP_MARKER = ".tmp-"
 _QUARANTINE_DIR = "quarantine"
 #: temp files older than this are presumed abandoned by a crashed writer.
@@ -97,19 +115,6 @@ def array_digest(*arrays: np.ndarray) -> str:
     digest = hashlib.blake2b(digest_size=16)
     for array in arrays:
         array = np.ascontiguousarray(array)
-        digest.update(array.dtype.str.encode())
-        digest.update(repr(array.shape).encode())
-        digest.update(array.tobytes())
-    return digest.hexdigest()
-
-
-def payload_digest(arrays: Mapping[str, np.ndarray]) -> str:
-    """Content digest of a named payload, order-independent (sorted names)."""
-    digest = hashlib.blake2b(digest_size=16)
-    for name in sorted(arrays):
-        array = np.ascontiguousarray(arrays[name])
-        digest.update(name.encode())
-        digest.update(b"\x00")
         digest.update(array.dtype.str.encode())
         digest.update(repr(array.shape).encode())
         digest.update(array.tobytes())
@@ -174,11 +179,11 @@ def model_entry_key(
     theta0_digest: str,
     n: int,
 ) -> str:
-    """The warm key of one trained model m_n.
+    """The warm key of one trained model, m_0 or m_n.
 
     Pins every input of the fit: ``permutation_digest`` hashes the nested
     sampler's row permutation, so with the train digest it fixes the rows
-    of the size-n sample, and ``theta0_digest`` the warm start.
+    of the size-n sample, and ``theta0_digest`` the optimizer's start.
     """
     return (
         f"{MODEL_KIND}|spec={spec_digest}|train={train_digest}"
@@ -192,28 +197,80 @@ def entry_filename(kind: str, key: str) -> str:
     return f"{_ENTRY_PREFIX}{kind}-{digest}{_ENTRY_SUFFIX}"
 
 
-def serialize_entry(kind: str, key: str, arrays: Mapping[str, np.ndarray]) -> bytes:
-    """Serialise one entry to deterministic ``.npz`` bytes.
+def _entry_digest(body: bytes | memoryview) -> bytes:
+    return hashlib.blake2b(body, digest_size=_DIGEST_BYTES).digest()
 
-    Member order is sorted, members are stored uncompressed, and zip
-    timestamps are pinned to the epoch, so the same (kind, key, payload)
-    always yields the same bytes — two processes racing to publish one key
-    write byte-identical files (the last-writer-wins guarantee).
+
+def serialize_entry(kind: str, key: str, arrays: Mapping[str, np.ndarray]) -> bytes:
+    """Serialise one entry to its deterministic flat bytes.
+
+    Members go in sorted name order with their header fields spelled
+    canonically, so the same (kind, key, payload) always yields the same
+    bytes — two processes racing to publish one key write byte-identical
+    files (the last-writer-wins guarantee).  Object arrays are refused.
     """
-    members = {
-        str(name): np.ascontiguousarray(value) for name, value in arrays.items()
-    }
-    members["__kind__"] = np.array(kind)
-    members["__key__"] = np.array(key)
-    members["__digest__"] = np.array(payload_digest(arrays))
-    buffer = io.BytesIO()
-    with zipfile.ZipFile(buffer, "w", zipfile.ZIP_STORED) as archive:
-        for name in sorted(members):
-            payload = io.BytesIO()
-            np.lib.format.write_array(payload, members[name], allow_pickle=False)
-            info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
-            archive.writestr(info, payload.getvalue())
-    return buffer.getvalue()
+    members = {str(name): np.asarray(value, order="C") for name, value in arrays.items()}
+    names = sorted(members)
+    for name in names:
+        if members[name].dtype.hasobject:
+            raise ValueError(f"warm entry member {name!r} has an object dtype")
+    header = json.dumps(
+        {
+            "kind": kind,
+            "key": key,
+            "members": [
+                {
+                    "name": name,
+                    "dtype": members[name].dtype.str,
+                    "shape": list(members[name].shape),
+                }
+                for name in names
+            ],
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    ).encode()
+    parts = [_MAGIC, _LENGTH.pack(len(header)), header]
+    offset = _HEADER_START + len(header)
+    for name in names:
+        data = members[name].tobytes()
+        padding = -offset % _ALIGN
+        parts += [bytes(padding), data]
+        offset += padding + len(data)
+    body = b"".join(parts)
+    return body + _entry_digest(body)
+
+
+def _parse_entry(blob: bytes, kind: str, key: str) -> dict[str, np.ndarray] | None:
+    """The payload views of one entry's bytes; ``None`` unless it verifies.
+
+    The digest is checked over the whole file first, so any flipped or
+    truncated byte fails before the header is read; then the kind and key,
+    and the member table must account for every byte up to the digest.
+    """
+    end = len(blob) - _DIGEST_BYTES
+    if end < _HEADER_START or not blob.startswith(_MAGIC):
+        return None
+    if _entry_digest(memoryview(blob)[:end]) != blob[end:]:
+        return None
+    (length,) = _LENGTH.unpack_from(blob, len(_MAGIC))
+    offset = _HEADER_START + length
+    try:
+        header = json.loads(blob[_HEADER_START:offset])
+        if header["kind"] != kind or header["key"] != key:
+            return None
+        payload: dict[str, np.ndarray] = {}
+        for member in header["members"]:
+            dtype, shape = np.dtype(member["dtype"]), tuple(member["shape"])
+            offset += -offset % _ALIGN
+            count = math.prod(shape)
+            payload[member["name"]] = freeze(
+                np.frombuffer(blob, dtype=dtype, count=count, offset=offset).reshape(shape)
+            )
+            offset += count * dtype.itemsize
+    except (KeyError, TypeError, ValueError):
+        return None
+    return payload if offset == end else None
 
 
 # ----------------------------------------------------------------------
@@ -256,7 +313,7 @@ class WarmCacheStats:
 # The tier
 # ----------------------------------------------------------------------
 class WarmCacheTier:
-    """A directory of digest-verified, crash-safe ``.npz`` artifacts.
+    """A directory of digest-verified, crash-safe flat entry files.
 
     Parameters
     ----------
@@ -301,48 +358,33 @@ class WarmCacheTier:
     def get(self, kind: str, key: str) -> dict[str, np.ndarray] | None:
         """Load, verify and return the payload for ``key`` (``None`` = miss).
 
-        Every returned array is frozen read-only (the caller typically
-        publishes it straight into a shared in-memory cache).  A file that
-        cannot be opened — absent, or behind an unusable directory — is a
-        plain miss.  A file that opens but fails to parse or verify —
-        unparseable archive, kind/key mismatch (a digest collision or a
-        tampered entry), payload digest mismatch (bit rot) — is
-        quarantined and reported as a miss, so corruption costs a
-        recompute, never a wrong answer.
+        One ``read()`` of the entry file, then the whole-file digest, then
+        the kind and key.  Every returned array is a read-only view into
+        the bytes read (the caller typically publishes it straight into a
+        shared in-memory cache).  A file that cannot be opened or read —
+        absent, or behind an unusable directory — is a plain miss.  A file
+        that reads but fails to verify — any flipped or truncated byte, a
+        kind/key mismatch (a digest collision or a copied entry), a
+        malformed header — is quarantined and reported as a miss, so
+        corruption costs a recompute, never a wrong answer.
         """
         path = os.path.join(self.directory, entry_filename(kind, key))
         try:
-            handle = open(path, "rb")
+            with open(path, "rb") as handle:
+                blob = handle.read()
         except OSError:
             with self._lock:
                 self._misses += 1
             return None
-        try:
-            with handle, np.load(handle, allow_pickle=False) as archive:
-                members = {name: archive[name] for name in archive.files}
-        except Exception:
-            # Unparseable bytes where a verified entry should be: a torn
-            # copy (impossible via our atomic rename, but the directory is
-            # shared), truncation, or external tampering.
-            self._quarantine(path)
-            with self._lock:
-                self._misses += 1
-            return None
-        payload = {
-            name: value for name, value in members.items() if not name.startswith("__")
-        }
-        if (
-            str(members.get("__kind__", "")) != kind
-            or str(members.get("__key__", "")) != key
-            or str(members.get("__digest__", "")) != payload_digest(payload)
-        ):
+        payload = _parse_entry(blob, kind, key)
+        if payload is None:
             self._quarantine(path)
             with self._lock:
                 self._misses += 1
             return None
         with self._lock:
             self._hits += 1
-        return {name: freeze(value) for name, value in payload.items()}
+        return payload
 
     # ------------------------------------------------------------------
     # Write path
@@ -355,9 +397,7 @@ class WarmCacheTier:
         is atomic: readers see the previous entry or the new one, never a
         torn file.
         """
-        payload = {
-            str(name): np.ascontiguousarray(value) for name, value in arrays.items()
-        }
+        payload = {str(name): np.asarray(value, order="C") for name, value in arrays.items()}
         with self._lock:
             if self._closed:
                 self._dropped_writes += 1
@@ -474,7 +514,7 @@ class WarmCacheTier:
                     if not (
                         item.is_file()
                         and item.name.startswith(_ENTRY_PREFIX)
-                        and item.name.endswith(_ENTRY_SUFFIX)
+                        and item.name.endswith((_ENTRY_SUFFIX, _LEGACY_SUFFIX))
                     ):
                         continue
                     try:

@@ -4,19 +4,23 @@ Covers the tier itself (atomic publication, digest verification +
 quarantine, crash and tamper recovery, byte-bounded GC, deterministic
 serialisation), the key builders (distinctness and stability properties),
 the session/registry wiring (a fresh process answers repeat contracts with
-zero streamed passes and no m_n refit, bitwise identical to a cold run),
-an unusable warm directory, and multi-process contention against one
-shared warm directory.
+zero streamed passes and fits no model, bitwise identical to a cold run),
+an unusable warm directory, a disk that fills mid-write, and multi-process
+contention against one shared warm directory.
 """
 
 from __future__ import annotations
 
+import builtins
+import errno
 import glob
+import hashlib
+import json
 import multiprocessing
 import os
+import struct
 import threading
 import time
-import zipfile
 
 import numpy as np
 import pytest
@@ -33,12 +37,13 @@ from repro.data import ShardStore, train_holdout_test_split
 from repro.data.sampling import UniformSampler
 from repro.data.splits import SplitSpec
 from repro.data.synthetic import higgs_like
+from repro.data.store import warm_cache as warm_cache_module
 from repro.data.store.warm_cache import (
     DIFF_KIND,
+    MODEL_KIND,
     diff_entry_key,
     entry_filename,
     model_entry_key,
-    payload_digest,
     resolve_warm_cache,
     serialize_entry,
     shared_warm_cache,
@@ -134,19 +139,32 @@ def _optimization_row(model) -> tuple:
     )
 
 
-def _flip_member_byte(path: str, member: str) -> None:
-    """Flip the middle byte of one archive member's stored bytes.
+def _member_spans(blob: bytes) -> dict[str, tuple[int, int]]:
+    """``name → (offset, length)`` of each member, read from the entry header.
 
-    Aimed at the payload, not at a byte offset in the file: an offset can
-    land in a zip local-header field that no reader checks.
+    Follows the documented layout on its own: magic line, 8-byte
+    little-endian header length, JSON header, members at 8-byte-aligned
+    offsets in header order.
     """
-    with zipfile.ZipFile(path) as archive:
-        stored = archive.read(member)
+    magic_end = blob.index(b"\n") + 1
+    (length,) = struct.unpack_from("<Q", blob, magic_end)
+    offset = magic_end + 8 + length
+    header = json.loads(blob[magic_end + 8 : offset])
+    spans = {}
+    for member in header["members"]:
+        offset += -offset % 8
+        size = int(np.prod(member["shape"])) * np.dtype(member["dtype"]).itemsize
+        spans[member["name"]] = (offset, size)
+        offset += size
+    return spans
+
+
+def _flip_member_byte(path: str, member: str) -> None:
+    """Flip the middle byte of one member's stored bytes."""
     with open(path, "rb") as handle:
         blob = bytearray(handle.read())
-    start = blob.find(stored)
-    assert start >= 0
-    blob[start + len(stored) // 2] ^= 0xFF
+    offset, size = _member_spans(bytes(blob))[member]
+    blob[offset + size // 2] ^= 0xFF
     with open(path, "wb") as handle:
         handle.write(bytes(blob))
 
@@ -164,6 +182,42 @@ def fit_calls(monkeypatch):
 
     monkeypatch.setattr(LogisticRegressionSpec, "fit", spy)
     return calls
+
+
+class _FullDiskHandle:
+    """A write handle on a disk that fills mid-write: half of the bytes
+    reach the file, then ``write`` raises ``ENOSPC``."""
+
+    def __init__(self, handle, landed: list) -> None:
+        self._handle = handle
+        self._landed = landed
+
+    def write(self, data: bytes) -> int:
+        self._handle.write(data[: len(data) // 2])
+        self._handle.flush()
+        self._landed.append((self._handle.name, os.path.getsize(self._handle.name)))
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def __enter__(self) -> _FullDiskHandle:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._handle.close()
+
+
+@pytest.fixture
+def full_disk(monkeypatch):
+    """Every warm-entry write fails with ``ENOSPC`` after half of its bytes
+    landed; reads are untouched.  Returns ``(temp path, bytes on disk)``
+    per failed write."""
+    landed: list[tuple[str, int]] = []
+
+    def open_on_full_disk(file, mode="r", *args, **kwargs):
+        handle = builtins.open(file, mode, *args, **kwargs)
+        return _FullDiskHandle(handle, landed) if "w" in mode else handle
+
+    monkeypatch.setattr(warm_cache_module, "open", open_on_full_disk, raising=False)
+    return landed
 
 
 def _payload(seed: int = 0) -> dict[str, np.ndarray]:
@@ -212,7 +266,6 @@ class TestWarmCacheTier:
         assert serialize_entry(DIFF_KIND, "k", payload) == serialize_entry(
             DIFF_KIND, "k", reordered
         )
-        assert payload_digest(payload) == payload_digest(reordered)
 
     def test_racing_writers_produce_identical_bytes(self, tmp_path):
         """Last-writer-wins is benign: same key → byte-identical files."""
@@ -222,8 +275,8 @@ class TestWarmCacheTier:
         a.flush()
         b.put(DIFF_KIND, "k1", _payload())
         b.flush()
-        (file_a,) = glob.glob(str(tmp_path / "a" / "warm-*.npz"))
-        (file_b,) = glob.glob(str(tmp_path / "b" / "warm-*.npz"))
+        (file_a,) = glob.glob(str(tmp_path / "a" / "warm-*.entry"))
+        (file_b,) = glob.glob(str(tmp_path / "b" / "warm-*.entry"))
         with open(file_a, "rb") as fa, open(file_b, "rb") as fb:
             assert fa.read() == fb.read()
 
@@ -231,7 +284,7 @@ class TestWarmCacheTier:
         tier = WarmCacheTier(tmp_path)
         tier.put(DIFF_KIND, "k1", _payload())
         tier.flush()
-        (path,) = glob.glob(str(tmp_path / "warm-*.npz"))
+        (path,) = glob.glob(str(tmp_path / "warm-*.entry"))
         blob = bytearray(open(path, "rb").read())
         blob[len(blob) // 2] ^= 0xFF
         with open(path, "wb") as handle:
@@ -240,11 +293,48 @@ class TestWarmCacheTier:
         stats = tier.stats()
         assert stats.quarantined == 1
         assert stats.entries == 0
-        quarantined = glob.glob(str(tmp_path / "quarantine" / "warm-*.npz"))
+        quarantined = glob.glob(str(tmp_path / "quarantine" / "warm-*.entry"))
         assert len(quarantined) == 1
         # Transparent recovery: the next put republishes a good entry.
         tier.put(DIFF_KIND, "k1", _payload())
         tier.flush()
+        assert tier.get(DIFF_KIND, "k1") is not None
+
+    def test_every_truncation_is_quarantined(self, tmp_path):
+        tier = WarmCacheTier(tmp_path)
+        blob = serialize_entry(DIFF_KIND, "k1", _payload())
+        path = os.path.join(tmp_path, entry_filename(DIFF_KIND, "k1"))
+        for length in range(len(blob)):
+            with open(path, "wb") as handle:
+                handle.write(blob[:length])
+            assert tier.get(DIFF_KIND, "k1") is None, length
+            assert tier.stats().quarantined == length + 1
+        assert tier.stats().hits == 0
+
+    def test_legacy_npz_entries_miss_and_age_out(self, tmp_path):
+        """An entry of the earlier ``.npz`` layout, under the name that
+        layout gave its key, is never parsed: a plain miss, not a
+        quarantine.  It counts toward ``max_bytes`` and goes oldest-first,
+        so an upgraded directory does not keep its bytes forever."""
+        digest = hashlib.blake2b(b"k1", digest_size=16).hexdigest()
+        legacy = tmp_path / f"warm-diff-{digest}.npz"
+        with open(legacy, "wb") as handle:
+            np.savez(handle, **_payload())
+        stamp = time.time() - 3_600
+        os.utime(legacy, (stamp, stamp))
+        tier = WarmCacheTier(tmp_path)
+        assert tier.get(DIFF_KIND, "k1") is None
+        stats = tier.stats()
+        assert (stats.misses, stats.quarantined) == (1, 0)
+        assert (stats.entries, stats.bytes) == (1, legacy.stat().st_size)
+        assert legacy.exists()
+
+        tier.max_bytes = len(serialize_entry(DIFF_KIND, "k1", _payload()))
+        tier.put(DIFF_KIND, "k1", _payload())
+        tier.flush()
+        assert not legacy.exists()
+        stats = tier.stats()
+        assert (stats.gc_removed, stats.entries, stats.quarantined) == (1, 1, 0)
         assert tier.get(DIFF_KIND, "k1") is not None
 
     def test_key_collision_is_rejected(self, tmp_path):
@@ -529,7 +619,7 @@ class TestSessionWarmServing:
         cold = _session(str(tmp_path), splits)
         cold_result = cold.train_to(contract)
         cold.warm_cache.flush()
-        for path in glob.glob(str(tmp_path / "warm-*.npz")):
+        for path in glob.glob(str(tmp_path / "warm-*.entry")):
             blob = bytearray(open(path, "rb").read())
             blob[len(blob) // 3] ^= 0xFF
             with open(path, "wb") as handle:
@@ -541,7 +631,7 @@ class TestSessionWarmServing:
         assert _result_row(tampered_result) == _result_row(cold_result)
         assert tampered.warm_cache.stats().quarantined >= 1
 
-    def test_restart_fits_only_the_initial_model(self, tmp_path, fit_calls):
+    def test_restart_fits_no_model(self, tmp_path, fit_calls):
         contracts = [ApproximationContract(*pair) for pair in (_CONTRACT, *_EXTRA_CONTRACTS)]
         splits = _splits()
         cold = _session(str(tmp_path), splits)
@@ -550,12 +640,17 @@ class TestSessionWarmServing:
         assert trained, "the workload must train at least one m_n"
         assert len(fit_calls) == 1 + len({r.sample_size for r in trained})
         cold.warm_cache.flush()
-        assert glob.glob(str(tmp_path / "warm-model-*.npz"))
+        model_entries = glob.glob(str(tmp_path / "warm-model-*.entry"))
+        assert len(model_entries) == len(fit_calls)  # m_0 and each m_n
 
         del fit_calls[:]
         warm = _session(str(tmp_path), splits)
         warm_results = [warm.train_to(contract) for contract in contracts]
-        assert fit_calls == [warm.initial_sample_size]  # m_0 only
+        assert fit_calls == []
+        assert _optimization_row(warm.initial_model) == _optimization_row(
+            cold.initial_model
+        )
+        assert warm.initial_model.spec is warm.spec
         for cold_result, warm_result in zip(cold_results, warm_results):
             assert _result_row(warm_result) == _result_row(cold_result)
             assert _optimization_row(warm_result.model) == _optimization_row(
@@ -571,20 +666,26 @@ class TestSessionWarmServing:
         splits = _splits()
         cold = _session(str(tmp_path), splits)
         cold_result = cold.train_to(contract)
+        assert not cold_result.used_initial_model
         cold.warm_cache.flush()
-        (model_entry,) = glob.glob(str(tmp_path / "warm-model-*.npz"))
-        _flip_member_byte(model_entry, "theta.npy")
+        model_entry = os.path.join(
+            tmp_path,
+            entry_filename(MODEL_KIND, cold._warm_model_key(cold_result.sample_size)),
+        )
+        _flip_member_byte(model_entry, "theta")
 
         del fit_calls[:]
         tampered = _session(str(tmp_path), splits)
         tampered_result = tampered.train_to(contract)
-        assert fit_calls == [tampered.initial_sample_size, cold_result.sample_size]
+        assert fit_calls == [cold_result.sample_size]  # m_0 still loads
         assert tampered_result.metadata["model_cache_hit"] is False
         assert _optimization_row(tampered_result.model) == _optimization_row(
             cold_result.model
         )
         assert tampered.warm_cache.stats().quarantined == 1
-        assert glob.glob(str(tmp_path / "quarantine" / "warm-model-*.npz"))
+        assert os.path.exists(
+            os.path.join(tmp_path, "quarantine", os.path.basename(model_entry))
+        )
 
     def test_refresh_serves_no_model_from_before_an_append(self, tmp_path):
         data = higgs_like(n_rows=3_000, n_features=_FEATURES, seed=13)
@@ -652,6 +753,7 @@ class TestSessionWarmServing:
         while not fitted and time.monotonic() < deadline:
             time.sleep(0.01)
         assert fitted, "m_n never reached its fit"
+        key_before = session._warm_model_key(fitted[0])
         ShardStore.open(directory).append_shards(
             [(data.X[2_000:], data.y[2_000:])], shard_rows=500
         )
@@ -668,7 +770,11 @@ class TestSessionWarmServing:
         assert session.refresh().train_changed
         assert not worker.is_alive()
         session.warm_cache.flush()
-        assert not glob.glob(str(tmp_path / "warm" / "warm-model-*.npz"))
+        for key in (key_before, session._warm_model_key(fitted[0])):
+            entry = entry_filename(MODEL_KIND, key)
+            assert not os.path.exists(os.path.join(tmp_path, "warm", entry))
+        # The only model entry is m_0's, published at construction.
+        assert len(glob.glob(str(tmp_path / "warm" / "warm-model-*.entry"))) == 1
 
     def test_env_var_enables_warm_tier(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_WARM_CACHE_DIR", str(tmp_path / "warm"))
@@ -694,7 +800,7 @@ class TestSessionWarmServing:
         cold.warm_cache.flush()
         # One entry per distinct (ε, δ) that ran its own size search (the
         # fused dispatch may satisfy a weaker contract from a stronger one).
-        size_entries = glob.glob(str(tmp_path / "warm-size-*.npz"))
+        size_entries = glob.glob(str(tmp_path / "warm-size-*.entry"))
         assert 1 <= len(size_entries) <= 2
         warm = _session(str(tmp_path), splits)
         before = streaming_pass_count()
@@ -818,6 +924,125 @@ class TestUnusableWarmDirectory:
         assert stats.dropped_writes >= 1
         assert stats.quarantined == 0
         assert (stats.hits, stats.writes, stats.entries) == (0, 0, 0)
+
+
+# ----------------------------------------------------------------------
+# Every byte of an entry is checked
+# ----------------------------------------------------------------------
+def _flip_each_byte(tier: WarmCacheTier, path: str, recompute) -> int:
+    """Flip each byte of the entry at ``path`` in turn and recompute.
+
+    Every flip must be a quarantined miss whose recompute returns what the
+    pristine entry held, and the write-behind must republish the pristine
+    bytes.  Returns the number of bytes flipped.
+    """
+    with open(path, "rb") as handle:
+        pristine = handle.read()
+    expected = recompute()  # served from the pristine entry
+    for index in range(len(pristine)):
+        blob = bytearray(pristine)
+        blob[index] ^= 0xFF
+        with open(path, "wb") as handle:
+            handle.write(bytes(blob))
+        quarantined = tier.stats().quarantined
+        assert recompute() == expected, index
+        tier.flush()
+        assert tier.stats().quarantined == quarantined + 1, index
+        with open(path, "rb") as handle:
+            assert handle.read() == pristine, index
+    return len(pristine)
+
+
+def _small_session(tier: WarmCacheTier) -> EstimationSession:
+    """A session whose entries are a few hundred bytes and whose fits take
+    about a millisecond, so every byte of an entry can be flipped."""
+    splits = train_holdout_test_split(
+        higgs_like(n_rows=1_000, n_features=4, seed=13),
+        SplitSpec(holdout_fraction=0.2, test_fraction=0.1),
+        rng=np.random.default_rng(9),
+    )
+    return EstimationSession(
+        LogisticRegressionSpec(regularization=1e-3),
+        splits.train,
+        splits.holdout,
+        warm_cache=tier,
+        rng=0,
+        n_parameter_samples=8,
+        initial_sample_size=100,
+    )
+
+
+class TestEveryByteIsChecked:
+    def test_each_flipped_byte_of_a_diff_entry_recomputes(self, tmp_path):
+        session = _small_session(WarmCacheTier(tmp_path))
+        theta, n = session.initial_model.theta, 400
+        cold = session.sorted_differences(theta, n).tobytes()
+        session.warm_cache.flush()
+        key = session._warm_diff_key((session._theta_digest(theta), n, session.full_size))
+        path = os.path.join(tmp_path, entry_filename(DIFF_KIND, key))
+
+        def recompute() -> bytes:
+            session._diff_cache.clear()
+            return session.sorted_differences(theta, n).tobytes()
+
+        assert recompute() == cold
+        assert _flip_each_byte(session.warm_cache, path, recompute) > 200
+
+    def test_each_flipped_byte_of_a_model_entry_refits(self, tmp_path, fit_calls):
+        session = _small_session(WarmCacheTier(tmp_path))
+        n = session.initial_sample_size + 1
+        cold = _optimization_row(session._train_cached(n)[0])
+        session.warm_cache.flush()
+        path = os.path.join(tmp_path, entry_filename(MODEL_KIND, session._warm_model_key(n)))
+
+        def recompute() -> tuple:
+            session._model_cache.clear()
+            return _optimization_row(session._train_cached(n)[0])
+
+        assert recompute() == cold
+        del fit_calls[:]
+        flipped = _flip_each_byte(session.warm_cache, path, recompute)
+        assert flipped > 200
+        assert fit_calls == [n] * flipped  # each flip refits m_n once
+
+
+# ----------------------------------------------------------------------
+# Fault injection: the disk fills mid-write
+# ----------------------------------------------------------------------
+class TestFullDisk:
+    def test_enospc_mid_write_publishes_nothing(self, tmp_path, full_disk):
+        tier = WarmCacheTier(tmp_path)
+        tier.put(DIFF_KIND, "k1", _payload())
+        tier.flush()
+        ((temp, landed),) = full_disk
+        assert 0 < landed < len(serialize_entry(DIFF_KIND, "k1", _payload()))
+        assert not os.path.exists(temp)
+        assert os.listdir(tmp_path) == []
+        assert tier.get(DIFF_KIND, "k1") is None
+        stats = tier.stats()
+        assert (stats.dropped_writes, stats.quarantined) == (1, 0)
+        assert (stats.writes, stats.entries, stats.hits) == (0, 0, 0)
+
+    def test_session_on_a_full_disk_answers_bitwise(self, tmp_path, full_disk):
+        contracts = [ApproximationContract(*pair) for pair in (_CONTRACT, *_EXTRA_CONTRACTS)]
+        splits = _splits()
+        control = _session(False, splits)
+        expected = [_result_row(control.train_to(contract)) for contract in contracts]
+        expected_answers = [control.answer(c).estimate.epsilon for c in contracts]
+
+        session = _session(WarmCacheTier(tmp_path), splits)
+        assert _optimization_row(session.initial_model) == _optimization_row(
+            control.initial_model
+        )
+        assert [_result_row(session.train_to(c)) for c in contracts] == expected
+        assert [session.answer(c).estimate.epsilon for c in contracts] == expected_answers
+        tier = session.warm_cache
+        tier.flush()
+        stats = tier.stats()
+        assert stats.dropped_writes == len(full_disk) >= 1
+        assert stats.quarantined == 0
+        assert (stats.hits, stats.writes, stats.entries) == (0, 0, 0)
+        assert os.listdir(tmp_path) == []
 
 
 # ----------------------------------------------------------------------
