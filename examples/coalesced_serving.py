@@ -2,10 +2,11 @@
 
 The coalescing tier (`repro.serving`) sits in front of the registry.  A
 `CoalescingService` holds one `ContractBatcher` per session key; concurrent
-`answer()`/`train_to()` calls that land within a short batching window are
-collected into one batch, identical (ε, δ) contracts are deduplicated into
-single-flight followers, and the distinct survivors are dispatched as ONE
-fused size search — every round of the bracketing search evaluates the
+`train_to()` calls for contracts that may need a size search are collected
+over a short batching window into one batch (answers and size-cached
+repeats have no search to share and dispatch at once), identical (ε, δ)
+contracts are deduplicated into single-flight followers, and the distinct
+survivors are dispatched as ONE fused size search — every round of the bracketing search evaluates the
 union of all active searches' candidate sizes at once.  For this linear
 regression workload no round streams the holdout: every Lin diff comes
 from the d × d holdout factor, built in one streamed pass and memoised;

@@ -36,6 +36,7 @@ import numpy as np
 
 from repro import ApproximationContract, EstimationSession, LogisticRegressionSpec
 from repro.data import higgs_like, train_holdout_test_split
+from repro.data.store import shared_warm_cache
 from repro.evaluation.streaming import streaming_pass_count
 
 SMOKE = bool(os.environ.get("REPRO_EXAMPLES_SMOKE"))
@@ -58,13 +59,21 @@ class CountedLogisticRegression(LogisticRegressionSpec):
 
 
 def serve_generation(label: str, warm_dir: str, splits) -> list[tuple]:
-    """One 'process generation': a fresh session against the warm dir."""
+    """One 'process generation': a fresh session against the warm dir.
+
+    Every generation resolves the directory to the same process-wide tier,
+    whose counters are cumulative, so a generation reports the change in
+    the tier's snapshot from before its session opens to after its last
+    write lands.
+    """
+    tier = shared_warm_cache(warm_dir)
+    before = tier.stats()
     fits_before = CountedLogisticRegression.fits
     session = EstimationSession(
         CountedLogisticRegression(regularization=1e-3),
         splits.train,
         splits.holdout,
-        warm_cache=warm_dir,
+        warm_cache=tier,
         rng=0,
         n_parameter_samples=24 if SMOKE else 64,
         initial_sample_size=250 if SMOKE else 1_000,
@@ -81,14 +90,15 @@ def serve_generation(label: str, warm_dir: str, splits) -> list[tuple]:
             f"  ε={contract.epsilon:.3f}: n={result.sample_size:>5}  "
             f"ε̂={result.estimated_epsilon:.4f}"
         )
-    session.warm_cache.flush()
-    stats = session.warm_cache.stats()
+    tier.flush()
+    after = tier.stats()
     print(
         f"{label}: {streaming_pass_count() - passes_before} streamed passes, "
         f"{CountedLogisticRegression.fits - fits_before} fits, "
         f"{time.perf_counter() - start:.2f}s  "
-        f"(warm hits={stats.hits} writes={stats.writes} "
-        f"quarantined={stats.quarantined})\n"
+        f"(warm hits={after.hits - before.hits} "
+        f"writes={after.writes - before.writes} "
+        f"quarantined={after.quarantined - before.quarantined})\n"
     )
     return rows
 

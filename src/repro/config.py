@@ -130,14 +130,15 @@ DEFAULT_WARM_CACHE_MAX_BYTES = _env_int(
 )
 
 # Request-coalescing serving tier (repro.serving).  A ContractBatcher
-# collects concurrent answer()/train_to() requests against one session for
-# a short window and dispatches them as one fused evaluation — identical
-# (ε, δ) contracts become single-flight followers and distinct contracts
-# share each search round's streamed holdout pass.  The window trades a
-# couple of milliseconds of added latency for cross-caller GEMM sharing;
-# the batch cap bounds how much work one dispatch can aggregate; the queue
-# cap is the backpressure bound — submissions beyond it are load-shed with
-# ServingOverloadError.
+# collects concurrent answer()/train_to() requests against one session and
+# dispatches them as one fused evaluation — identical (ε, δ) contracts
+# become single-flight followers and distinct contracts share each search
+# round's streamed holdout pass.  The window, held only while a queued
+# request may run a size search, trades a couple of milliseconds of added
+# latency on new contracts for that sharing; answers and size-cached
+# repeats never wait it out.  The batch cap bounds how much work one
+# dispatch can aggregate; the queue cap is the backpressure bound —
+# submissions beyond it are load-shed with ServingOverloadError.
 DEFAULT_COALESCE_WINDOW_MS = _env_float("DEFAULT_COALESCE_WINDOW_MS", 2.0, minimum=0.0)
 DEFAULT_COALESCE_MAX_BATCH = _env_int("DEFAULT_COALESCE_MAX_BATCH", 16, minimum=1)
 DEFAULT_COALESCE_MAX_QUEUE = _env_int("DEFAULT_COALESCE_MAX_QUEUE", 1024, minimum=1)

@@ -531,6 +531,17 @@ class EstimationSession:
     # ------------------------------------------------------------------
     # Cache introspection
     # ------------------------------------------------------------------
+    def size_cached(self, contract: ApproximationContract) -> bool:
+        """Whether ``contract``'s (ε, δ) size search is in the size cache.
+
+        A peek at the in-memory cache: it moves no hit/miss counter and no
+        recency, and never probes the warm tier.  A ``train_to`` for a
+        contract it reports is a repeat that runs no size search; the
+        coalescing tier reads it to decide whether a request can gain from
+        a batching window.
+        """
+        return (contract.epsilon, contract.delta) in self._size_cache
+
     def cache_stats(self) -> dict[str, CacheStats]:
         """Hit/miss/eviction snapshots of the three session caches."""
         return {
@@ -1149,8 +1160,7 @@ class EstimationSession:
                         if (candidate.epsilon, candidate.delta) == pivot_key
                         or (
                             (candidate.epsilon, candidate.delta) not in resolved
-                            and (candidate.epsilon, candidate.delta)
-                            not in self._size_cache
+                            and not self.size_cached(candidate)
                         )
                     ]
                     with pass_scope("size-search", session=self._session_label):

@@ -42,10 +42,13 @@ the session's initial model m_0 — so a restarted process fits no model.
   not corruption.  A hit returns read-only views into the bytes read;
 * **byte-bounded mtime-GC** — after each write the tier deletes
   oldest-first until the directory is back under ``max_bytes`` (and
-  removes aged temp files left by crashed writers).  Entry files of the
-  earlier ``.npz`` layout (``warm-*.npz``) are never parsed — a get looks
-  only for the current name, so each is a plain miss — but they count
-  toward the bound and go oldest-first like any other entry;
+  removes aged temp files left by crashed writers).  Quarantined files
+  count toward the bound too and go first, oldest first, before any live
+  entry: they are kept only for post-mortems, so a disk that keeps
+  corrupting entries cannot grow the directory without limit.  Entry
+  files of the earlier ``.npz`` layout (``warm-*.npz``) are never parsed
+  — a get looks only for the current name, so each is a plain miss — but
+  they count toward the bound and go oldest-first like any other entry;
 * **async write-behind** — entries are published from a background
   thread so the serving path never waits on disk; a bounded queue drops
   (and counts) writes under pressure rather than blocking.
@@ -76,7 +79,7 @@ import struct
 import threading
 import time
 import uuid
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from typing import Literal
 
@@ -273,6 +276,29 @@ def _parse_entry(blob: bytes, kind: str, key: str) -> dict[str, np.ndarray] | No
     return payload if offset == end else None
 
 
+#: (path, mtime, size) of one file under the warm directory.
+_FileRow = tuple[str, float, int]
+
+
+def _scan_files(directory: str, accept: Callable[[str], bool]) -> list[_FileRow]:
+    """One row per accepted regular file in ``directory``, oldest first."""
+    rows: list[_FileRow] = []
+    try:
+        with os.scandir(directory) as it:
+            for item in it:
+                if not (item.is_file() and accept(item.name)):
+                    continue
+                try:
+                    stat = item.stat()
+                except OSError:
+                    continue
+                rows.append((item.path, stat.st_mtime, stat.st_size))
+    except OSError:
+        return []
+    rows.sort(key=lambda row: row[1])
+    return rows
+
+
 # ----------------------------------------------------------------------
 # Stats
 # ----------------------------------------------------------------------
@@ -285,7 +311,9 @@ class WarmCacheStats:
     check or parse error; ``writes`` counts entries actually published,
     ``dropped_writes`` write-behind submissions shed by the bounded queue;
     ``gc_removed`` files deleted by the byte-bounded mtime-GC.
-    ``entries``/``bytes`` describe the directory at snapshot time.
+    ``entries``/``bytes`` describe the directory at snapshot time:
+    ``entries`` counts servable entry files, and ``bytes`` every file the
+    byte bound covers, the ``quarantine/`` subdirectory's included.
     """
 
     directory: str
@@ -505,34 +533,26 @@ class WarmCacheTier:
         with self._lock:
             self._quarantined += 1
 
-    def _scan(self) -> list[tuple[str, float, int]]:
-        """(path, mtime, size) for every visible entry file, oldest first."""
-        rows: list[tuple[str, float, int]] = []
-        try:
-            with os.scandir(self.directory) as it:
-                for item in it:
-                    if not (
-                        item.is_file()
-                        and item.name.startswith(_ENTRY_PREFIX)
-                        and item.name.endswith((_ENTRY_SUFFIX, _LEGACY_SUFFIX))
-                    ):
-                        continue
-                    try:
-                        stat = item.stat()
-                    except OSError:
-                        continue
-                    rows.append((item.path, stat.st_mtime, stat.st_size))
-        except OSError:
-            return []
-        rows.sort(key=lambda row: row[1])
-        return rows
+    def _scan(self) -> tuple[list[_FileRow], list[_FileRow]]:
+        """Entry files, then quarantined files, each oldest first."""
+        entries = _scan_files(
+            self.directory,
+            lambda name: name.startswith(_ENTRY_PREFIX)
+            and name.endswith((_ENTRY_SUFFIX, _LEGACY_SUFFIX)),
+        )
+        quarantined = _scan_files(
+            os.path.join(self.directory, _QUARANTINE_DIR), lambda name: True
+        )
+        return entries, quarantined
 
     def gc(self) -> int:
         """Enforce the byte bound (oldest-mtime first); sweep stale temps.
 
-        Concurrent GCs from co-located processes are safe: deletions race
-        benignly (a vanished file is skipped) and every surviving entry is
-        still individually verified on read.  Returns files removed.
+        The bound covers quarantined files too, and they go first: no live
+        entry is removed while a quarantined file remains.  Concurrent GCs
+        from co-located processes are safe: deletions race benignly (a
+        vanished file is skipped) and every surviving entry is still
+        individually verified on read.  Returns files removed.
         """
         removed = 0
         try:
@@ -552,7 +572,8 @@ class WarmCacheTier:
                     removed += 1
             except OSError:
                 continue
-        rows = self._scan()
+        entries, quarantined = self._scan()
+        rows = quarantined + entries
         total = sum(size for _, _, size in rows)
         for path, _, size in rows:
             if total <= self.max_bytes:
@@ -573,7 +594,7 @@ class WarmCacheTier:
     # ------------------------------------------------------------------
     def stats(self) -> WarmCacheStats:
         """A snapshot of counters plus the directory's current occupancy."""
-        rows = self._scan()
+        entries, quarantined = self._scan()
         with self._lock:
             return WarmCacheStats(
                 directory=self.directory,
@@ -583,8 +604,8 @@ class WarmCacheTier:
                 dropped_writes=self._dropped_writes,
                 quarantined=self._quarantined,
                 gc_removed=self._gc_removed,
-                entries=len(rows),
-                bytes=sum(size for _, _, size in rows),
+                entries=len(entries),
+                bytes=sum(size for _, _, size in entries + quarantined),
                 max_bytes=self.max_bytes,
             )
 

@@ -4,14 +4,18 @@ A :class:`Tracer` issues :class:`Span` objects through a ``with`` context
 manager; the *current* span is carried in a :class:`contextvars.ContextVar`,
 so a span opened inside another span's scope becomes its child
 automatically — across ordinary call chains and across asyncio tasks,
-which inherit the creating task's context (the
+which inherit the creating task's context.  The
 :class:`~repro.serving.service.CoalescingService` entry points therefore
-trace correctly under the event loop).  Thread pools do **not** inherit
-context (``ThreadPoolExecutor`` workers run in their own contexts), so
-cross-thread causality is explicit: capture :meth:`Tracer.current_span`
-before submitting, then either pass it as ``parent=`` or re-enter it in
-the worker with :meth:`Tracer.activate` — exactly what the serving tier
-does around its executor hops.
+need no handoff: each opens its ``service.*`` span in the caller's task
+and awaits the batcher's future on the event loop, and its one hop off
+the loop, :func:`asyncio.to_thread`, copies the context along.  Thread
+pools do **not** inherit context (``ThreadPoolExecutor`` workers run in
+their own contexts), so cross-thread causality there is explicit:
+capture :meth:`Tracer.current_span` before submitting, then either pass
+it as ``parent=`` or re-enter it in the worker with
+:meth:`Tracer.activate`.  The batcher's dispatcher thread serves many
+callers at once, so its ``coalescing.dispatch`` spans start their own
+traces.
 
 Determinism: the clock is injectable (tests drive a fake monotonic clock
 and assert exact durations) and span/trace ids come from a plain counter,

@@ -7,8 +7,12 @@ though the candidate evaluations could share every pass.  A
 :class:`ContractBatcher` sits in front of one
 :class:`~repro.core.session.EstimationSession` and
 
-* collects concurrent ``answer()`` / ``train_to()`` submissions for a
-  short batching window (``window_ms``, capped at ``max_batch`` requests);
+* collects concurrent ``answer()`` / ``train_to()`` submissions, holding
+  a short batching window (``window_ms``, capped at ``max_batch``
+  requests) open only while a queued request may run a size search — a
+  ``train`` request whose (ε, δ) was not yet in the session's size cache
+  when it was submitted.  Answers and size-cached repeats have no search
+  to share, so they dispatch as soon as the dispatcher wakes;
 * dedupes identical requests — same kind, same (ε, δ), same flags — into
   single-flight followers (counted in ``coalesced_requests``; the
   session's own single-flight caches guarantee followers get the leader's
@@ -19,8 +23,18 @@ though the candidate evaluations could share every pass.  A
   :meth:`~repro.core.session.EstimationSession.train_to_many` for training
   requests (one lockstep fused size search — every active search's
   candidates ride one streamed union pass per round);
-* demultiplexes the per-request results back to the waiting callers,
-  bitwise identical to what each serial call would have returned.
+* completes each request's :class:`concurrent.futures.Future` with its
+  own result, bitwise identical to what each serial call would have
+  returned (batch composition never changes a result, so neither does
+  the window rule).
+
+Every request completes through the future :meth:`ContractBatcher.submit`
+returns: the blocking :meth:`~ContractBatcher.answer` /
+:meth:`~ContractBatcher.train_to` wait on it, and the asyncio service
+awaits it on the event loop.  A future cancelled while its request is
+still queued (a timed-out or cancelled caller) takes the request out of
+the queue, freeing its ``max_queue`` slot and any window it held open,
+so the request never reaches the session.
 
 Backpressure is a bounded queue: a submission finding ``max_queue``
 requests already waiting is load-shed immediately with
@@ -31,9 +45,11 @@ If a fused dispatch raises, the batcher falls back to serial per-request
 execution so one poisoned contract (e.g. a validation error) fails only
 its own caller, not everyone who shared the window.
 
-Thread model: submissions may come from any thread (the asyncio service
-calls through an executor); a single daemon dispatcher thread per batcher
-owns the batching loop, started lazily on first submission and joined by
+Thread model: submissions may come from any thread, the event loop's
+included (a submission takes the session's size-cache lock and the
+batcher condition, each briefly, and never waits for a dispatch); a
+single daemon dispatcher thread per batcher owns the batching loop,
+started lazily on first submission and joined by
 :meth:`ContractBatcher.close`.  All counters are guarded by the batcher
 condition variable and exposed as an immutable :class:`BatcherStats`
 snapshot, which the service aggregates (``service.batching_stats()``).
@@ -44,6 +60,8 @@ from __future__ import annotations
 import threading
 import time
 from collections import Counter, deque
+from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from typing import Any
 
@@ -77,7 +95,8 @@ class BatcherStats:
     batches:
         Dispatches executed (each served one batching window).
     requests:
-        Requests completed through those dispatches.
+        Requests dispatched through them (a request cancelled while still
+        queued never dispatches and is not counted).
     coalesced_requests:
         Requests that were in-window duplicates of another request (same
         kind, contract and flags) — followers that rode a leader's
@@ -148,26 +167,33 @@ class BatcherStats:
         )
 
 
+_KINDS = ("answer", "train")
+
+
 class _Request:
-    """One waiting caller: its ask, its completion event, its outcome."""
+    """One queued caller: its ask and the future its outcome lands in."""
 
     __slots__ = (
         "kind",
         "contract",
         "recompute",
-        "event",
-        "result",
-        "error",
+        "may_search",
+        "future",
         "enqueued_at",
     )
 
-    def __init__(self, kind: str, contract: ApproximationContract, recompute: bool):
+    def __init__(
+        self,
+        kind: str,
+        contract: ApproximationContract,
+        recompute: bool,
+        may_search: bool,
+    ):
         self.kind = kind
         self.contract = contract
         self.recompute = recompute
-        self.event = threading.Event()
-        self.result: Any = None
-        self.error: BaseException | None = None
+        self.may_search = may_search
+        self.future: Future[Any] = Future()
         self.enqueued_at = time.monotonic()
 
     def dedupe_key(self) -> tuple:
@@ -183,11 +209,12 @@ class ContractBatcher:
         The :class:`~repro.core.session.EstimationSession` every batch is
         dispatched against.
     window_ms:
-        How long the dispatcher holds the first request of a batch open
-        for more arrivals (0 disables the wait: each dispatch takes
-        whatever is queued the moment it wakes).  A couple of milliseconds
-        is far below a streamed search round, so the added latency is
-        noise next to the passes it saves.
+        How long the dispatcher holds a batch open for more arrivals while
+        a queued request may run a size search (0 disables the wait: each
+        dispatch takes whatever is queued the moment it wakes).  A couple
+        of milliseconds is far below a streamed search round, so the added
+        latency is noise next to the passes it saves; requests with no
+        search to share (answers, size-cached repeats) never wait it out.
     max_batch:
         Most requests one dispatch may serve; arrivals beyond it wait for
         the next window.
@@ -221,6 +248,9 @@ class ContractBatcher:
         self._name = str(name)
         self._cond = threading.Condition()
         self._queue: deque[_Request] = deque()  # guarded-by: _cond
+        # Queued requests that may run a size search: the window is held
+        # open only while this is non-zero.
+        self._searching = 0  # guarded-by: _cond
         self._inflight = 0  # guarded-by: _cond
         self._closed = False  # guarded-by: _cond
         self._thread: threading.Thread | None = None  # guarded-by: _cond
@@ -254,30 +284,35 @@ class ContractBatcher:
     # ------------------------------------------------------------------
     # Submission surface
     # ------------------------------------------------------------------
-    def answer(
-        self, contract: ApproximationContract, timeout: float | None = None
-    ) -> SessionAnswer:
-        """Coalesced :meth:`EstimationSession.answer` — blocks for the result."""
-        return self._submit("answer", contract, False, timeout)
-
-    def train_to(
-        self,
-        contract: ApproximationContract,
-        *,
-        recompute_at_theta_n: bool = False,
-        timeout: float | None = None,
-    ) -> ApproximateTrainingResult:
-        """Coalesced :meth:`EstimationSession.train_to` — blocks for the result."""
-        return self._submit("train", contract, bool(recompute_at_theta_n), timeout)
-
-    def _submit(
+    def submit(
         self,
         kind: str,
         contract: ApproximationContract,
-        recompute: bool,
-        timeout: float | None,
-    ) -> Any:
-        request = _Request(kind, contract, recompute)
+        recompute_at_theta_n: bool = False,
+    ) -> Future[Any]:
+        """Queue one request; returns the future its outcome lands in.
+
+        ``kind`` is ``"answer"`` (:meth:`EstimationSession.answer`) or
+        ``"train"`` (:meth:`EstimationSession.train_to`;
+        ``recompute_at_theta_n`` applies to train requests only).  The
+        future completes exactly once, with the session's result or its
+        exception.  Cancelling it while the request is still queued frees
+        its queue slot and keeps the request from ever reaching the
+        session.  Raises :class:`~repro.exceptions.ServingError` once
+        closed and :class:`~repro.exceptions.ServingOverloadError` when
+        the queue is full.
+        """
+        if kind not in _KINDS:
+            raise BlinkMLError(
+                f"batcher: kind must be one of {_KINDS}, got {kind!r}"
+            )
+        recompute = kind == "train" and bool(recompute_at_theta_n)
+        # Read on the submitting thread, outside the batcher lock: a train
+        # request whose (ε, δ) is not yet size-cached may run a size search,
+        # the one cost a window's fusion shares.
+        may_search = kind == "train" and not self._session.size_cached(contract)
+        request = _Request(kind, contract, recompute, may_search)
+        request.future.add_done_callback(self._withdraw)
         with self._cond:
             if self._closed:
                 raise ServingError(f"batcher for {self._name!r} is closed")
@@ -289,17 +324,78 @@ class ContractBatcher:
                     f"(queue depth {depth}, bound {self._max_queue})"
                 )
             self._queue.append(request)
+            self._searching += may_search
             self._max_queue_depth = max(self._max_queue_depth, depth + 1)
             self._ensure_dispatcher_locked()
             self._cond.notify_all()
-        if not request.event.wait(timeout):
-            raise ServingError(
-                f"batcher for {self._name!r}: {kind} request timed out "
-                f"after {timeout} s (still queued or executing)"
-            )
-        if request.error is not None:
-            raise request.error
-        return request.result
+        return request.future
+
+    def answer(
+        self, contract: ApproximationContract, timeout: float | None = None
+    ) -> SessionAnswer:
+        """Coalesced :meth:`EstimationSession.answer` — blocks for the result."""
+        result: SessionAnswer = self._wait(
+            self.submit("answer", contract), "answer", timeout
+        )
+        return result
+
+    def train_to(
+        self,
+        contract: ApproximationContract,
+        *,
+        recompute_at_theta_n: bool = False,
+        timeout: float | None = None,
+    ) -> ApproximateTrainingResult:
+        """Coalesced :meth:`EstimationSession.train_to` — blocks for the result."""
+        result: ApproximateTrainingResult = self._wait(
+            self.submit("train", contract, recompute_at_theta_n), "train", timeout
+        )
+        return result
+
+    def _wait(self, future: Future[Any], kind: str, timeout: float | None) -> Any:
+        try:
+            return future.result(timeout)
+        except FutureTimeoutError:
+            return self.expire(future, kind, timeout)
+
+    def expire(self, future: Future[Any], kind: str, timeout: float | None) -> Any:
+        """Settle a wait on a :meth:`submit` future that ran out of time.
+
+        A request still queued is cancelled, so it never executes; one
+        already executing finishes unobserved; either way the caller gets
+        :class:`~repro.exceptions.ServingError`.  A future that is done by
+        now keeps its own outcome (its result, or its exception — which
+        may itself be a ``TimeoutError`` raised by the session).
+        """
+        future.cancel()
+        if future.done() and not future.cancelled():
+            return future.result()
+        raise ServingError(
+            f"batcher for {self._name!r}: {kind} request timed out "
+            f"after {timeout} s (still queued or executing)"
+        )
+
+    def _withdraw(self, future: Future[Any]) -> None:
+        """Free the queue slot of a request cancelled while still queued.
+
+        Runs on whichever thread cancelled the future, so a cancelled
+        request neither counts against ``max_queue`` nor holds a window
+        open; one the dispatcher already popped is dropped there instead.
+        The callback holds the batcher, never the request: a request whose
+        future referred back to it would form a cycle that keeps the
+        batcher and its session alive until the cyclic collector runs.
+        """
+        if not future.cancelled():
+            return
+        with self._cond:
+            for request in self._queue:
+                if request.future is future:
+                    break
+            else:
+                return
+            self._queue.remove(request)
+            self._searching -= request.may_search
+            self._cond.notify_all()
 
     def _ensure_dispatcher_locked(self) -> None:  # repro-lint: holds=_cond
         if self._thread is None or not self._thread.is_alive():
@@ -320,25 +416,46 @@ class ContractBatcher:
                     self._cond.wait()
                 if not self._queue and self._closed:
                     return
-                # Batching window: the first request holds the window open
-                # so concurrent callers can join; a full batch or close()
-                # dispatches immediately.
+                # Batching window: held open only while a queued request
+                # may run a size search, so concurrent new contracts fuse;
+                # answers and size-cached repeats have nothing to share and
+                # dispatch at once.  A full batch or close() cuts it short.
                 deadline = time.monotonic() + self._window_seconds
-                while len(self._queue) < self._max_batch and not self._closed:
+                while (
+                    self._searching
+                    and len(self._queue) < self._max_batch
+                    and not self._closed
+                ):
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         break
                     self._cond.wait(timeout=remaining)
-                batch = [
+                popped = [
                     self._queue.popleft()
                     for _ in range(min(len(self._queue), self._max_batch))
                 ]
+                self._searching -= sum(request.may_search for request in popped)
+                # A future cancelled after its request was popped, before
+                # _withdraw could take the lock, is dropped here: it never
+                # reaches the session either.
+                batch = [
+                    request
+                    for request in popped
+                    if request.future.set_running_or_notify_cancel()
+                ]
                 self._inflight += 1
             try:
-                self._execute(batch)
+                if batch:
+                    self._execute(batch)
             finally:
                 for request in batch:
-                    request.event.set()
+                    if not request.future.done():
+                        request.future.set_exception(
+                            ServingError(
+                                f"batcher for {self._name!r}: dispatch ended "
+                                f"without completing a {request.kind} request"
+                            )
+                        )
                 with self._cond:
                     self._inflight -= 1
                     self._cond.notify_all()
@@ -352,6 +469,19 @@ class ContractBatcher:
         coalesced = sum(count - 1 for count in duplicates.values())
         for wait in waits:
             _QUEUE_WAIT_SECONDS.observe(wait)
+        # Counted before any future completes, so a caller that reads
+        # stats() after its result sees its own dispatch.
+        with self._cond:
+            self._batches += 1
+            self._requests += len(batch)
+            self._window_slots += self._max_batch
+            self._coalesced += coalesced
+            self._answer_requests += len(answers)
+            self._train_requests += len(trains)
+            self._queue_wait_seconds += sum(waits)
+            self._max_queue_wait_seconds = max(
+                self._max_queue_wait_seconds, max(waits, default=0.0)
+            )
         with get_tracer().span(
             "coalescing.dispatch",
             batch=len(batch),
@@ -363,19 +493,6 @@ class ContractBatcher:
             fused, serial = self._execute_batch(batch, answers, trains)
             span.set_attribute("fused_passes", fused)
             span.set_attribute("serial_passes", serial)
-        with self._cond:
-            self._batches += 1
-            self._requests += len(batch)
-            self._window_slots += self._max_batch
-            self._coalesced += coalesced
-            self._answer_requests += len(answers)
-            self._train_requests += len(trains)
-            self._fused_passes += fused
-            self._serial_passes += serial
-            self._queue_wait_seconds += sum(waits)
-            self._max_queue_wait_seconds = max(
-                self._max_queue_wait_seconds, max(waits, default=0.0)
-            )
 
     def _execute_batch(
         self,
@@ -391,7 +508,7 @@ class ContractBatcher:
                     [request.contract for request in answers]
                 )
                 for request, result in zip(answers, results):
-                    request.result = result
+                    request.future.set_result(result)
             # recompute_at_theta_n is a per-request flag; fuse per flag value
             # (mixing them in one train_to_many would change members' results).
             for recompute in (False, True):
@@ -402,28 +519,33 @@ class ContractBatcher:
                     [request.contract for request in group],
                     recompute_at_theta_n=recompute,
                 )
-                for request, result in zip(group, outcome.results):
-                    request.result = result
                 fused += outcome.fused_search_passes
                 serial += outcome.serial_search_passes
+                with self._cond:
+                    self._fused_passes += outcome.fused_search_passes
+                    self._serial_passes += outcome.serial_search_passes
+                for request, result in zip(group, outcome.results):
+                    request.future.set_result(result)
         except Exception:
             # Fused dispatch failed (e.g. one contract fails validation):
             # retry each unresolved request serially so only the offending
             # caller sees its error.  Deterministic caches make the retry
             # identical to a first-time serial call.
             for request in batch:
-                if request.result is not None:
+                if request.future.done():
                     continue
                 try:
                     if request.kind == "answer":
-                        request.result = self._session.answer(request.contract)
+                        result = self._session.answer(request.contract)
                     else:
-                        request.result = self._session.train_to(
+                        result = self._session.train_to(
                             request.contract,
                             recompute_at_theta_n=request.recompute,
                         )
                 except Exception as exc:  # noqa: BLE001 - handed to the caller
-                    request.error = exc
+                    request.future.set_exception(exc)
+                else:
+                    request.future.set_result(result)
         return fused, serial
 
     # ------------------------------------------------------------------

@@ -8,9 +8,13 @@ pieces below it into one request path:
 * one :class:`~repro.serving.batcher.ContractBatcher` per registry key
   coalesces that key's concurrent contracts into fused dispatches;
 * asyncio entry points (:meth:`CoalescingService.answer`,
-  :meth:`CoalescingService.train_to`) run the blocking batcher waits on an
-  executor so an event-loop server can await thousands of in-flight
-  contracts while the batchers fuse them underneath.
+  :meth:`CoalescingService.train_to`) submit to the key's batcher and
+  await the request's future on the event loop
+  (:func:`asyncio.wrap_future`), so an event-loop server can await
+  thousands of in-flight contracts without a thread per wait while the
+  batchers fuse them underneath.  Only a call that passes
+  ``spec``/``train``/``holdout`` leaves the loop, through
+  :func:`asyncio.to_thread`, because resolving it may construct a session.
 
 **Load shedding.**  The one shedding rule is the batcher's bounded queue:
 a submission finding ``max_queue`` requests already waiting for its key
@@ -37,9 +41,6 @@ from __future__ import annotations
 import asyncio
 import os
 import threading
-from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
-
 from typing import Any, Literal
 
 from repro.config import (
@@ -133,17 +134,6 @@ class CoalescingService:
         self._closed = False  # guarded-by: _lock
         # Retired stats so closed batchers' history survives in aggregates.
         self._retired_stats = BatcherStats()  # guarded-by: _lock
-        # The async entry points park blocking waits here.  Each wait is an
-        # enqueue plus an event sleep (the fused dispatch runs on the
-        # batcher's own thread), so waiters are cheap — but the pool must
-        # be wider than a batching window, or the windows themselves get
-        # serialised behind executor capacity.  asyncio's default executor
-        # sizes by CPU count, which on small hosts is narrower than one
-        # window and silently splits batches.
-        self._waiters = ThreadPoolExecutor(
-            max_workers=max(32, 4 * self._max_batch),
-            thread_name_prefix="repro-serving-wait",
-        )
         self._stop = threading.Event()
         self._housekeeper: threading.Thread | None = None
         if start_housekeeping:
@@ -255,22 +245,16 @@ class CoalescingService:
     ) -> SessionAnswer:
         """Awaitable coalesced ``answer()``.
 
-        The blocking batcher wait runs on the service's waiter pool (sized
-        past the batching window, so concurrent awaits against one key all
-        land in one window and are fused).  Raises
-        :class:`~repro.exceptions.ServingOverloadError` when load-shed.
+        Submits to the key's batcher and awaits the request's future on
+        the event loop; no thread waits for the result.  A timeout raises
+        :class:`~repro.exceptions.ServingError` (a request still queued is
+        cancelled and never executes), and a load-shed submission raises
+        :class:`~repro.exceptions.ServingOverloadError`.
         """
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._waiters,
-            self._spanned(
-                "service.answer",
-                key,
-                lambda: self.answer_sync(
-                    key, contract, timeout=timeout, **resolve_kwargs
-                ),
-            ),
+        result: SessionAnswer = await self._serve(
+            "answer", key, contract, False, timeout, resolve_kwargs
         )
+        return result
 
     async def train_to(
         self,
@@ -282,42 +266,38 @@ class CoalescingService:
         **resolve_kwargs: Any,
     ) -> ApproximateTrainingResult:
         """Awaitable coalesced ``train_to()`` (see :meth:`answer`)."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._waiters,
-            self._spanned(
-                "service.train_to",
-                key,
-                lambda: self.train_to_sync(
-                    key,
-                    contract,
-                    recompute_at_theta_n=recompute_at_theta_n,
-                    timeout=timeout,
-                    **resolve_kwargs,
-                ),
-            ),
+        result: ApproximateTrainingResult = await self._serve(
+            "train", key, contract, recompute_at_theta_n, timeout, resolve_kwargs
         )
+        return result
 
-    def _spanned(
-        self, name: str, key: object, work: "Callable[[], Any]"
-    ) -> "Callable[[], Any]":
-        """Wrap a waiter-pool callable in a span parented to the caller's.
-
-        Context variables flow into asyncio tasks but *not* into
-        ``ThreadPoolExecutor`` workers, so the submitting task's current
-        span is captured here — still on the event loop — and re-activated
-        inside the worker (:meth:`~repro.obs.tracing.Tracer.activate`).
-        The ``service.*`` span then joins the request's trace even though
-        the blocking batcher wait runs on a pool thread.
-        """
-        tracer = get_tracer()
-        parent = tracer.current_span()
-
-        def traced() -> Any:
-            with tracer.activate(parent), tracer.span(name, key=str(key)):
-                return work()
-
-        return traced
+    async def _serve(
+        self,
+        kind: str,
+        key: object,
+        contract: ApproximationContract,
+        recompute_at_theta_n: bool,
+        timeout: float | None,
+        resolve_kwargs: dict[str, Any],
+    ) -> Any:
+        name = "service.answer" if kind == "answer" else "service.train_to"
+        # The span opens in the caller's task, so it joins the caller's
+        # trace with no handoff: asyncio tasks and to_thread both carry
+        # the context.
+        with get_tracer().span(name, key=str(key)):
+            if resolve_kwargs:
+                # Resolving with spec/train/holdout may construct a session
+                # (fit m₀, digest the data): never on the event loop.
+                batcher = await asyncio.to_thread(
+                    self.batcher, key, **resolve_kwargs
+                )
+            else:
+                batcher = self.batcher(key)
+            future = batcher.submit(kind, contract, recompute_at_theta_n)
+            try:
+                return await asyncio.wait_for(asyncio.wrap_future(future), timeout)
+            except asyncio.TimeoutError:
+                return batcher.expire(future, kind, timeout)
 
     # ------------------------------------------------------------------
     # Housekeeping
@@ -422,7 +402,6 @@ class CoalescingService:
             self._housekeeper.join()
         for _, batcher in batchers:
             batcher.close()
-        self._waiters.shutdown(wait=False)
 
     def __enter__(self) -> "CoalescingService":
         return self

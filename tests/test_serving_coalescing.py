@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import gc
+import sys
 import threading
 import time
 import weakref
@@ -22,6 +23,7 @@ import pytest
 from repro.core.caching import CacheStats
 from repro.core.contract import ApproximationContract
 from repro.core.registry import SessionRegistry
+from repro.core.sample_size import SampleSizeEstimator
 from repro.core.session import CoalescedTrainOutcome, EstimationSession
 from repro.data.splits import SplitSpec, train_holdout_test_split
 from repro.data.synthetic import higgs_like
@@ -162,16 +164,85 @@ class TestCoalescedIdentity:
         assert stats.passes_saved > 0
 
 
+class TestFusedBatchFault:
+    def test_exception_inside_a_fused_batch_falls_back_to_serial(
+        self, splits, serial_baseline, monkeypatch
+    ):
+        # The first fused size search of the burst raises; every caller must
+        # still get its serial-fallback result, bitwise equal to serial
+        # train_to, with no hang, no None result and no stray error.
+        serial_results, _ = serial_baseline
+        expected = {}
+        for contract, result in zip(CONTRACTS, serial_results):
+            expected.setdefault(contract, result)
+        distinct = list(expected)
+        original = SampleSizeEstimator.estimate_many
+        raised = []
+
+        def fails_once(self, *args, **kwargs):
+            if not raised:
+                raised.append(len(kwargs["contracts"]))
+                raise RuntimeError("injected fault inside the fused batch")
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SampleSizeEstimator, "estimate_many", fails_once)
+        with CoalescingService(
+            SessionRegistry(),
+            window_ms=5_000,
+            max_batch=len(distinct),
+            start_housekeeping=False,
+        ) as service:
+            service.batcher(
+                "pair",
+                SPEC,
+                splits.train,
+                splits.holdout,
+                initial_sample_size=250,
+                n_parameter_samples=24,
+                rng=0,
+            )
+
+            async def burst():
+                return await asyncio.gather(
+                    *[
+                        service.train_to("pair", contract, timeout=120)
+                        for contract in distinct
+                    ],
+                    return_exceptions=True,
+                )
+
+            results = asyncio.run(burst())
+            stats = service.batching_stats()
+        assert raised == [len(distinct)]  # one fused search held them all
+        assert stats.batches == 1
+        for contract, result in zip(distinct, results):
+            assert not isinstance(result, BaseException), result
+            assert result is not None
+            assert_bitwise_identical(expected[contract], result)
+
+
 # ----------------------------------------------------------------------
 # Batcher mechanics (stub session)
 # ----------------------------------------------------------------------
 class StubSession:
-    """Deterministic session facade for exercising batcher plumbing."""
+    """Deterministic session facade for exercising batcher plumbing.
 
-    def __init__(self, gate: threading.Event | None = None):
+    ``cached`` lists the contracts whose size search it reports as cached
+    (:meth:`size_cached`); every other train request may search.
+    """
+
+    def __init__(
+        self,
+        gate: threading.Event | None = None,
+        cached: tuple[ApproximationContract, ...] = (),
+    ):
         self.gate = gate
+        self.cached = set(cached)
         self.executing = threading.Event()
         self.calls: list[tuple] = []
+
+    def size_cached(self, contract):
+        return contract in self.cached
 
     def _wait(self):
         self.executing.set()
@@ -203,6 +274,32 @@ class StubSession:
 
 C1 = ApproximationContract(epsilon=0.05, delta=0.05)
 C2 = ApproximationContract(epsilon=0.07, delta=0.05)
+C3 = ApproximationContract(epsilon=0.08, delta=0.05)
+HELD = ApproximationContract(epsilon=0.09, delta=0.05)
+
+
+def hold_dispatcher(batcher, session):
+    """Occupy the dispatcher with a gated answer until ``session.gate`` opens.
+
+    Requests submitted meanwhile queue behind it and dispatch together once
+    the gate opens, so a test's batch forms deterministically rather than
+    by window timing.  Returns the held request's future.
+    """
+    held = batcher.submit("answer", HELD)
+    assert session.executing.wait(5)
+    return held
+
+
+def wait_for_queue(batcher, depth):
+    deadline = time.monotonic() + 5
+    while len(batcher._queue) < depth:
+        assert time.monotonic() < deadline
+        time.sleep(0.002)
+
+
+def involved(session):
+    """Every contract a stub session was asked to execute."""
+    return {contract for call in session.calls for contract in call[1]}
 
 
 class TestContractBatcherMechanics:
@@ -215,8 +312,10 @@ class TestContractBatcherMechanics:
             ContractBatcher(StubSession(), max_queue=0)
 
     def test_mixed_batch_routes_and_demultiplexes(self):
-        session = StubSession()
+        gate = threading.Event()
+        session = StubSession(gate=gate)
         with ContractBatcher(session, window_ms=100, max_batch=4) as batcher:
+            held = hold_dispatcher(batcher, session)
             outputs = [None] * 4
             specs = [("answer", C1), ("train", C1), ("answer", C2), ("train", C2)]
 
@@ -232,16 +331,21 @@ class TestContractBatcherMechanics:
             ]
             for thread in threads:
                 thread.start()
+            wait_for_queue(batcher, 4)
+            gate.set()
             for thread in threads:
                 thread.join()
+            assert held.result(5) == ("answer", HELD)
             assert outputs[0] == ("answer", C1)
             assert outputs[1] == ("train", C1, False)
             assert outputs[2] == ("answer", C2)
             assert outputs[3] == ("train", C2, False)
             stats = batcher.stats()
-            assert stats.batches == 1
-            assert (stats.answer_requests, stats.train_requests) == (2, 2)
+            assert stats.batches == 2  # the held answer, then all four at once
+            assert (stats.answer_requests, stats.train_requests) == (3, 2)
             assert (stats.fused_passes, stats.serial_passes) == (1, 2)
+            fused = [(call[0], set(call[1])) for call in session.calls[1:]]
+            assert fused == [("answer_many", {C1, C2}), ("train_to_many", {C1, C2})]
 
     def test_recompute_flag_fuses_per_flag_value(self):
         session = StubSession()
@@ -304,16 +408,21 @@ class TestContractBatcherMechanics:
 
     def test_close_rejects_new_serves_queued(self):
         session = StubSession()
-        batcher = ContractBatcher(session, window_ms=100, max_batch=8)
+        # A train request that may search holds the window open: only
+        # close() can end it before the minute is up.
+        batcher = ContractBatcher(session, window_ms=60_000, max_batch=8)
         result_box = []
         thread = threading.Thread(
-            target=lambda: result_box.append(batcher.answer(C1))
+            target=lambda: result_box.append(batcher.train_to(C1))
         )
+        started = time.monotonic()
         thread.start()
-        time.sleep(0.02)  # let the submission enter the window
+        wait_for_queue(batcher, 1)
+        time.sleep(0.02)  # let the dispatcher enter the window
         batcher.close()  # cuts the window short, drains, joins
         thread.join()
-        assert result_box == [("answer", C1)]
+        assert time.monotonic() - started < 5
+        assert result_box == [("train", C1, False)]
         assert batcher.closed
         with pytest.raises(ServingError, match="closed"):
             batcher.answer(C2)
@@ -349,7 +458,10 @@ class TestContractBatcherMechanics:
                     raise KeyError("bad contract")
                 return ("train", contract, recompute_at_theta_n)
 
-        batcher = ContractBatcher(PoisonedSession(), window_ms=100, max_batch=2)
+        gate = threading.Event()
+        session = PoisonedSession(gate=gate)
+        batcher = ContractBatcher(session, window_ms=100, max_batch=2)
+        held = hold_dispatcher(batcher, session)
         outcomes: dict[str, object] = {}
 
         def good():
@@ -364,12 +476,167 @@ class TestContractBatcherMechanics:
         threads = [threading.Thread(target=good), threading.Thread(target=bad)]
         for thread in threads:
             thread.start()
+        wait_for_queue(batcher, 2)
+        gate.set()
         for thread in threads:
             thread.join()
         batcher.close()
+        assert held.result(5) == ("answer", HELD)
+        assert batcher.stats().batches == 2  # the two trains shared a batch
         # The poisoned member fails alone; its window-mate still succeeds.
         assert outcomes["good"] == ("train", C1, False)
         assert isinstance(outcomes["bad"], KeyError)
+
+    def test_requests_with_no_search_skip_the_window(self):
+        # A 5 s window: a lone answer and a lone size-cached train dispatch
+        # as soon as the dispatcher wakes, while a burst of uncached trains
+        # still waits in the window and leaves as one batch.
+        session = StubSession(cached=(C1,))
+        with ContractBatcher(session, window_ms=5_000, max_batch=3) as batcher:
+            for submit in (
+                lambda: batcher.answer(C2, timeout=5),
+                lambda: batcher.train_to(C1, timeout=5),
+            ):
+                started = time.monotonic()
+                submit()
+                assert time.monotonic() - started < 0.5
+            barrier = threading.Barrier(3)
+            outputs = {}
+
+            def worker(contract):
+                barrier.wait()
+                outputs[contract] = batcher.train_to(contract, timeout=10)
+
+            threads = [
+                threading.Thread(target=worker, args=(contract,))
+                for contract in (C2, C3, HELD)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10)
+                assert not thread.is_alive()
+            assert outputs == {c: ("train", c, False) for c in (C2, C3, HELD)}
+            assert batcher.stats().batches == 3
+        assert [call[0] for call in session.calls] == [
+            "answer_many", "train_to_many", "train_to_many"
+        ]
+        assert set(session.calls[-1][1]) == {C2, C3, HELD}
+
+    def test_a_request_that_may_search_holds_the_window(self):
+        session = StubSession()
+        with ContractBatcher(session, window_ms=200, max_batch=4) as batcher:
+            started = time.monotonic()
+            assert batcher.train_to(C1, timeout=5) == ("train", C1, False)
+            assert time.monotonic() - started >= 0.15
+
+    def test_submit_returns_a_future_per_request(self):
+        session = StubSession()
+        with ContractBatcher(session, window_ms=0) as batcher:
+            futures = [
+                batcher.submit("answer", C1),
+                batcher.submit("train", C2, recompute_at_theta_n=True),
+                batcher.submit("answer", C1, recompute_at_theta_n=True),
+            ]
+            assert [future.result(5) for future in futures] == [
+                ("answer", C1), ("train", C2, True), ("answer", C1)
+            ]
+            with pytest.raises(BlinkMLError, match="kind"):
+                batcher.submit("refresh", C1)
+
+    def test_timed_out_or_cancelled_queued_requests_never_execute(self):
+        gate = threading.Event()
+        session = StubSession(gate=gate)
+        batcher = ContractBatcher(session, window_ms=0, max_batch=8, max_queue=2)
+        try:
+            held = hold_dispatcher(batcher, session)
+            with pytest.raises(ServingError, match="timed out"):
+                batcher.train_to(C2, timeout=0.05)
+            cancelled = batcher.submit("train", C3)
+            assert cancelled.cancel()
+            # Both dropped requests gave their queue slots back.
+            assert (len(batcher._queue), batcher._searching) == (0, 0)
+            kept = [batcher.submit("answer", C1), batcher.submit("answer", C2)]
+        finally:
+            gate.set()
+            batcher.close()
+        assert held.result(5) == ("answer", HELD)
+        assert [future.result(5) for future in kept] == [("answer", C1), ("answer", C2)]
+        assert involved(session) == {HELD, C1, C2}
+        assert batcher.stats().requests == 3  # neither dropped request ran
+        assert batcher.stats().load_shed == 0
+
+    def test_concurrent_submitters_each_get_their_own_result(self):
+        # More submitters than cores, switching threads as often as the
+        # interpreter allows: every request completes once with its own
+        # result, and the may-search count drains back to zero (a lost
+        # update would leave later windows held open).
+        contracts = [C1, C2, C3, HELD]
+        session = StubSession(cached=(C1, C3))
+        batcher = ContractBatcher(session, window_ms=0.5, max_batch=4)
+        errors: list = []
+
+        def worker(index):
+            try:
+                for step in range(40):
+                    contract = contracts[(index + step) % len(contracts)]
+                    if step % 3 == 0:
+                        assert batcher.answer(contract, timeout=10) == (
+                            "answer", contract
+                        )
+                    else:
+                        recompute = step % 2 == 0
+                        assert batcher.train_to(
+                            contract, recompute_at_theta_n=recompute, timeout=10
+                        ) == ("train", contract, recompute)
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(12)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            batcher.close()
+        assert not errors
+        assert batcher.stats().requests == 12 * 40
+        assert batcher._searching == 0
+
+    def test_served_requests_leave_no_cycle_holding_the_session(self):
+        # With the cyclic collector off, a closed batcher and its session
+        # are freed by reference counting once the callers drop them: a
+        # fleet that replaces its sessions does not hold the old ones.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            session = StubSession()
+            alive = weakref.ref(session)
+            batcher = ContractBatcher(session, window_ms=0)
+            futures = [batcher.submit("train", C1), batcher.submit("answer", C2)]
+            assert [future.result(5) for future in futures] == [
+                ("train", C1, False), ("answer", C2)
+            ]
+            batcher.close()
+            del batcher, session, futures
+            assert alive() is None
+        finally:
+            if collecting:
+                gc.enable()
+
+    def test_dispatch_without_a_result_fails_the_caller(self):
+        class ShortSession(StubSession):
+            def answer_many(self, contracts):
+                return []  # loses every result
+
+        with ContractBatcher(ShortSession(), window_ms=0) as batcher:
+            with pytest.raises(ServingError, match="without completing"):
+                batcher.answer(C1, timeout=5)
 
     def test_stats_merge(self):
         a = BatcherStats(
@@ -499,6 +766,78 @@ class TestCoalescingService:
             stats = service.batching_stats()
             assert stats.requests == len(CONTRACTS)
             assert stats.coalesced_requests > 0 or stats.batches > 1
+
+    def test_async_timeout_raises_serving_error(self):
+        gate = threading.Event()
+        registry = FakeRegistry()
+        registry.sessions["k"] = session = StubSession(gate=gate)
+        service = CoalescingService(registry, window_ms=0, start_housekeeping=False)
+        try:
+            with pytest.raises(ServingError, match="timed out"):
+                asyncio.run(service.train_to("k", C1, timeout=0.05))
+            with pytest.raises(ServingError, match="timed out"):
+                service.train_to_sync("k", C2, timeout=0.05)
+        finally:
+            gate.set()
+            service.close()
+        # The first request was executing when it timed out; the second
+        # was still queued behind it and never ran.
+        assert involved(session) == {C1}
+
+    def test_async_cancelled_queued_request_never_executes(self):
+        gate = threading.Event()
+        registry = FakeRegistry()
+        registry.sessions["k"] = session = StubSession(gate=gate)
+        service = CoalescingService(registry, window_ms=0, start_housekeeping=False)
+        try:
+            held = hold_dispatcher(service.batcher("k"), session)
+
+            async def drive():
+                timed_out = asyncio.ensure_future(
+                    service.train_to("k", C2, timeout=0.05)
+                )
+                cancelled = asyncio.ensure_future(service.answer("k", C3))
+                await asyncio.sleep(0.01)  # both submitted and queued
+                cancelled.cancel()
+                outcomes = await asyncio.gather(
+                    timed_out, cancelled, return_exceptions=True
+                )
+                gate.set()
+                kept = await service.answer("k", C1, timeout=5)
+                return outcomes, kept
+
+            (timed_out, cancelled), kept = asyncio.run(drive())
+        finally:
+            gate.set()
+            service.close()
+        assert isinstance(timed_out, ServingError)
+        assert isinstance(cancelled, asyncio.CancelledError)
+        assert held.result(5) == ("answer", HELD)
+        assert kept == ("answer", C1)
+        assert involved(session) == {HELD, C1}
+
+    def test_async_resolution_constructs_sessions_off_the_loop(self):
+        built_on = []
+
+        def factory(spec, train, holdout, **kwargs):
+            built_on.append(threading.current_thread())
+            return FakeSession(spec, train, holdout, **kwargs)
+
+        registry = SessionRegistry(session_factory=factory, min_session_bytes=1)
+        data = FakeData()
+        with CoalescingService(
+            registry, window_ms=0, start_housekeeping=False
+        ) as service:
+
+            async def drive():
+                answer = await service.answer(
+                    "k", C1, spec=SPEC, train=data, holdout=data, timeout=5
+                )
+                return threading.current_thread(), answer
+
+            loop_thread, answer = asyncio.run(drive())
+        assert answer == ("answer", C1)
+        assert len(built_on) == 1 and built_on[0] is not loop_thread
 
     def test_requires_spec_or_live_session(self):
         service = CoalescingService(FakeRegistry(), start_housekeeping=False)

@@ -395,6 +395,47 @@ class TestWarmCacheTier:
         assert tier.get(DIFF_KIND, "k0") is None
         assert tier.get(DIFF_KIND, "k4") is not None
 
+    def test_quarantine_counts_toward_the_byte_bound(self, tmp_path):
+        """Quarantined files stay for post-mortems, inside ``max_bytes``:
+        ``stats().bytes`` counts them, ``entries`` does not, and ``gc()``
+        removes them oldest first before any live entry, even an older
+        one.  Twenty quarantined 664-byte diff entries used to sit outside
+        a 4,096-byte bound, unseen by both."""
+        tier = WarmCacheTier(tmp_path, max_bytes=4_096)
+        entry_bytes = len(serialize_entry(DIFF_KIND, "live", _payload()))
+        tier.put(DIFF_KIND, "live", _payload())
+        tier.flush()
+        now = time.time()
+        live = os.path.join(tmp_path, entry_filename(DIFF_KIND, "live"))
+        os.utime(live, (now - 1_000, now - 1_000))
+        for index in range(20):
+            key = f"k{index}"
+            blob = bytearray(serialize_entry(DIFF_KIND, key, _payload()))
+            blob[len(blob) // 2] ^= 0xFF
+            path = os.path.join(tmp_path, entry_filename(DIFF_KIND, key))
+            with open(path, "wb") as handle:
+                handle.write(bytes(blob))
+            os.utime(path, (now - 100 + index, now - 100 + index))
+            assert tier.get(DIFF_KIND, key) is None
+        stats = tier.stats()
+        assert (stats.quarantined, stats.entries) == (20, 1)
+        assert stats.bytes == 21 * entry_bytes > tier.max_bytes
+
+        tier.gc()
+
+        on_disk = sum(
+            os.path.getsize(os.path.join(root, name))
+            for root, _, names in os.walk(tmp_path)
+            for name in names
+        )
+        assert on_disk == tier.stats().bytes <= tier.max_bytes
+        assert tier.get(DIFF_KIND, "live") is not None
+        survivors = sorted(os.listdir(tmp_path / "quarantine"))
+        kept = tier.max_bytes // entry_bytes - 1  # the live entry stays
+        assert survivors == sorted(
+            entry_filename(DIFF_KIND, f"k{index}") for index in range(20 - kept, 20)
+        )
+
     def test_unopenable_directory_is_a_miss_not_corruption(self, tmp_path):
         """A warm directory below a regular file cannot even be opened:
         reads miss without quarantining, writes are dropped and counted."""
